@@ -18,7 +18,4 @@ The package is organized around three layers:
   (:mod:`curvelog.sheaf`).
 """
 
-from curvelog.config import RunConfig
-
-__all__ = ["RunConfig"]
 __version__ = "0.1.0"

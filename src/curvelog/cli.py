@@ -239,7 +239,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write output here")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--prec", type=float, default=1e-9)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = msub.add_parser("eval")
     p.add_argument("indices", type=int, nargs="+",
                    help="exponents, inner-to-outer; the last must be >= 2")
+    p.add_argument("--prec", type=float, default=1e-9)
     _add_common(p)
     p.set_defaults(fn=cmd_mzv_eval)
 

@@ -17,6 +17,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .jsonio import canonical_dumps
+
 Exponent = tuple[int, ...]
 
 _ZERO = Fraction(0)
@@ -379,7 +381,7 @@ class TruncatedSeries:
         return cls(tuple(data["vars"]), int(data["trunc"]), terms)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return canonical_dumps(self.to_json())
 
     @classmethod
     def loads(cls, text: str) -> "TruncatedSeries":

@@ -17,10 +17,6 @@ def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def str_to_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def write_output(obj, out: str | None, fmt: str = "json") -> str:
     """Render ``obj`` (canonical JSON or indented text) and optionally
     write it to ``out``; returns the rendered string."""

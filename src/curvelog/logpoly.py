@@ -1,13 +1,20 @@
-"""Polynomials in normalized edge logarithms over period combinations.
+"""Sparse polynomials in named commuting symbols over period combinations.
 
-A :class:`LogPoly` is a polynomial in commuting symbols — one per graph
-edge, standing for ``log(y_edge) / (2 i pi)`` — whose coefficients are
-:class:`~curvelog.constants.ConstantCombination` values.  These are the
-coefficients of monodromy elements: crossing an edge contributes an
-exponential that is polynomial in the edge symbol at every word order.
+A :class:`LogPoly` is a polynomial in a fixed tuple of commuting symbols
+whose coefficients are :class:`~curvelog.constants.ConstantCombination`
+values.  The package uses one type over two symbol sets:
+
+* one symbol per graph edge, standing for ``log(y_edge) / (2 i pi)``:
+  the coefficients of monodromy elements (:func:`logpoly_ring`), where
+  crossing an edge contributes an exponential that is polynomial in the
+  edge symbol at every word order;
+* the sewing symbols ``("y", "l", "kappa")``: the deformation parameter,
+  ``log(y) / (2 i pi)`` and the cut symbol ``log(cut)``
+  (:data:`curvelog.sewing.SEW`).
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -32,26 +39,41 @@ class LogPoly:
                 if c:
                     self.terms[e] = c
 
+    @classmethod
+    def _raw(cls, vars: tuple[str, ...],
+             terms: dict[Expo, ConstantCombination]) -> "LogPoly":
+        """Wrap terms that are already normalized and free of zeros."""
+        out = object.__new__(cls)
+        out.vars = vars
+        out.terms = terms
+        return out
+
     # ------------------------------------------------------------------
     @classmethod
     def zero(cls, vars: Sequence[str]) -> "LogPoly":
         return cls(vars)
 
     @classmethod
-    def constant(cls, vars: Sequence[str], value) -> "LogPoly":
-        if isinstance(value, (int, Fraction)):
-            value = ConstantCombination.rational(value)
-        return cls(vars, {(0,) * len(tuple(vars)): value})
+    def monomial(cls, vars: Sequence[str], expo: Sequence[int],
+                 coeff=1) -> "LogPoly":
+        """``coeff`` (int, Fraction or ConstantCombination) times the
+        monomial with exponents ``expo``."""
+        if isinstance(coeff, (int, Fraction)):
+            coeff = ConstantCombination.rational(coeff)
+        return cls(vars, {tuple(expo): coeff})
 
     @classmethod
-    def symbol(cls, vars: Sequence[str], name: str, coeff=None) -> "LogPoly":
+    def constant(cls, vars: Sequence[str], value) -> "LogPoly":
+        vars = tuple(vars)
+        return cls.monomial(vars, (0,) * len(vars), value)
+
+    @classmethod
+    def symbol(cls, vars: Sequence[str], name: str, coeff=1) -> "LogPoly":
         vars = tuple(vars)
         expo = tuple(1 if v == name else 0 for v in vars)
         if sum(expo) != 1:
             raise ValueError(f"unknown symbol {name}")
-        if coeff is None:
-            coeff = ConstantCombination.one()
-        return cls(vars, {expo: coeff})
+        return cls.monomial(vars, expo, coeff)
 
     # ------------------------------------------------------------------
     def _coerce(self, other):
@@ -69,17 +91,19 @@ class LogPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, ConstantCombination.zero()) + c
+            s = terms.get(e)
+            s = c if s is None else s + c
             if s:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return LogPoly(self.vars, terms)
+        return LogPoly._raw(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LogPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LogPoly._raw(self.vars,
+                            {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -95,15 +119,18 @@ class LogPoly:
         if other is None:
             return NotImplemented
         terms: dict[Expo, ConstantCombination] = {}
+        add = operator.add
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, ConstantCombination.zero()) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                p = c1 * c2
+                s = terms.get(e)
+                s = p if s is None else s + p
                 if s:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return LogPoly(self.vars, terms)
+        return LogPoly._raw(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -120,6 +147,23 @@ class LogPoly:
         return hash((self.vars, frozenset(self.terms)))
 
     # ------------------------------------------------------------------
+    def shift(self, name: str, d: int) -> "LogPoly":
+        """Multiply by ``name**d``; a negative power raises ValueError."""
+        i = self.vars.index(name)
+        terms = {}
+        for e, c in self.terms.items():
+            k = e[i] + d
+            if k < 0:
+                raise ValueError(f"negative power of {name}")
+            terms[e[:i] + (k,) + e[i + 1:]] = c
+        return LogPoly._raw(self.vars, terms)
+
+    def truncate(self, name: str, m: int) -> "LogPoly":
+        """Drop the terms of degree above ``m`` in ``name``."""
+        i = self.vars.index(name)
+        return LogPoly._raw(self.vars, {e: c for e, c in self.terms.items()
+                                        if e[i] <= m})
+
     def coefficient(self, expo: Sequence[int]) -> ConstantCombination:
         return self.terms.get(tuple(expo), ConstantCombination.zero())
 
@@ -134,12 +178,13 @@ class LogPoly:
 
     def evaluate(self, values: Mapping[str, complex],
                  prec: float = 1e-12) -> complex:
+        """Numeric value with each symbol set to ``values[symbol]``."""
         total = 0j
         for e, c in self.terms.items():
             val = c.numeric(prec)
             for v, k in zip(self.vars, e):
                 if k:
-                    val *= complex(values[v]) ** k
+                    val *= values[v] ** k
             total += val
         return total
 

@@ -13,12 +13,13 @@ word pairs inside the truncation, which is the coefficient form of
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Sequence
+
+from .jsonio import canonical_dumps, frac_to_str
 
 Word = tuple[int, ...]
 
@@ -34,12 +35,8 @@ class Ring:
     close: Callable | None = None   # (a, b, tol) -> bool, for numeric rings
 
 
-def _frac_encode(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}"
-
-
 RATIONAL = Ring("rational", Fraction(0), Fraction(1), Fraction,
-                _frac_encode, Fraction)
+                frac_to_str, Fraction)
 
 COMPLEX = Ring("complex", complex(0), complex(1), complex,
                lambda c: {"re": c.real, "im": c.imag},
@@ -252,9 +249,6 @@ class NCSeries:
             out = out + power
         return out
 
-    def ad(self, other: "NCSeries") -> "NCSeries":
-        return self.bracket(other)
-
     def ad_series(self, coeffs: Sequence[Fraction],
                   arg: "NCSeries") -> "NCSeries":
         """Evaluate ``sum_n coeffs[n] ad_self^n(arg)``."""
@@ -366,7 +360,7 @@ class NCSeries:
         return cls(alphabet, int(data["trunc"]), ring, terms)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return canonical_dumps(self.to_json())
 
     def __repr__(self) -> str:
         parts = [f"{self.terms[w]}*{self.word_name(w)}"

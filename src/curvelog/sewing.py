@@ -22,11 +22,14 @@ higher ``y``-degree it recombines with the rational values of the zone
 frames at the cut, so there the check is numeric agreement with the
 direct integrator.
 
-Coefficients live in a small commutative ring: polynomials in the
-deformation parameter ``y``, the normalized logarithm ``l = log(y) /
-(2 pi i)`` and the cut symbol ``kappa = log(cut)``, over exact period
-combinations.  The assembled transport is valid for ``0 < y < a * c``
-and matches the numeric oracle to ``O(y^(ydeg+1))``.
+Coefficients live in the sew ring :data:`SEW`: the same
+:class:`~curvelog.logpoly.LogPoly` type that carries monodromy
+coefficients, here over the fixed symbols ``("y", "l", "kappa")``, that
+is the deformation parameter ``y``, the normalized logarithm ``l =
+log(y) / (2 pi i)`` and the cut symbol ``kappa = log(cut)``.  Exponent
+tuples are ``(dy, dl, dk)`` in that order.  The assembled transport is
+valid for ``0 < y < a * c`` and matches the numeric oracle to
+``O(y^(ydeg+1))``.
 
 Frames: unit tangential frames in each chart coordinate; in the global
 coordinate of the destination chart the source frame has scale ``y``.
@@ -40,125 +43,25 @@ from typing import Callable, Mapping
 
 from .associator import kz_associator
 from .constants import ConstantCombination
+from .logpoly import LogPoly
 from .ncseries import COMPLEX, NCSeries, Ring
 
-Key = tuple[int, int, int]          # (y power, l power, kappa power)
+SEW_VARS = ("y", "l", "kappa")
 
 
-class SewCoeff:
-    """Polynomial in ``y``, ``l`` and ``kappa`` over period combinations."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Key, ConstantCombination] | None = None):
-        self.terms: dict[Key, ConstantCombination] = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[k] = c
-
-    @classmethod
-    def of(cls, c, dy: int = 0, dl: int = 0, dk: int = 0) -> "SewCoeff":
-        if isinstance(c, (int, Fraction)):
-            c = ConstantCombination.rational(Fraction(c))
-        return cls({(dy, dl, dk): c})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SewCoeff):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "SewCoeff") -> "SewCoeff":
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            s = c if s is None else s + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return SewCoeff(terms)
-
-    def __neg__(self) -> "SewCoeff":
-        return SewCoeff({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "SewCoeff") -> "SewCoeff":
-        return self + (-other)
-
-    def __mul__(self, other: "SewCoeff") -> "SewCoeff":
-        out: dict[Key, ConstantCombination] = {}
-        for (y1, l1, k1), c1 in self.terms.items():
-            for (y2, l2, k2), c2 in other.terms.items():
-                key = (y1 + y2, l1 + l2, k1 + k2)
-                p = c1 * c2
-                s = out.get(key)
-                s = p if s is None else s + p
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return SewCoeff(out)
-
-    def shift_y(self, d: int) -> "SewCoeff":
-        out = {}
-        for (dy, dl, dk), c in self.terms.items():
-            if dy + d < 0:
-                raise ValueError("negative power of the deformation parameter")
-            out[(dy + d, dl, dk)] = c
-        return SewCoeff(out)
-
-    def drop_y_above(self, ymax: int) -> "SewCoeff":
-        return SewCoeff({k: c for k, c in self.terms.items() if k[0] <= ymax})
-
-    def kappa_part(self) -> "SewCoeff":
-        return SewCoeff({k: c for k, c in self.terms.items() if k[2] > 0})
-
-    def without_kappa(self) -> "SewCoeff":
-        return SewCoeff({k: c for k, c in self.terms.items() if k[2] == 0})
-
-    def numeric(self, yval: complex, prec: float = 1e-12,
-                cut: Fraction = Fraction(1, 2)) -> complex:
-        two_ipi = ConstantCombination.ipi(1, 2).numeric(prec)
-        ell = _clog(yval) / two_ipi
-        kap = _mlog(cut)
-        out = 0j
-        for (dy, dl, dk), c in self.terms.items():
-            out += c.numeric(prec) * yval ** dy * ell ** dl * kap ** dk
-        return out
-
-    def to_json(self) -> list:
-        return [{"y": k[0], "l": k[1], "kappa": k[2], "coeff": c.to_json()}
-                for k, c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_json(cls, data: list) -> "SewCoeff":
-        return cls({(d["y"], d["l"], d["kappa"]):
-                    ConstantCombination.from_json(d["coeff"]) for d in data})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "<sew 0>"
-        bits = []
-        for (dy, dl, dk), c in sorted(self.terms.items()):
-            mono = "".join(s for s, p in (("y", dy), ("l", dl), ("k", dk))
-                           for s in [f"{s}^{p}"] if p)
-            bits.append(f"{c!r}{('*' + mono) if mono else ''}")
-        return "<sew " + " + ".join(bits) + ">"
+def _sew_encode(p: LogPoly) -> list:
+    return [{"y": dy, "l": dl, "kappa": dk, "coeff": c.to_json()}
+            for (dy, dl, dk), c in sorted(p.terms.items())]
 
 
-SEW = Ring("sew", SewCoeff(), SewCoeff.of(1),
-           lambda q: SewCoeff.of(q),
-           SewCoeff.to_json, SewCoeff.from_json)
+def _sew_decode(data: list) -> LogPoly:
+    return LogPoly(SEW_VARS, {(d["y"], d["l"], d["kappa"]):
+                              ConstantCombination.from_json(d["coeff"])
+                              for d in data})
 
 
-def _embed_cc(c: ConstantCombination) -> SewCoeff:
-    return SewCoeff({(0, 0, 0): c})
+SEW = Ring("sew", LogPoly.zero(SEW_VARS), LogPoly.constant(SEW_VARS, 1),
+           lambda q: LogPoly.constant(SEW_VARS, q), _sew_encode, _sew_decode)
 
 
 _TWO_IPI = ConstantCombination.ipi(1, 2)
@@ -228,9 +131,8 @@ class Zone:
         out = {}
         for (p, q), s in self.terms.items():
             bound = ymax - min(p, 0)
-            t = s.map_coefficients(lambda c: c.drop_y_above(bound), s.ring)
-            cleaned = NCSeries(s.alphabet, s.trunc, s.ring,
-                               {w: c for w, c in t.terms.items() if c})
+            cleaned = s.map_coefficients(lambda c: c.truncate("y", bound),
+                                         s.ring)
             if not cleaned.is_zero():
                 out[(p, q)] = cleaned
         return Zone(self.proto, out)
@@ -276,7 +178,8 @@ class Zone:
         out = NCSeries.zero(self.proto.alphabet, self.proto.trunc,
                             self.proto.ring)
         for (p, q), s in self.terms.items():
-            factor = SewCoeff.of(Fraction(cut_kappa) ** q * r ** p, 0, 0, q)
+            factor = LogPoly.monomial(SEW_VARS, (0, 0, q),
+                                      Fraction(cut_kappa) ** q * r ** p)
             out = out + s.scale(factor)
         return out
 
@@ -284,23 +187,18 @@ class Zone:
         """Value at ``w = y / cut``; ``log w`` becomes
         ``2 pi i l - cut_kappa * kappa`` and ``w^p`` shifts ``y``."""
         c = Fraction(1, 2) ** cut_kappa
+        log_w = LogPoly(SEW_VARS, {(0, 1, 0): _TWO_IPI,
+                                   (0, 0, 1):
+                                   ConstantCombination.rational(-cut_kappa)})
         out = NCSeries.zero(self.proto.alphabet, self.proto.trunc,
                             self.proto.ring)
         for (p, q), s in self.terms.items():
-            # (2 pi i l - m kappa)^q expanded binomially
-            logf = SewCoeff.of(1)
-            if q:
-                base = SewCoeff({(0, 1, 0): _TWO_IPI,
-                                 (0, 0, 1):
-                                 ConstantCombination.rational(-cut_kappa)})
-                logf = base
-                for _ in range(q - 1):
-                    logf = logf * base
-            factor = logf * SewCoeff.of(c ** (-p))
-            scaled = s.scale(factor) if factor else s.scale(0)
-            shifted = scaled.map_coefficients(lambda cc: cc.shift_y(p),
-                                              scaled.ring)
-            out = out + shifted
+            factor = LogPoly.constant(SEW_VARS, c ** (-p))
+            for _ in range(q):
+                factor = factor * log_w
+            scaled = s.scale(factor)
+            out = out + scaled.map_coefficients(lambda cc: cc.shift("y", p),
+                                                scaled.ring)
         return out
 
 
@@ -381,15 +279,8 @@ def _binomial_shift(k: int, order: int) -> list[Fraction]:
     return out
 
 
-def _exp_scaled(x: NCSeries, factor: SewCoeff) -> NCSeries:
-    return x.scale(factor).exp()
-
-
 def _mul_trunc(a: NCSeries, b: NCSeries, ymax: int) -> NCSeries:
-    prod = a * b
-    out = prod.map_coefficients(lambda c: c.drop_y_above(ymax), prod.ring)
-    return NCSeries(prod.alphabet, prod.trunc, prod.ring,
-                    {w: c for w, c in out.terms.items() if c})
+    return (a * b).map_coefficients(lambda c: c.truncate("y", ymax), a.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +292,7 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
                            xorder: int = 36, kmax: int = 26,
                            depth: int | None = None) -> NCSeries:
     """Transport from the source tail to the destination tail of a
-    two-vertex tree, as a series with SewCoeff coefficients.
+    two-vertex tree, as a series over the sew ring.
 
     In the destination chart the punctures sit at 0 (residue ``a_res``,
     the source chart's third marked point), ``y`` (``b_res``, the
@@ -422,9 +313,6 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
     r_child = -r_hole
     unit = NCSeries.unit(alphabet, trunc, ring)
 
-    def series_inverse(s: NCSeries) -> NCSeries:
-        return s.invert()
-
     # ---- destination-zone comparison (variable s = 1 - w on [0, 1/2])
     h_dst = frame_series(c_res, [-r_hole] * xorder, xorder)
     hz = Zone(proto, {(m, 0): h for m, h in enumerate(h_dst)})
@@ -432,10 +320,9 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
     delta_dst = Zone(proto)
     for k in range(1, kmax + 1):
         shift = _binomial_shift(k, xorder)
-        yk = SewCoeff.of(1, dy=k)
         for j, binc in enumerate(shift):
             delta_dst = delta_dst + Zone(proto, {(j, 0): b_res.scale(
-                SewCoeff.of(binc) * yk)})
+                LogPoly.monomial(SEW_VARS, (k, 0, 0), binc))})
     kern = log_conjugate(c_res, hz_inv * delta_dst * hz, -1)
     kern = (-kern).clean(ydeg)      # dw = -ds
     q_dst = ordered_exp(kern, Zone.eval_zero,
@@ -448,10 +335,9 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
     delta_src = Zone(proto)
     for k in range(1, kmax + 1):
         shift = _binomial_shift(k, xorder)
-        yk = SewCoeff.of(1, dy=k)
         for j, binc in enumerate(shift):
             delta_src = delta_src + Zone(proto, {(j, 0): c_res.scale(
-                SewCoeff.of(binc) * yk)})
+                LogPoly.monomial(SEW_VARS, (k, 0, 0), binc))})
     kern_s = log_conjugate(b_res, hz_s_inv * delta_src * hz_s, -1)
     kern_s = (-kern_s).clean(ydeg)
     q_src = ordered_exp(kern_s, Zone.eval_zero,
@@ -463,7 +349,8 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
         delta_ann = delta_ann + Zone(proto, {(j, 0): -c_res})
     for k in range(1, kmax + 1):
         delta_ann = delta_ann + Zone(
-            proto, {(-k - 1, 0): b_res.scale(SewCoeff.of(1, dy=k))})
+            proto, {(-k - 1, 0): b_res.scale(
+                LogPoly.monomial(SEW_VARS, (k, 0, 0)))})
     kern_ann = log_conjugate(r_hole, delta_ann, -1).clean(ydeg)
     oe_ann = ordered_exp(kern_ann,
                          lambda z: z.eval_y_over_cut(1),
@@ -477,27 +364,27 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
 
     # ---- associator factors
     phi = kz_associator(trunc)
-    phi_par = phi.substitute({"X0": r_hole, "X1": c_res}, embed=_embed_cc)
-    phi_child = phi.substitute({"X0": r_child, "X1": b_res}, embed=_embed_cc)
+    phi_par = phi.substitute({"X0": r_hole, "X1": c_res}, embed=SEW.embed)
+    phi_child = phi.substitute({"X0": r_child, "X1": b_res}, embed=SEW.embed)
 
-    kappa = SewCoeff.of(1, dk=1)
-    neg_kappa = SewCoeff.of(-1, dk=1)
+    kappa = LogPoly.monomial(SEW_VARS, (0, 0, 1))
+    neg_kappa = -kappa
     # log(y/cut) = 2 pi i l - kappa, so the annulus lower frame is
     # exp(-(2 pi i l - kappa) r_hole)
-    neck = SewCoeff({(0, 1, 0): -_TWO_IPI,
-                     (0, 0, 1): ConstantCombination.one()})
+    neck = LogPoly(SEW_VARS, {(0, 1, 0): -_TWO_IPI,
+                              (0, 0, 1): ConstantCombination.one()})
 
     factors = [
-        series_inverse(q_dst),
+        q_dst.invert(),
         phi_par,
-        _exp_scaled(r_hole, neg_kappa),
-        series_inverse(h_par_a),
-        _exp_scaled(r_hole, kappa),
+        r_hole.scale(neg_kappa).exp(),
+        h_par_a.invert(),
+        r_hole.scale(kappa).exp(),
         oe_ann,
-        _exp_scaled(r_hole, neck),
+        r_hole.scale(neck).exp(),
         h_child_c,
-        _exp_scaled(r_hole, neg_kappa),
-        series_inverse(phi_child),
+        r_hole.scale(neg_kappa).exp(),
+        phi_child.invert(),
         q_src,
     ]
     out = unit
@@ -542,16 +429,15 @@ def kappa_residual(series: NCSeries, prec: float = 1e-9) -> float:
 
 
 def strip_kappa(series: NCSeries) -> NCSeries:
-    return NCSeries(series.alphabet, series.trunc, series.ring,
-                    {w: c.without_kappa() for w, c in series.terms.items()})
+    return series.map_coefficients(lambda c: c.truncate("kappa", 0),
+                                   series.ring)
 
 
 def sew_specialize(series: NCSeries, yval: complex,
                    prec: float = 1e-12) -> NCSeries:
-    """Evaluate the deformation symbols at a numeric ``y``."""
-    out = {}
-    for w, c in series.terms.items():
-        v = c.numeric(yval, prec)
-        if v:
-            out[w] = v
-    return NCSeries(series.alphabet, series.trunc, COMPLEX, out)
+    """Evaluate the deformation symbols at a numeric ``y``, with the cut
+    at ``1/2``."""
+    values = {"y": yval, "l": _clog(yval) / _TWO_IPI.numeric(prec),
+              "kappa": _mlog(0.5)}
+    return series.map_coefficients(lambda c: c.evaluate(values, prec),
+                                   COMPLEX)

@@ -404,7 +404,7 @@ class MonodromyCalculator:
         ``y``-constant layer agrees with :meth:`path` over the moves of
         :meth:`tail_path_moves` on the same tails.
         """
-        from .sewing import SEW, SewCoeff, dressed_neck_transport
+        from .sewing import SEW, dressed_neck_transport
 
         g = self.graph
         if len(g.edges) != 1 or self.sheaf.cycle_edges:
@@ -423,7 +423,7 @@ class MonodromyCalculator:
 
         def embed(branch: str) -> NCSeries:
             return self.sheaf.residues[branch].map_coefficients(
-                lambda fr: SewCoeff.of(fr), SEW)
+                SEW.embed, SEW)
 
         spectator = embed(src_branches[2])
         return dressed_neck_transport(

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .jsonio import canonical_dumps, frac_to_str
+
 
 class GraphInvalid(ValueError):
     """The graph violates a structural or chart invariant."""
@@ -574,7 +576,7 @@ class StableGraph:
         }
         if self.chart is not None:
             data["chart"] = {
-                "finite": {b: _frac_str(x)
+                "finite": {b: frac_to_str(x)
                            for b, x in sorted(self.chart.finite.items())},
                 "infinite": sorted(self.chart.infinite),
             }
@@ -594,15 +596,11 @@ class StableGraph:
         return cls(data["vertices"], edges, tails, chart)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return canonical_dumps(self.to_json())
 
     @classmethod
     def loads(cls, text: str) -> "StableGraph":
         return cls.from_json(json.loads(text))
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _renumber_slots(edges: list[Edge]) -> list[Edge]:

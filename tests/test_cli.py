@@ -1,4 +1,5 @@
 """End-to-end checks of the command-line interface."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from curvelog.catalog import stable_graphs
 from curvelog.jsonio import canonical_dumps
 from curvelog.logpoly import logpoly_ring
 from curvelog.ncseries import NCSeries
+from curvelog.sewing import SEW
 from curvelog.sheaf import reassemble_element
 from curvelog.stable_graph import Edge, StableGraph, Tail
 
@@ -75,6 +77,11 @@ def test_mzv_eval(tmp_path):
     assert abs(out["value"] - 1.2020569031595942) < 1e-9
     proc = run_cli("mzv", "eval", "1", expect=2)
     assert "error" in json.loads(proc.stderr)
+    out = json.loads(run_cli("mzv", "eval", "2", "--prec", "1e-10").stdout)
+    assert out["prec"] == 1e-10
+    assert abs(out["value"] - 1.6449340668482264) < 1e-10
+    # the option exists only where it is read
+    run_cli("assoc", "kz", "--weight", "2", "--prec", "1e-10", expect=2)
 
 
 def test_assoc_kz_series(tmp_path):
@@ -159,6 +166,22 @@ def test_monodromy_decompose_round_trip(four_tails, tmp_path):
     elem = NCSeries.from_json(mono["element"], ring)
     back = reassemble_element(report, ring)
     assert canonical_dumps(back.to_json()) == canonical_dumps(mono["element"])
+
+
+# sha256 of the stdout below; the sew-ring layout of the artifact is fixed
+SEW_ARTIFACT_SHA256 = \
+    "20d43619184d98f2ded6f2897ad62fe4b475da816696e806f952b6aba4cf92bf"
+
+
+def test_monodromy_ydeg1_sew_artifact(four_tails, tmp_path):
+    path = write_json(tmp_path / "path.json", {"tails": ["t1", "t3"]})
+    stdout = run_cli("monodromy", "--graph", four_tails, "--path", path,
+                     "--words", "2", "--ydeg", "1").stdout
+    mono = json.loads(stdout)
+    assert mono["element"]["ring"] == "sew"
+    elem = NCSeries.from_json(mono["element"], SEW)
+    assert canonical_dumps(elem.to_json()) == canonical_dumps(mono["element"])
+    assert hashlib.sha256(stdout.encode()).hexdigest() == SEW_ARTIFACT_SHA256
 
 
 def test_monodromy_loop_path(one_loop, tmp_path):

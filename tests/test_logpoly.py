@@ -1,11 +1,16 @@
 """Polynomials in edge-log symbols over period combinations."""
 import cmath
+import math
 from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvelog.constants import ConstantCombination as CC
 from curvelog.logpoly import LogPoly, logpoly_ring
 
 VARS = ("u", "v")
+SEW_VARS = ("y", "l", "kappa")
 
 
 def test_constructors_and_access():
@@ -61,3 +66,49 @@ def test_ring_contract():
     b = LogPoly.constant(VARS, CC.zeta(3))
     assert ring.close(a, b, 1e-9)
     assert ring.decode(ring.encode(a)) == a
+
+
+def test_from_json_rejects_bad_exponents():
+    good = LogPoly.symbol(VARS, "u", CC.zeta(2)).to_json()
+    coeff = good["terms"][0]["coeff"]
+    for exp in ([1, 0, 0], [1], ["x", 0]):
+        bad = {"vars": list(VARS), "terms": [{"exp": exp, "coeff": coeff}]}
+        with pytest.raises(ValueError):
+            LogPoly.from_json(bad)
+
+
+_BASIS = (CC.one(), CC.ipi(), CC.zeta(2), CC.zeta(3))
+
+
+@st.composite
+def sew_polys(draw):
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.integers(-4, 4), st.integers(1, 3),
+                  st.integers(0, len(_BASIS) - 1)),
+        max_size=4))
+    return LogPoly(SEW_VARS, {e: _BASIS[i] * F(n, d)
+                              for e, (n, d, i) in terms.items()})
+
+
+_VALUES = {"y": 0.03, "l": cmath.log(0.03) / (2j * math.pi),
+           "kappa": math.log(0.5)}
+
+
+def _size(p: LogPoly) -> float:
+    return sum(abs(c.numeric()) * math.prod(abs(_VALUES[v]) ** k
+                                            for v, k in zip(p.vars, e))
+               for e, c in p.terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(sew_polys(), sew_polys(), sew_polys())
+def test_sew_symbols_ring_laws(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a
+    assert (a * b).shift("y", 1) == a.shift("y", 1) * b
+    assert (a * b).shift("kappa", 2) == a * b.shift("kappa", 2)
+    got = (a * b).evaluate(_VALUES)
+    expect = a.evaluate(_VALUES) * b.evaluate(_VALUES)
+    assert abs(got - expect) <= 1e-12 * (1 + _size(a) * _size(b))

@@ -8,15 +8,20 @@ import pytest
 
 from curvelog.associator import ode_transport
 from curvelog.constants import ConstantCombination as CC
+from curvelog.logpoly import LogPoly
 from curvelog.ncseries import COMPLEX, RATIONAL, NCSeries
-from curvelog.sewing import (SEW, SewCoeff, Zone, dressed_neck_transport,
+from curvelog.sewing import (SEW, SEW_VARS, Zone, dressed_neck_transport,
                              frame_series, kappa_residual, log_conjugate,
                              ordered_exp, sew_specialize, strip_kappa)
 
 
-def test_sewcoeff_algebra():
-    a = SewCoeff.of(Fraction(3), dy=1)
-    b = SewCoeff.of(Fraction(2), dl=1)
+def sew(c, dy=0, dl=0, dk=0):
+    return LogPoly.monomial(SEW_VARS, (dy, dl, dk), c)
+
+
+def test_sew_ring_algebra():
+    a = sew(Fraction(3), dy=1)
+    b = sew(Fraction(2), dl=1)
     s = a + b
     assert s.terms[(1, 0, 0)] == CC.rational(3)
     assert s.terms[(0, 1, 0)] == CC.rational(2)
@@ -24,23 +29,32 @@ def test_sewcoeff_algebra():
     assert list(prod.terms) == [(1, 1, 0)]
     assert prod.terms[(1, 1, 0)] == CC.rational(6)
     assert not (a - a)
-    assert a.shift_y(2).terms == {(3, 0, 0): CC.rational(3)}
+    assert a.shift("y", 2).terms == {(3, 0, 0): CC.rational(3)}
     with pytest.raises(ValueError):
-        b.shift_y(-1)
-    mixed = SewCoeff({(0, 0, 1): CC.rational(1), (2, 0, 0): CC.rational(5)})
-    assert mixed.drop_y_above(1).terms == {(0, 0, 1): CC.rational(1)}
-    assert mixed.kappa_part().terms == {(0, 0, 1): CC.rational(1)}
-    assert mixed.without_kappa().terms == {(2, 0, 0): CC.rational(5)}
+        b.shift("y", -1)
+    mixed = LogPoly(SEW_VARS, {(0, 0, 1): CC.rational(1),
+                               (2, 0, 0): CC.rational(5)})
+    assert mixed.truncate("y", 1).terms == {(0, 0, 1): CC.rational(1)}
+    assert mixed.truncate("kappa", 0).terms == {(2, 0, 0): CC.rational(5)}
 
 
-def test_sewcoeff_numeric_and_json():
-    c = SewCoeff({(1, 1, 1): CC.rational(2)})
+def test_sew_ring_evaluate_and_json():
+    c = LogPoly(SEW_VARS, {(1, 1, 1): CC.rational(2)})
     y = 0.03
     expect = 2 * y * (cmath.log(y) / (2j * math.pi)) * math.log(0.5)
-    assert abs(c.numeric(y) - expect) < 1e-14
-    round_trip = SewCoeff.from_json(c.to_json())
-    assert round_trip == c
-    assert SewCoeff.from_json(SewCoeff().to_json()) == SewCoeff()
+    values = {"y": y, "l": cmath.log(y) / (2j * math.pi),
+              "kappa": math.log(0.5)}
+    assert abs(c.evaluate(values) - expect) < 1e-14
+    got = sew_specialize(NCSeries.unit(("x",), 1, SEW).scale(c), y)
+    assert abs(got.constant_term() - expect) < 1e-14
+    assert SEW.encode(c) == [{"y": 1, "l": 1, "kappa": 1,
+                              "coeff": CC.rational(2).to_json()}]
+    assert SEW.decode(SEW.encode(c)) == c
+    assert SEW.decode(SEW.encode(SEW.zero)) == SEW.zero
+    mixed = sew(CC.ipi(1, 2), dl=1) + sew(3, dy=2)
+    assert [(t["y"], t["l"], t["kappa"]) for t in SEW.encode(mixed)] == \
+        [(0, 1, 0), (2, 0, 0)]
+    assert SEW.decode(SEW.encode(mixed)) == mixed
 
 
 def _unit_series():
@@ -53,11 +67,11 @@ def test_zone_antiderivative_frozen():
     # d/dw of w^(p+1)/(p+1) = w^p
     z = Zone(proto, {(2, 0): s}).antiderivative()
     assert set(z.terms) == {(3, 0)}
-    assert (z.terms[(3, 0)] - s.scale(SewCoeff.of(Fraction(1, 3)))).is_zero()
+    assert (z.terms[(3, 0)] - s.scale(sew(Fraction(1, 3)))).is_zero()
     # d/dw of log(w)^(q+1)/(q+1) = log(w)^q / w
     z = Zone(proto, {(-1, 1): s}).antiderivative()
     assert set(z.terms) == {(0, 2)}
-    assert (z.terms[(0, 2)] - s.scale(SewCoeff.of(Fraction(1, 2)))).is_zero()
+    assert (z.terms[(0, 2)] - s.scale(sew(Fraction(1, 2)))).is_zero()
     # d/dw of (w log w - w) = log w
     z = Zone(proto, {(0, 1): s}).antiderivative()
     assert set(z.terms) == {(1, 1), (1, 0)}
@@ -74,14 +88,13 @@ def test_zone_bound_evaluations():
         Zone(s, {(0, 2): s}).eval_zero()
     # at the cut w = 1/2: w^p -> (1/2)^p, log w -> kappa
     got = Zone(s, {(1, 1): s}).eval_cut()
-    expect = s.scale(SewCoeff({(0, 0, 1): CC.rational(Fraction(1, 2))}))
+    expect = s.scale(sew(Fraction(1, 2), dk=1))
     assert (got - expect).is_zero()
     # at w = y/(1/2): w^p -> 2^p y^p, log w -> 2 i pi l - kappa
     got = Zone(s, {(1, 0): s}).eval_y_over_cut()
-    assert (got - s.scale(SewCoeff.of(2, dy=1))).is_zero()
+    assert (got - s.scale(sew(2, dy=1))).is_zero()
     got = Zone(s, {(0, 1): s}).eval_y_over_cut()
-    expect = s.scale(SewCoeff({(0, 1, 0): CC.ipi(1, 2),
-                               (0, 0, 1): CC.rational(-1)}))
+    expect = s.scale(sew(CC.ipi(1, 2), dl=1) + sew(-1, dk=1))
     assert (got - expect).is_zero()
 
 
@@ -93,7 +106,7 @@ def test_log_conjugate_expands_in_brackets():
     assert (conj.terms[(0, 0)] - b).is_zero()
     assert (conj.terms[(0, 1)] - a.bracket(b)).is_zero()
     assert (conj.terms[(0, 2)]
-            - a.bracket(a.bracket(b)).scale(SewCoeff.of(Fraction(1, 2)))
+            - a.bracket(a.bracket(b)).scale(sew(Fraction(1, 2)))
             ).is_zero()
     # opposite sign flips the odd layers
     back = log_conjugate(a, Zone.const(b), -1)
@@ -122,7 +135,7 @@ def test_ordered_exp_constant_kernel():
     kernel = Zone(unit, {(0, 0): x})
     got = ordered_exp(kernel, lambda z: z.eval_zero(),
                       lambda z: z.eval_cut(), depth=5, ymax=0)
-    expect = x.scale(SewCoeff.of(Fraction(1, 2))).exp()
+    expect = x.scale(sew(Fraction(1, 2))).exp()
     assert (got - expect).is_zero()
 
 
@@ -134,12 +147,10 @@ def test_ordered_exp_log_kernel():
                       lambda z: z.eval_y_over_cut(), depth=5, ymax=4)
     # integral of dw/w from 1/2 to y/(1/2) is log y + 2 log 2,
     # i.e. 2 i pi l - 2 kappa
-    expect = x.scale(SewCoeff({(0, 1, 0): CC.ipi(1, 2),
-                               (0, 0, 1): CC.rational(-2)})).exp()
+    expect = x.scale(sew(CC.ipi(1, 2), dl=1) + sew(-2, dk=1)).exp()
     assert (got - expect).is_zero()
     # sanity: wrong lower bound does not collapse to the same element
-    assert not (got - x.scale(SewCoeff({(0, 1, 0): CC.ipi(1, 2)})).exp()
-                ).is_zero()
+    assert not (got - x.scale(sew(CC.ipi(1, 2), dl=1)).exp()).is_zero()
 
 
 def _letters(ring):
