@@ -235,10 +235,11 @@ def cmd_decompose(args) -> int:
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
     parser.add_argument("--out", default=None, help="write output here")
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
+    if seed:
+        parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", required=True)
     p.add_argument("--h1", required=True)
     p.add_argument("--h2", required=True)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(fn=cmd_graph_expand)
     p = gsub.add_parser("contract")
     p.add_argument("--graph", required=True)
     p.add_argument("--edge", required=True)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(fn=cmd_graph_contract)
     p = gsub.add_parser("subtree")
     p.add_argument("--graph", required=True)
@@ -278,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True,
                    help="comma-separated half-edges, e.g. 'e0+,e1-'")
     p.add_argument("--deg", type=int, default=6)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(fn=cmd_schottky_fixed_points)
     p = ssub.add_parser("verify-prop21")
     p.add_argument("--gmax", type=int, default=3)
     p.add_argument("--nmax", type=int, default=2)
     p.add_argument("--len", type=int, default=4)
     p.add_argument("--deg", type=int, default=6)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(fn=cmd_schottky_verify_prop21)
     p = ssub.add_parser("compare-thm31")
     p.add_argument("--graph", required=True)
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h1", required=True)
     p.add_argument("--h2", required=True)
     p.add_argument("--deg", type=int, default=4)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(fn=cmd_schottky_compare_thm31)
 
     mzv = sub.add_parser("mzv", help="multiple zeta numerics")

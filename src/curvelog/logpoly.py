@@ -2,7 +2,7 @@
 
 A :class:`LogPoly` is a polynomial in a fixed tuple of commuting symbols
 whose coefficients are :class:`~curvelog.constants.ConstantCombination`
-values.  The package uses one type over two symbol sets:
+values.  The package uses one type over three symbol sets:
 
 * one symbol per graph edge, standing for ``log(y_edge) / (2 i pi)``:
   the coefficients of monodromy elements (:func:`logpoly_ring`), where
@@ -10,7 +10,11 @@ values.  The package uses one type over two symbol sets:
   edge symbol at every word order;
 * the sewing symbols ``("y", "l", "kappa")``: the deformation parameter,
   ``log(y) / (2 i pi)`` and the cut symbol ``log(cut)``
-  (:data:`curvelog.sewing.SEW`).
+  (:data:`curvelog.sewing.SEW`);
+* the sewing symbols followed by ``("w", "L")``, a zone variable and its
+  logarithm (:data:`curvelog.sewing.ZONE`).  These polynomials are
+  Laurent in ``w``: exponents may be negative, and only :meth:`shift`
+  insists on non-negative powers.
 """
 from __future__ import annotations
 
@@ -213,7 +217,7 @@ class LogPoly:
             return "<lp 0>"
         bits = []
         for e in sorted(self.terms):
-            mon = "*".join(f"{v}^{k}" if k > 1 else v
+            mon = "*".join(f"{v}^{k}" if k != 1 else v
                            for v, k in zip(self.vars, e) if k)
             bits.append(f"({self.terms[e]!r})" + (f"*{mon}" if mon else ""))
         return f"<lp {' + '.join(bits)}>"

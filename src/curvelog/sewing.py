@@ -31,6 +31,16 @@ tuples are ``(dy, dl, dk)`` in that order.  The assembled transport is
 valid for ``0 < y < a * c`` and matches the numeric oracle to
 ``O(y^(ydeg+1))``.
 
+Zone elements are plain :class:`~curvelog.ncseries.NCSeries` over
+:data:`ZONE`, the ``LogPoly`` ring over ``("y", "l", "kappa", "w",
+"L")``: ``w`` and ``L = log(w)`` commute with the letters, so a kernel
+term ``w^p log(w)^q`` times a series is a series whose coefficients
+carry ``w^p L^q``.  The ``w`` exponent may be negative (the annulus
+kernel has ``w^(-k-1)``).  Products, the frame inverse and the
+conjugation ``exp(L ad_x)`` are the ``NCSeries`` operations; only the
+antiderivative in ``w`` and the evaluations at the zone bounds are
+term maps of their own.
+
 Frames: unit tangential frames in each chart coordinate; in the global
 coordinate of the destination chart the source frame has scale ``y``.
 """
@@ -38,12 +48,12 @@ from __future__ import annotations
 
 from cmath import log as _clog
 from fractions import Fraction
-from math import log as _mlog
-from typing import Callable, Mapping
+from math import comb, factorial, log as _mlog
+from typing import Callable
 
 from .associator import kz_associator
 from .constants import ConstantCombination
-from .logpoly import LogPoly
+from .logpoly import LogPoly, logpoly_ring
 from .ncseries import COMPLEX, NCSeries, Ring
 
 SEW_VARS = ("y", "l", "kappa")
@@ -65,172 +75,126 @@ SEW = Ring("sew", LogPoly.zero(SEW_VARS), LogPoly.constant(SEW_VARS, 1),
 
 
 _TWO_IPI = ConstantCombination.ipi(1, 2)
+# log(y / cut) = 2 pi i l - kappa
+_LOG_Y_OVER_CUT = LogPoly(SEW_VARS, {(0, 1, 0): _TWO_IPI,
+                                     (0, 0, 1):
+                                     ConstantCombination.rational(-1)})
+_HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
-# zone elements: sums of w^p log(w)^q with series coefficients
+# zone elements: series over the sew symbols, w and L = log(w)
+
+ZONE_VARS = SEW_VARS + ("w", "L")
+ZONE = logpoly_ring(ZONE_VARS)
 
 
-class Zone:
-    """Finite sum of monomials ``w^p log(w)^q`` times a series."""
+def _termwise(s: NCSeries, term: Callable, ring: Ring) -> NCSeries:
+    """Send every coefficient term ``(expo, c)`` of ``s`` through
+    ``term``, which gives ``(expo, c)`` pairs over ``ring``, and sum."""
+    vars = ring.one.vars
 
-    __slots__ = ("terms", "proto")
+    def coeff(p: LogPoly) -> LogPoly:
+        acc: dict = {}
+        for e, c in p.terms.items():
+            for e2, c2 in term(e, c):
+                prev = acc.get(e2)
+                acc[e2] = c2 if prev is None else prev + c2
+        return LogPoly(vars, acc)
 
-    def __init__(self, proto: NCSeries,
-                 terms: Mapping[tuple[int, int], NCSeries] | None = None):
-        self.proto = proto
-        self.terms: dict[tuple[int, int], NCSeries] = {}
-        if terms:
-            for k, s in terms.items():
-                if not s.is_zero():
-                    self.terms[k] = s
-
-    @classmethod
-    def const(cls, series: NCSeries) -> "Zone":
-        return cls(series, {(0, 0): series})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Zone") -> "Zone":
-        terms = dict(self.terms)
-        for k, s in other.terms.items():
-            cur = terms.get(k)
-            cur = s if cur is None else cur + s
-            if cur.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = cur
-        return Zone(self.proto, terms)
-
-    def __neg__(self) -> "Zone":
-        return Zone(self.proto, {k: -s for k, s in self.terms.items()})
-
-    def __sub__(self, other: "Zone") -> "Zone":
-        return self + (-other)
-
-    def __mul__(self, other: "Zone") -> "Zone":
-        out: dict[tuple[int, int], NCSeries] = {}
-        for (p1, q1), s1 in self.terms.items():
-            for (p2, q2), s2 in other.terms.items():
-                key = (p1 + p2, q1 + q2)
-                prod = s1 * s2
-                if prod.is_zero():
-                    continue
-                cur = out.get(key)
-                out[key] = prod if cur is None else cur + prod
-        return Zone(self.proto, out)
-
-    def clean(self, ymax: int) -> "Zone":
-        """Drop coefficient terms that cannot reach degree <= ymax.
-
-        Antidifferentiation only raises w-powers, and the bound
-        evaluations multiply by ``y^p`` at worst, so a term with
-        ``dy + min(p, 0) > ymax`` can never contribute.
-        """
-        out = {}
-        for (p, q), s in self.terms.items():
-            bound = ymax - min(p, 0)
-            cleaned = s.map_coefficients(lambda c: c.truncate("y", bound),
-                                         s.ring)
-            if not cleaned.is_zero():
-                out[(p, q)] = cleaned
-        return Zone(self.proto, out)
-
-    def antiderivative(self) -> "Zone":
-        out = Zone(self.proto)
-        for (p, q), s in self.terms.items():
-            if p == -1:
-                out = out + Zone(self.proto, {(0, q + 1): s.scale(
-                    Fraction(1, q + 1))})
-                continue
-            # integrate w^p log^q by parts until the log power is gone
-            coeff = Fraction(1, p + 1)
-            qq = q
-            acc = Zone(self.proto)
-            while True:
-                acc = acc + Zone(self.proto, {(p + 1, qq): s.scale(coeff)})
-                if qq == 0:
-                    break
-                coeff = -coeff * Fraction(qq, p + 1)
-                qq -= 1
-            out = out + acc
-        return out
-
-    # -- bound evaluation ------------------------------------------------
-
-    def eval_zero(self) -> NCSeries:
-        out = NCSeries.zero(self.proto.alphabet, self.proto.trunc,
-                            self.proto.ring)
-        for (p, q), s in self.terms.items():
-            if p > 0:
-                continue
-            if p == 0 and q == 0:
-                out = out + s
-                continue
-            raise ValueError("zone element is singular at 0")
-        return out
-
-    def eval_cut(self, cut_kappa: int = 1) -> NCSeries:
-        """Value at ``w = cut`` where ``cut = (1/2)^cut_kappa``;
-        ``log w`` becomes ``cut_kappa * kappa``."""
-        r = Fraction(1, 2) ** cut_kappa
-        out = NCSeries.zero(self.proto.alphabet, self.proto.trunc,
-                            self.proto.ring)
-        for (p, q), s in self.terms.items():
-            factor = LogPoly.monomial(SEW_VARS, (0, 0, q),
-                                      Fraction(cut_kappa) ** q * r ** p)
-            out = out + s.scale(factor)
-        return out
-
-    def eval_y_over_cut(self, cut_kappa: int = 1) -> NCSeries:
-        """Value at ``w = y / cut``; ``log w`` becomes
-        ``2 pi i l - cut_kappa * kappa`` and ``w^p`` shifts ``y``."""
-        c = Fraction(1, 2) ** cut_kappa
-        log_w = LogPoly(SEW_VARS, {(0, 1, 0): _TWO_IPI,
-                                   (0, 0, 1):
-                                   ConstantCombination.rational(-cut_kappa)})
-        out = NCSeries.zero(self.proto.alphabet, self.proto.trunc,
-                            self.proto.ring)
-        for (p, q), s in self.terms.items():
-            factor = LogPoly.constant(SEW_VARS, c ** (-p))
-            for _ in range(q):
-                factor = factor * log_w
-            scaled = s.scale(factor)
-            out = out + scaled.map_coefficients(lambda cc: cc.shift("y", p),
-                                                scaled.ring)
-        return out
+    return s.map_coefficients(coeff, ring)
 
 
-def log_conjugate(x: NCSeries, zone: Zone, sign: int) -> Zone:
-    """Conjugation ``w^(sign * x) . zone . w^(-sign * x)`` as log terms:
-    ``exp(sign log(w) ad_x)`` applied termwise."""
-    out = Zone(zone.proto)
-    for (p, q), s in zone.terms.items():
-        cur = s
-        fact = Fraction(1)
-        j = 0
-        while not cur.is_zero():
-            out = out + Zone(zone.proto, {(p, q + j): cur.scale(fact)})
-            cur = x.bracket(cur)
-            j += 1
-            fact = fact * sign / j
-    return out
+def _lift(s: NCSeries, p: int = 0, q: int = 0) -> NCSeries:
+    """The sew series ``s`` times ``w^p L^q``, as a zone element."""
+    return _termwise(s, lambda e, c: ((e + (p, q), c),), ZONE)
 
 
-def ordered_exp(kernel: Zone, eval_lower: Callable[[Zone], NCSeries],
-                eval_upper: Callable[[Zone], NCSeries],
-                depth: int, ymax: int) -> NCSeries:
+def clean(z: NCSeries, ymax: int) -> NCSeries:
+    """Drop the terms that cannot reach ``y``-degree <= ymax.
+
+    Antidifferentiation only raises w-powers, and the bound evaluations
+    multiply by ``y^p`` at worst, so a term with ``dy + min(p, 0) > ymax``
+    can never contribute."""
+    return z.map_coefficients(
+        lambda c: LogPoly(ZONE_VARS, {e: cc for e, cc in c.terms.items()
+                                      if e[0] + min(e[3], 0) <= ymax}),
+        ZONE)
+
+
+def antiderivative(z: NCSeries) -> NCSeries:
+    """Antiderivative in ``w``, integrating ``w^p L^q`` by parts until the
+    log power is gone."""
+    def term(e, c):
+        head, p, q = e[:3], e[3], e[4]
+        if p == -1:
+            yield head + (0, q + 1), c * Fraction(1, q + 1)
+            return
+        f = Fraction(1, p + 1)
+        for qq in range(q, -1, -1):
+            yield head + (p + 1, qq), c * f
+            f = -f * Fraction(qq, p + 1)
+
+    return _termwise(z, term, ZONE)
+
+
+def eval_zero(z: NCSeries) -> NCSeries:
+    """Value at ``w = 0``; a term singular there raises ValueError."""
+    def term(e, c):
+        if e[3] > 0:
+            return ()
+        if e[3] == 0 and e[4] == 0:
+            return ((e[:3], c),)
+        raise ValueError("zone element is singular at 0")
+
+    return _termwise(z, term, SEW)
+
+
+def eval_cut(z: NCSeries) -> NCSeries:
+    """Value at the cut ``w = 1/2``; ``L`` becomes ``kappa``."""
+    return _termwise(z, lambda e, c: (((e[0], e[1], e[2] + e[4]),
+                                       c * _HALF ** e[3]),), SEW)
+
+
+def eval_y_over_cut(z: NCSeries) -> NCSeries:
+    """Value at ``w = y / (1/2)``: ``w^p`` becomes ``2^p y^p`` and ``L``
+    becomes ``2 pi i l - kappa``; a negative power of ``y`` raises
+    ValueError."""
+    log_pows = [SEW.one]
+
+    def term(e, c):
+        dy, dl, dk, p, q = e
+        if dy + p < 0:
+            raise ValueError("negative power of y")
+        while len(log_pows) <= q:
+            log_pows.append(log_pows[-1] * _LOG_Y_OVER_CUT)
+        c = c * _HALF ** -p
+        return [((dy + p + a, dl + b, dk + k), c * f)
+                for (a, b, k), f in log_pows[q].terms.items()]
+
+    return _termwise(z, term, SEW)
+
+
+def log_conjugate(x: NCSeries, zone: NCSeries, sign: int) -> NCSeries:
+    """Conjugation ``w^(sign * x) . zone . w^(-sign * x)`` of a zone
+    element by a sew series: ``exp(sign L ad_x)`` applied to ``zone``."""
+    coeffs = [LogPoly.monomial(ZONE_VARS, (0, 0, 0, 0, j),
+                               Fraction(sign ** j, factorial(j)))
+              for j in range(x.trunc + 1)]
+    return _lift(x).ad_series(coeffs, zone)
+
+
+def ordered_exp(kernel: NCSeries, eval_lower: Callable[[NCSeries], NCSeries],
+                eval_upper: Callable[[NCSeries], NCSeries],
+                ymax: int) -> NCSeries:
     """Ordered exponential ``I + sum_n int_{lower<t1<..<tn<upper}
-    K(tn)..K(t1)`` of a kernel whose terms all raise the word weight."""
-    proto = kernel.proto
-    unit = NCSeries.unit(proto.alphabet, proto.trunc, proto.ring)
-    total = unit
-    current = Zone.const(unit)
-    for _ in range(depth):
-        current = (kernel * current).clean(ymax).antiderivative()
-        lower = eval_lower(current)
-        current = (current - Zone.const(lower)).clean(ymax)
+    K(tn)..K(t1)`` of a zone kernel whose terms all raise the word
+    weight, so that ``trunc`` integrations exhaust it."""
+    total = NCSeries.unit(kernel.alphabet, kernel.trunc, SEW)
+    current = NCSeries.unit(kernel.alphabet, kernel.trunc, ZONE)
+    for _ in range(kernel.trunc):
+        current = antiderivative(clean(kernel * current, ymax))
+        current = clean(current - _lift(eval_lower(current)), ymax)
         if current.is_zero():
             break
         total = total + eval_upper(current)
@@ -262,23 +226,6 @@ def frame_series(x: NCSeries, tails: list[NCSeries],
     return hs
 
 
-def _eval_series(hs: list[NCSeries], r: Fraction) -> NCSeries:
-    out = NCSeries.zero(hs[0].alphabet, hs[0].trunc, hs[0].ring)
-    rp = Fraction(1)
-    for h in hs:
-        out = out + h.scale(rp)
-        rp *= r
-    return out
-
-
-def _binomial_shift(k: int, order: int) -> list[Fraction]:
-    """Coefficients of ``(1-s)^(-k-1) = sum binom(k+j, j) s^j``."""
-    out = [Fraction(1)]
-    for j in range(1, order + 1):
-        out.append(out[-1] * Fraction(k + j, j))
-    return out
-
-
 def _mul_trunc(a: NCSeries, b: NCSeries, ymax: int) -> NCSeries:
     return (a * b).map_coefficients(lambda c: c.truncate("y", ymax), a.ring)
 
@@ -289,8 +236,7 @@ def _mul_trunc(a: NCSeries, b: NCSeries, ymax: int) -> NCSeries:
 
 def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
                            c_res: NCSeries, *, ydeg: int,
-                           xorder: int = 36, kmax: int = 26,
-                           depth: int | None = None) -> NCSeries:
+                           xorder: int = 36, kmax: int = 26) -> NCSeries:
     """Transport from the source tail to the destination tail of a
     two-vertex tree, as a series over the sew ring.
 
@@ -298,69 +244,65 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
     the source chart's third marked point), ``y`` (``b_res``, the
     source tail), 1 (``c_res``, the destination tail) and infinity.
     Unit tangential frames in each chart coordinate: the source frame
-    has scale ``y`` in the destination chart coordinate.
+    has scale ``y`` in the destination chart coordinate.  Every
+    comparison integrates to the cut ``1/2`` and iterates ``trunc``
+    times.
 
     Truncation dust: the kernels' deformation tails are cut at
     ``kmax`` and the model series at ``xorder``, so coefficients beyond
     degree 0 in ``y`` carry an error around ``2^-kmax``.
     """
-    proto = a_res
-    alphabet, trunc, ring = proto.alphabet, proto.trunc, proto.ring
-    if ring.name != "sew":
+    alphabet, trunc = a_res.alphabet, a_res.trunc
+    if a_res.ring.name != "sew":
         raise ValueError("residues must live in the sew ring")
-    depth = trunc if depth is None else depth
     r_hole = a_res + b_res          # total residue of the neck at 0
     r_child = -r_hole
-    unit = NCSeries.unit(alphabet, trunc, ring)
 
-    # ---- destination-zone comparison (variable s = 1 - w on [0, 1/2])
-    h_dst = frame_series(c_res, [-r_hole] * xorder, xorder)
-    hz = Zone(proto, {(m, 0): h for m, h in enumerate(h_dst)})
-    hz_inv = _zone_series_inverse(hz, trunc)
-    delta_dst = Zone(proto)
-    for k in range(1, kmax + 1):
-        shift = _binomial_shift(k, xorder)
-        for j, binc in enumerate(shift):
-            delta_dst = delta_dst + Zone(proto, {(j, 0): b_res.scale(
-                LogPoly.monomial(SEW_VARS, (k, 0, 0), binc))})
-    kern = log_conjugate(c_res, hz_inv * delta_dst * hz, -1)
-    kern = (-kern).clean(ydeg)      # dw = -ds
-    q_dst = ordered_exp(kern, Zone.eval_zero,
-                        lambda z: z.eval_cut(1), depth, ydeg)
+    def scalar(terms) -> LogPoly:
+        return LogPoly(ZONE_VARS, {e: ConstantCombination.rational(c)
+                                   for e, c in terms})
 
-    # ---- source-zone comparison (child chart, variable r = 1 - u)
-    h_src = frame_series(b_res, [-r_child] * xorder, xorder)
-    hz_s = Zone(proto, {(m, 0): h for m, h in enumerate(h_src)})
-    hz_s_inv = _zone_series_inverse(hz_s, trunc)
-    delta_src = Zone(proto)
-    for k in range(1, kmax + 1):
-        shift = _binomial_shift(k, xorder)
-        for j, binc in enumerate(shift):
-            delta_src = delta_src + Zone(proto, {(j, 0): c_res.scale(
-                LogPoly.monomial(SEW_VARS, (k, 0, 0), binc))})
-    kern_s = log_conjugate(b_res, hz_s_inv * delta_src * hz_s, -1)
-    kern_s = (-kern_s).clean(ydeg)
-    q_src = ordered_exp(kern_s, Zone.eval_zero,
-                        lambda z: z.eval_cut(1), depth, ydeg)
+    def frame_zone(x: NCSeries, other: NCSeries) -> NCSeries:
+        """``sum_m H_m w^m`` of :func:`frame_series` with tails
+        ``-other``."""
+        out = NCSeries.zero(alphabet, trunc, ZONE)
+        for m, h in enumerate(frame_series(x, [-other] * xorder, xorder)):
+            out = out + _lift(h, m)
+        return out
 
-    # ---- annulus comparison (variable w on [y/c, a])
-    delta_ann = Zone(proto)
-    for j in range(xorder + 1):
-        delta_ann = delta_ann + Zone(proto, {(j, 0): -c_res})
-    for k in range(1, kmax + 1):
-        delta_ann = delta_ann + Zone(
-            proto, {(-k - 1, 0): b_res.scale(
-                LogPoly.monomial(SEW_VARS, (k, 0, 0)))})
-    kern_ann = log_conjugate(r_hole, delta_ann, -1).clean(ydeg)
-    oe_ann = ordered_exp(kern_ann,
-                         lambda z: z.eval_y_over_cut(1),
-                         lambda z: z.eval_cut(1), depth, ydeg)
+    # the other pole at distance y, seen from 0 in the variable s:
+    # sum_k y^k (1 - s)^(-k-1) = sum_k y^k sum_j binom(k+j, j) s^j
+    deformation = scalar(((k, 0, 0, j, 0), comb(k + j, j))
+                         for k in range(1, kmax + 1)
+                         for j in range(xorder + 1))
+
+    def chart_comparison(x: NCSeries, hole: NCSeries,
+                         tail: NCSeries) -> NCSeries:
+        """Correction on ``s`` in ``[0, 1/2]`` of the chart whose marked
+        point at ``s = 0`` has residue ``x``, against the model with the
+        neck collapsed to the pole ``hole``; ``tail`` is the residue at
+        distance ``y``."""
+        hz = frame_zone(x, hole)
+        kern = log_conjugate(x, hz.invert() * _lift(tail).scale(deformation)
+                             * hz, -1)
+        return ordered_exp(clean(-kern, ydeg),      # dw = -ds
+                           eval_zero, eval_cut, ydeg)
+
+    q_dst = chart_comparison(c_res, r_hole, b_res)
+    q_src = chart_comparison(b_res, r_child, c_res)   # child chart
+
+    # ---- annulus comparison (variable w on [y/cut, cut])
+    delta_ann = (
+        _lift(-c_res).scale(scalar(((0, 0, 0, j, 0), 1)
+                                   for j in range(xorder + 1)))
+        + _lift(b_res).scale(scalar(((k, 0, 0, -k - 1, 0), 1)
+                                    for k in range(1, kmax + 1))))
+    kern_ann = clean(log_conjugate(r_hole, delta_ann, -1), ydeg)
+    oe_ann = ordered_exp(kern_ann, eval_y_over_cut, eval_cut, ydeg)
 
     # ---- node-normalized model values at the cuts
-    h_par = frame_series(r_hole, [-c_res] * xorder, xorder)
-    h_par_a = _eval_series(h_par, Fraction(1, 2))
-    h_child = frame_series(r_child, [-b_res] * xorder, xorder)
-    h_child_c = _eval_series(h_child, Fraction(1, 2))
+    h_par_a = eval_cut(frame_zone(r_hole, c_res))
+    h_child_c = eval_cut(frame_zone(r_child, b_res))
 
     # ---- associator factors
     phi = kz_associator(trunc)
@@ -369,10 +311,6 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
 
     kappa = LogPoly.monomial(SEW_VARS, (0, 0, 1))
     neg_kappa = -kappa
-    # log(y/cut) = 2 pi i l - kappa, so the annulus lower frame is
-    # exp(-(2 pi i l - kappa) r_hole)
-    neck = LogPoly(SEW_VARS, {(0, 1, 0): -_TWO_IPI,
-                              (0, 0, 1): ConstantCombination.one()})
 
     factors = [
         q_dst.invert(),
@@ -381,32 +319,15 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
         h_par_a.invert(),
         r_hole.scale(kappa).exp(),
         oe_ann,
-        r_hole.scale(neck).exp(),
+        r_hole.scale(-_LOG_Y_OVER_CUT).exp(),   # annulus lower frame
         h_child_c,
         r_hole.scale(neg_kappa).exp(),
         phi_child.invert(),
         q_src,
     ]
-    out = unit
+    out = NCSeries.unit(alphabet, trunc, SEW)
     for f in factors:
         out = _mul_trunc(out, f, ydeg)
-    return out
-
-
-def _zone_series_inverse(hz: Zone, trunc: int) -> Zone:
-    """Inverse of a zone element with constant part the unit series;
-    the geometric series terminates because every non-unit term raises
-    the word weight."""
-    proto = hz.proto
-    unit = Zone.const(NCSeries.unit(proto.alphabet, proto.trunc, proto.ring))
-    v = unit - hz
-    out = unit
-    power = unit
-    for _ in range(trunc):
-        power = power * v
-        if power.is_zero():
-            break
-        out = out + power
     return out
 
 

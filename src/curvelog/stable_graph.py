@@ -69,6 +69,25 @@ class Chart:
             return None
         raise KeyError(f"branch {branch} has no chart value")
 
+    def forget(self, branches: Iterable[str]) -> None:
+        for b in branches:
+            self.finite.pop(b, None)
+            if b in self.infinite:
+                self.infinite.remove(b)
+
+    def redraw(self, branches: Sequence[str], seed: int) -> None:
+        """Give ``branches``, in order, fresh finite values in 1..999 that
+        no other branch holds."""
+        self.forget(branches)
+        taken = set(self.finite.values())
+        rng = random.Random(seed)
+        for b in branches:
+            x = Fraction(rng.randrange(1, 1000))
+            while x in taken:
+                x = Fraction(rng.randrange(1, 1000))
+            taken.add(x)
+            self.finite[b] = x
+
 
 def half(edge_id: str, sign: str) -> str:
     return edge_id + sign
@@ -446,21 +465,8 @@ class StableGraph:
         chart = None
         if self.chart is not None:
             chart = self.chart.copy()
-            for b in moved:
-                chart.finite.pop(b, None)
-                if b in chart.infinite:
-                    chart.infinite.remove(b)
-            out = StableGraph(tuple(self.vertices) + (w,), edges, tails, chart)
-            taken = {x for x in chart.finite.values()}
-            rng = random.Random(seed)
-            for b in sorted(moved | {half(eid, "+"), half(eid, "-")}):
-                x = Fraction(rng.randrange(1, 1000))
-                while x in taken:
-                    x = Fraction(rng.randrange(1, 1000))
-                taken.add(x)
-                chart.finite[b] = x
-            out.validate()
-            return out
+            chart.redraw(sorted(moved | {half(eid, "+"), half(eid, "-")}),
+                         seed)
         out = StableGraph(tuple(self.vertices) + (w,), edges, tails, chart)
         out.validate()
         return out
@@ -490,29 +496,11 @@ class StableGraph:
         tails = [Tail(t.id, keep if t.vertex == gone else t.vertex, t.nu)
                  for t in sorted(self.tails.values(), key=lambda t: t.id)]
         vertices = tuple(v for v in self.vertices if v != gone)
-        chart = None
-        if self.chart is not None:
-            chart = self.chart.copy()
-            chart.finite.pop(half(eid, "+"), None)
-            chart.finite.pop(half(eid, "-"), None)
-            for hh in (half(eid, "+"), half(eid, "-")):
-                if hh in chart.infinite:
-                    chart.infinite.remove(hh)
+        chart = self.chart.copy() if self.chart is not None else None
         out = StableGraph(vertices, edges, tails, chart)
         if chart is not None:
-            merged = out.branches_at(keep)
-            for b in merged:
-                chart.finite.pop(b, None)
-                if b in chart.infinite:
-                    chart.infinite.remove(b)
-            taken = set(chart.finite.values())
-            rng = random.Random(seed)
-            for b in merged:
-                x = Fraction(rng.randrange(1, 1000))
-                while x in taken:
-                    x = Fraction(rng.randrange(1, 1000))
-                taken.add(x)
-                chart.finite[b] = x
+            chart.forget((half(eid, "+"), half(eid, "-")))
+            chart.redraw(out.branches_at(keep), seed)
         out.validate()
         return out
 

@@ -70,6 +70,34 @@ def test_graph_expand_contract_round_trip(four_tails, tmp_path):
     assert out["trivalent"] and out["g"] == 0 and out["n"] == 4
 
 
+def test_seed_only_where_read(four_tails, tmp_path):
+    charted = next(g for g in stable_graphs(0, 4) if len(g.edges) == 1)
+    gpath = write_json(tmp_path / "charted.json",
+                       charted.specialize_chart(seed=5).to_json())
+    star = run_cli("graph", "contract", "--graph", gpath, "--edge", "e0",
+                   "--seed", "7").stdout
+    assert star == run_cli("graph", "contract", "--graph", gpath, "--edge",
+                           "e0", "--seed", "7").stdout
+    spath = write_json(tmp_path / "star.json", json.loads(star))
+    vertex = json.loads(star)["vertices"][0]
+    expand = ("graph", "expand", "--graph", spath, "--vertex", vertex,
+              "--h1", "t1", "--h2", "t3")
+    seeded = json.loads(run_cli(*expand, "--seed", "5").stdout)
+    assert seeded["chart"] != json.loads(run_cli(*expand).stdout)["chart"]
+    epath = write_json(tmp_path / "expanded.json", seeded)
+    assert json.loads(run_cli("graph", "validate", epath).stdout)["trivalent"]
+    out = json.loads(run_cli("schottky", "verify-prop21", "--gmax", "1",
+                             "--nmax", "1", "--len", "2", "--deg", "4",
+                             "--seed", "2").stdout)
+    assert out["pass"] is True
+    # the option exists only where it is read
+    run_cli("assoc", "kz", "--weight", "2", "--seed", "1", expect=2)
+    run_cli("graph", "subtree", "--graph", four_tails, "--seed", "1",
+            expect=2)
+    run_cli("monodromy", "--graph", four_tails, "--path", gpath,
+            "--seed", "1", expect=2)
+
+
 def test_mzv_eval(tmp_path):
     out = json.loads(run_cli("mzv", "eval", "2").stdout)
     assert abs(out["value"] - 1.6449340668482264) < 1e-9

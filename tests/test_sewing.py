@@ -1,5 +1,6 @@
 """Deformation expansion of the neck transport and its building blocks."""
 import cmath
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -7,12 +8,16 @@ from fractions import Fraction
 import pytest
 
 from curvelog.associator import ode_transport
+from curvelog.catalog import stable_graphs
 from curvelog.constants import ConstantCombination as CC
 from curvelog.logpoly import LogPoly
 from curvelog.ncseries import COMPLEX, RATIONAL, NCSeries
-from curvelog.sewing import (SEW, SEW_VARS, Zone, dressed_neck_transport,
-                             frame_series, kappa_residual, log_conjugate,
-                             ordered_exp, sew_specialize, strip_kappa)
+from curvelog.sewing import (SEW, SEW_VARS, _lift, antiderivative, clean,
+                             dressed_neck_transport, eval_cut,
+                             eval_y_over_cut, eval_zero, frame_series,
+                             kappa_residual, log_conjugate, ordered_exp,
+                             sew_specialize, strip_kappa)
+from curvelog.sheaf import MonodromyCalculator, build_sheaf
 
 
 def sew(c, dy=0, dl=0, dk=0):
@@ -63,54 +68,63 @@ def _unit_series():
 
 def test_zone_antiderivative_frozen():
     s = _unit_series()
-    proto = s
     # d/dw of w^(p+1)/(p+1) = w^p
-    z = Zone(proto, {(2, 0): s}).antiderivative()
-    assert set(z.terms) == {(3, 0)}
-    assert (z.terms[(3, 0)] - s.scale(sew(Fraction(1, 3)))).is_zero()
+    z = antiderivative(_lift(s, 2, 0))
+    assert (z - _lift(s.scale(sew(Fraction(1, 3))), 3, 0)).is_zero()
     # d/dw of log(w)^(q+1)/(q+1) = log(w)^q / w
-    z = Zone(proto, {(-1, 1): s}).antiderivative()
-    assert set(z.terms) == {(0, 2)}
-    assert (z.terms[(0, 2)] - s.scale(sew(Fraction(1, 2)))).is_zero()
+    z = antiderivative(_lift(s, -1, 1))
+    assert (z - _lift(s.scale(sew(Fraction(1, 2))), 0, 2)).is_zero()
     # d/dw of (w log w - w) = log w
-    z = Zone(proto, {(0, 1): s}).antiderivative()
-    assert set(z.terms) == {(1, 1), (1, 0)}
-    assert (z.terms[(1, 1)] - s).is_zero()
-    assert (z.terms[(1, 0)] + s).is_zero()
+    z = antiderivative(_lift(s, 0, 1))
+    assert (z - _lift(s, 1, 1) + _lift(s, 1, 0)).is_zero()
+    # d/dw of -w^(-2)/2 = w^(-3)
+    z = antiderivative(_lift(s, -3, 0))
+    assert (z - _lift(s.scale(sew(Fraction(-1, 2))), -2, 0)).is_zero()
 
 
 def test_zone_bound_evaluations():
     s = _unit_series()
-    assert (Zone(s, {(0, 0): s, (3, 0): s}).eval_zero() - s).is_zero()
+    assert (eval_zero(_lift(s) + _lift(s, 3, 0)) - s).is_zero()
     with pytest.raises(ValueError):
-        Zone(s, {(-1, 0): s}).eval_zero()
+        eval_zero(_lift(s, -1, 0))
     with pytest.raises(ValueError):
-        Zone(s, {(0, 2): s}).eval_zero()
+        eval_zero(_lift(s, 0, 2))
     # at the cut w = 1/2: w^p -> (1/2)^p, log w -> kappa
-    got = Zone(s, {(1, 1): s}).eval_cut()
+    got = eval_cut(_lift(s, 1, 1))
     expect = s.scale(sew(Fraction(1, 2), dk=1))
     assert (got - expect).is_zero()
     # at w = y/(1/2): w^p -> 2^p y^p, log w -> 2 i pi l - kappa
-    got = Zone(s, {(1, 0): s}).eval_y_over_cut()
+    got = eval_y_over_cut(_lift(s, 1, 0))
     assert (got - s.scale(sew(2, dy=1))).is_zero()
-    got = Zone(s, {(0, 1): s}).eval_y_over_cut()
+    got = eval_y_over_cut(_lift(s, 0, 1))
     expect = s.scale(sew(CC.ipi(1, 2), dl=1) + sew(-1, dk=1))
     assert (got - expect).is_zero()
+    got = eval_y_over_cut(_lift(s.scale(sew(1, dy=1)), -1, 0))
+    assert (got - s.scale(sew(Fraction(1, 2)))).is_zero()
+    with pytest.raises(ValueError):
+        eval_y_over_cut(_lift(s, -1, 0))
+
+
+def test_zone_clean_bounds_the_reachable_y_degree():
+    s = _unit_series()
+    kept = _lift(s.scale(sew(1, dy=3)), -2, 0)     # y^3 w^-2 reaches y^1
+    z = _lift(s.scale(sew(1, dy=2)), 1, 0) + kept
+    assert (clean(z, 2) - z).is_zero()
+    assert (clean(z, 1) - kept).is_zero()
+    assert clean(z, 0).is_zero()
 
 
 def test_log_conjugate_expands_in_brackets():
     alpha = ("a", "b")
     a = NCSeries.letter("a", alpha, 3, SEW)
     b = NCSeries.letter("b", alpha, 3, SEW)
-    conj = log_conjugate(a, Zone.const(b), +1)
-    assert (conj.terms[(0, 0)] - b).is_zero()
-    assert (conj.terms[(0, 1)] - a.bracket(b)).is_zero()
-    assert (conj.terms[(0, 2)]
-            - a.bracket(a.bracket(b)).scale(sew(Fraction(1, 2)))
-            ).is_zero()
+    ab = a.bracket(b)
+    aab = a.bracket(ab).scale(sew(Fraction(1, 2)))
+    conj = log_conjugate(a, _lift(b), +1)
+    assert (conj - _lift(b) - _lift(ab, 0, 1) - _lift(aab, 0, 2)).is_zero()
     # opposite sign flips the odd layers
-    back = log_conjugate(a, Zone.const(b), -1)
-    assert (back.terms[(0, 1)] + a.bracket(b)).is_zero()
+    back = log_conjugate(a, _lift(b), -1)
+    assert (back - _lift(b) + _lift(ab, 0, 1) - _lift(aab, 0, 2)).is_zero()
 
 
 def test_frame_series_satisfies_its_recursion():
@@ -131,20 +145,14 @@ def test_frame_series_satisfies_its_recursion():
 
 def test_ordered_exp_constant_kernel():
     x = NCSeries.letter("x", ("x",), 4, SEW)
-    unit = NCSeries.unit(("x",), 4, SEW)
-    kernel = Zone(unit, {(0, 0): x})
-    got = ordered_exp(kernel, lambda z: z.eval_zero(),
-                      lambda z: z.eval_cut(), depth=5, ymax=0)
+    got = ordered_exp(_lift(x), eval_zero, eval_cut, ymax=0)
     expect = x.scale(sew(Fraction(1, 2))).exp()
     assert (got - expect).is_zero()
 
 
 def test_ordered_exp_log_kernel():
     x = NCSeries.letter("x", ("x",), 4, SEW)
-    unit = NCSeries.unit(("x",), 4, SEW)
-    kernel = Zone(unit, {(-1, 0): x})
-    got = ordered_exp(kernel, lambda z: Zone.const(z.eval_cut()).eval_zero(),
-                      lambda z: z.eval_y_over_cut(), depth=5, ymax=4)
+    got = ordered_exp(_lift(x, -1, 0), eval_cut, eval_y_over_cut, ymax=4)
     # integral of dw/w from 1/2 to y/(1/2) is log y + 2 log 2,
     # i.e. 2 i pi l - 2 kappa
     expect = x.scale(sew(CC.ipi(1, 2), dl=1) + sew(-2, dk=1)).exp()
@@ -199,3 +207,13 @@ def test_constant_layer_is_the_undeformed_product():
     # y-constant layer at y -> specialization must be grouplike
     y = 1 / 64
     assert sew_specialize(d0, y, 1e-12).is_grouplike(tol=1e-5)
+
+
+def test_tail_transport_words3_is_pinned():
+    """Exact sew-ring output on the one-edge (0,4) tree at words 3."""
+    graph = next(g for g in stable_graphs(0, 4) if len(g.edges) == 1)
+    calc = MonodromyCalculator(build_sheaf(graph, 3))
+    dumped = calc.dressed_tail_transport("t1", "t3", ydeg=2, xorder=12,
+                                         kmax=8).dumps()
+    assert hashlib.sha256(dumped.encode()).hexdigest() == \
+        "f5ddb26f001acb22181f19b900557c6170f4b04cca3bd475fe5d0a69621151d1"
