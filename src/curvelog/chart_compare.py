@@ -127,9 +127,6 @@ class ChartComparison:
     # ------------------------------------------------------------------
     # original-side matrices and fixed points
 
-    def moebius1(self, h: str) -> Moebius:
-        return self._moebius_at(h, self.trunc)
-
     def _moebius_at(self, h: str, tr: int) -> Moebius:
         pos, par = self._params(tr)
         return edge_moebius(pos[h], pos[flip(h)], par[edge_of(h)])

@@ -41,7 +41,9 @@ def _load_json(path: str) -> dict:
 
 def _load_graph(path: str) -> StableGraph:
     try:
-        return StableGraph.from_json(_load_json(path))
+        graph = StableGraph.from_json(_load_json(path))
+        graph.validate()
+        return graph
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputError):
             raise
@@ -71,7 +73,7 @@ def _split_word(text: str) -> list[str]:
 
 def cmd_graph_validate(args) -> int:
     graph = _load_graph(args.graph)
-    g, n = graph.validate()
+    g, n = graph.gn_type()
     return _emit({"g": g, "n": n, "trivalent": graph.is_trivalent(),
                   "edges": sorted(graph.edges),
                   "tails": sorted(graph.tails)}, args)

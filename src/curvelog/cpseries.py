@@ -4,7 +4,7 @@ A series is truncated at a fixed total degree: terms of total degree
 strictly above ``trunc`` are dropped by every operation.  Coefficients are
 ``fractions.Fraction`` throughout, so all arithmetic is exact.  Variables
 are named; the variable tuple is part of the series and two series must
-agree on it before they can be combined (use :func:`align` to merge).
+agree on it before they can be combined.
 
 The representation is a sparse dict mapping exponent tuples to nonzero
 coefficients.  Ring operations keep the invariant that no zero coefficient
@@ -247,30 +247,9 @@ class TruncatedSeries:
         if c0 == 0:
             raise ValueError("series is not a unit (zero constant term)")
         inv0 = 1 / c0
-        # graded recurrence: h_d = -inv0 * sum_{i=1..d} f_i h_{d-i}
-        f_parts = _grade(self.terms)
-        h_parts: dict[int, dict[Exponent, Fraction]] = {
-            0: {(0,) * len(self.vars): inv0}}
-        for d in range(1, self.trunc + 1):
-            acc: dict[Exponent, Fraction] = {}
-            for i in range(1, d + 1):
-                fi = f_parts.get(i)
-                hj = h_parts.get(d - i)
-                if not fi or not hj:
-                    continue
-                _conv_into(acc, fi, hj)
-            part = {e: -inv0 * c for e, c in acc.items() if c}
-            if part:
-                h_parts[d] = part
-        terms: dict[Exponent, Fraction] = {}
-        for part in h_parts.values():
-            terms.update(part)
-        out = TruncatedSeries.__new__(TruncatedSeries)
-        out.vars, out.trunc, out.terms = self.vars, self.trunc, terms
-        return out
-
-    def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self * other.invert()
+        # the root of self*z - 1 = 0; a0 = -1 has no part above degree 0
+        return _graded_root(self.vars, self.trunc, {}, _grade(self.terms), {},
+                            inv0, inv0)
 
     def divide_monomial(self, exp: Exponent, coeff=1) -> "TruncatedSeries":
         """Exact division by ``coeff * x^exp``; every term must be divisible.
@@ -303,12 +282,6 @@ class TruncatedSeries:
         terms = {e: c for e, c in self.terms.items() if sum(e) <= new_trunc}
         return TruncatedSeries(self.vars, new_trunc, terms)
 
-    def rename(self, mapping: Mapping[str, str]) -> "TruncatedSeries":
-        new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new_vars)) != len(new_vars):
-            raise ValueError("renaming collides")
-        return TruncatedSeries(new_vars, self.trunc, self.terms)
-
     def extend(self, vars: Iterable[str]) -> "TruncatedSeries":
         """Reinterpret over a superset variable tuple."""
         vars = tuple(vars)
@@ -325,45 +298,6 @@ class TruncatedSeries:
                 ne[p] = x
             terms[tuple(ne)] = c
         return TruncatedSeries(vars, self.trunc, terms)
-
-    def substitute(self, images: Mapping[str, "TruncatedSeries"]) -> "TruncatedSeries":
-        """Substitute series for variables.
-
-        Every substituted image must have zero constant term (the result
-        would otherwise need re-expansion beyond the truncation).  Images
-        must share one variable tuple and truncation; unsubstituted
-        variables must appear in the image ring under the same name.
-        """
-        if not images:
-            return self.copy()
-        sample = next(iter(images.values()))
-        tvars, ttrunc = sample.vars, sample.trunc
-        for name, img in images.items():
-            if img.vars != tvars or img.trunc != ttrunc:
-                raise ValueError("substitution images disagree on ring")
-            if img.constant_term() != 0:
-                raise ValueError(f"image of {name} has a constant term")
-        base: dict[str, TruncatedSeries] = {}
-        for v in self.vars:
-            if v in images:
-                base[v] = images[v]
-            else:
-                base[v] = TruncatedSeries.variable(v, tvars, ttrunc)
-        one = TruncatedSeries.constant(1, tvars, ttrunc)
-        # cache powers of each variable image
-        powers: dict[str, list[TruncatedSeries]] = {v: [one] for v in self.vars}
-        result = TruncatedSeries(tvars, ttrunc)
-        for e, c in sorted(self.terms.items()):
-            mono = one.scale(c)
-            for v, k in zip(self.vars, e):
-                if k == 0:
-                    continue
-                plist = powers[v]
-                while len(plist) <= k:
-                    plist.append(plist[-1] * base[v])
-                mono = mono * plist[k]
-            result = result + mono
-        return result
 
     # ------------------------------------------------------------------
     # serialization
@@ -408,14 +342,6 @@ def _conv_into(acc: dict[Exponent, Fraction],
             acc[e] = ca * cb if s is None else s + ca * cb
 
 
-def align(*series: TruncatedSeries) -> list[TruncatedSeries]:
-    """Re-express the given series over the union of their variables."""
-    vars = tuple(sorted({v for s in series for v in s.vars}))
-    trunc = min(s.trunc for s in series)
-    return [s.truncate(trunc).extend(vars) if s.trunc != trunc else s.extend(vars)
-            for s in series]
-
-
 def solve_quadratic(a2: TruncatedSeries, a1: TruncatedSeries,
                     a0: TruncatedSeries, root0: Fraction) -> TruncatedSeries:
     """Solve ``a2*z^2 + a1*z + a0 = 0`` for the branch with constant term
@@ -435,10 +361,22 @@ def solve_quadratic(a2: TruncatedSeries, a1: TruncatedSeries,
     div = 2 * a2.constant_term() * root0 + a1.constant_term()
     if div == 0:
         raise ZeroDivisionError("quadratic linearization is degenerate")
-    inv_div = 1 / div
-    p2 = _grade(a2.terms)
-    p1 = _grade(a1.terms)
-    p0 = _grade(a0.terms)
+    return _graded_root(a2.vars, a2.trunc, _grade(a2.terms),
+                        _grade(a1.terms), _grade(a0.terms), root0, 1 / div)
+
+
+def _graded_root(vars: tuple[str, ...], trunc: int,
+                 p2: Mapping[int, Mapping[Exponent, Fraction]],
+                 p1: Mapping[int, Mapping[Exponent, Fraction]],
+                 p0: Mapping[int, Mapping[Exponent, Fraction]],
+                 root0: Fraction, inv_div: Fraction) -> TruncatedSeries:
+    """Root of ``a2*z^2 + a1*z + a0`` with constant term ``root0``, given
+    the graded parts ``p2``, ``p1``, ``p0`` of the coefficients and the
+    inverse of the linearization divisor ``2*a2(0)*root0 + a1(0)``.
+
+    The degree-d part of the quadratic is ``div * z_d`` plus terms in
+    ``z_0 .. z_{d-1}`` only, which fixes ``z_d``.
+    """
     zero_exp = (0,) * len(vars)
     z_parts: dict[int, dict[Exponent, Fraction]] = {}
     if root0 != 0:
@@ -464,10 +402,6 @@ def solve_quadratic(a2: TruncatedSeries, a1: TruncatedSeries,
                 tmp: dict[Exponent, Fraction] = {}
                 _conv_into(tmp, zj, zk)
                 _conv_into(acc, ai, tmp)
-        # the i>0, one-factor-z_d terms of a2*z^2: 2*a2_i*z0*z_d only when
-        # j or k equals d needs z0; handled via divisor only for i=0.
-        # For i>0 they involve z_d * a2_i which has degree > d unless z0
-        # exists; but then total degree = i + d > d.  So nothing to add.
         for i in range(1, d + 1):
             ai = p1.get(i)
             zj = z_parts.get(d - i)

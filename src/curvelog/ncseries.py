@@ -93,9 +93,6 @@ class NCSeries:
         i = tuple(alphabet).index(name)
         return cls(alphabet, trunc, ring, {(i,): ring.one})
 
-    def copy(self) -> "NCSeries":
-        return NCSeries(self.alphabet, self.trunc, self.ring, self.terms)
-
     def coefficient(self, word: Sequence[str]):
         idx = tuple(self.alphabet.index(l) for l in word)
         return self.terms.get(idx, self.ring.zero)
@@ -113,10 +110,6 @@ class NCSeries:
         if not self.terms:
             return self.trunc + 1
         return min(len(w) for w in self.terms)
-
-    def homogeneous_part(self, d: int) -> "NCSeries":
-        return NCSeries(self.alphabet, self.trunc, self.ring,
-                        {w: c for w, c in self.terms.items() if len(w) == d})
 
     def truncate(self, new_trunc: int) -> "NCSeries":
         if new_trunc > self.trunc:

@@ -77,17 +77,8 @@ class Moebius:
             raise DegenerateWord("image of point is not a series")
         return num * den.invert()
 
-    def apply_infinity(self) -> TS:
-        return self.a * self.c.invert()
-
     def entries(self) -> tuple[TS, TS, TS, TS]:
         return self.a, self.b, self.c, self.d
-
-    @staticmethod
-    def identity(vars: tuple[str, ...], trunc: int) -> "Moebius":
-        one = TS.constant(1, vars, trunc)
-        zero = TS.constant(0, vars, trunc)
-        return Moebius(one, zero, zero, one)
 
 
 def _as_series(x, vars: tuple[str, ...], trunc: int) -> TS:

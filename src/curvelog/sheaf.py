@@ -135,9 +135,6 @@ class ResidueSheaf:
     relation: NCSeries | None = None
     reducer: IdealReducer | None = field(default=None, repr=False)
 
-    def residue(self, branch: str) -> NCSeries:
-        return self.residues[branch]
-
     def reduce(self, series: NCSeries) -> NCSeries:
         return self.reducer.reduce(series) if self.reducer else series
 
@@ -189,26 +186,11 @@ def build_sheaf(graph: StableGraph, trunc: int) -> ResidueSheaf:
 
     root = graph.tails[dropped].vertex if dropped else graph.vertices[0]
 
-    # orientation of tree edges toward the root: BFS order.  A half-edge
-    # sits at its terminus, so the branch at the child vertex w is the
-    # half h with origin at the parent and terminus at w.
-    order = [root]
-    parent_branch: dict[str, str] = {}
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for eid in tree:
-                for h in (half(eid, "+"), half(eid, "-")):
-                    if graph.origin(h) == v and graph.terminus(h) not in seen:
-                        w = graph.terminus(h)
-                        seen.add(w)
-                        parent_branch[w] = h
-                        order.append(w)
-                        nxt.append(w)
-        frontier = nxt
-    if set(order) != set(graph.vertices):
+    # leaf-to-root order along the tree.  A half-edge sits at its
+    # terminus, so the branch at a child vertex w is the half from its
+    # parent to w.
+    order, parent_branch = graph.walk(root, tree)
+    if len(order) != len(graph.vertices):
         raise GlueInconsistent("spanning tree does not reach every vertex")
 
     for v in reversed(order[1:]):

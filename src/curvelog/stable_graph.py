@@ -123,9 +123,6 @@ class StableGraph:
             out.append(half(eid, "-"))
         return out
 
-    def is_tail(self, branch: str) -> bool:
-        return branch in self.tails
-
     def terminus(self, h: str) -> str:
         """Vertex the oriented half-edge points at (``v_h``)."""
         e = self.edges[edge_of(h)]
@@ -185,7 +182,8 @@ class StableGraph:
                 if key in slot_seen:
                     raise GraphInvalid(f"duplicate slot {s} at vertex {v}")
                 slot_seen.add(key)
-        if not self._connected():
+        reached, _ = self.walk(self.vertices[0], self.edges)
+        if len(reached) != len(self.vertices):
             raise GraphInvalid("graph is not connected")
         nus = sorted(t.nu for t in self.tails.values())
         if nus != list(range(1, len(nus) + 1)):
@@ -201,23 +199,6 @@ class StableGraph:
         if self.chart is not None:
             self._validate_chart()
         return g, n
-
-    def _connected(self) -> bool:
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges.values():
-            adj[e.from_vertex].add(e.to_vertex)
-            adj[e.to_vertex].add(e.from_vertex)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
     def _validate_chart(self) -> None:
         chart = self.chart
@@ -266,32 +247,41 @@ class StableGraph:
     # ------------------------------------------------------------------
     # trees and loops
 
+    def walk(self, root: str, edge_ids: Iterable[str]
+             ) -> tuple[list[str], dict[str, str]]:
+        """Breadth-first walk from ``root`` over the edges ``edge_ids``.
+
+        Returns ``(order, parent_half)``: the vertices reached, in visit
+        order starting with ``root``, and for each of them but ``root``
+        the half-edge that first reached it (its origin is the parent,
+        its terminus the vertex).  At each vertex the half-edges leaving
+        it are tried in the order of ``edge_ids``, ``e+`` before ``e-``;
+        a spanning tree is not unique, and this order fixes which one
+        :meth:`maximal_subtree` returns.
+        """
+        out: dict[str, list[str]] = {}
+        for eid in edge_ids:
+            for h in (half(eid, "+"), half(eid, "-")):
+                out.setdefault(self.origin(h), []).append(h)
+        order = [root]
+        parent_half: dict[str, str] = {}
+        for v in order:
+            for h in out.get(v, ()):
+                w = self.terminus(h)
+                if w != root and w not in parent_half:
+                    parent_half[w] = h
+                    order.append(w)
+        return order, parent_half
+
     def maximal_subtree(self) -> tuple[list[str], list[str]]:
         """Deterministic spanning tree.
 
         Returns ``(tree_edges, cycle_edges)``; the complement is sorted by
         edge id and its length equals the genus.
         """
-        root = self.vertices[0]
-        seen = {root}
-        tree: list[str] = []
-        frontier = [root]
-        while frontier:
-            nxt: list[str] = []
-            for v in frontier:
-                for eid in sorted(self.edges):
-                    e = self.edges[eid]
-                    if e.from_vertex == v and e.to_vertex not in seen:
-                        seen.add(e.to_vertex)
-                        tree.append(eid)
-                        nxt.append(e.to_vertex)
-                    elif e.to_vertex == v and e.from_vertex not in seen:
-                        seen.add(e.from_vertex)
-                        tree.append(eid)
-                        nxt.append(e.from_vertex)
-            frontier = nxt
-        cycle = sorted(set(self.edges) - set(tree))
-        return sorted(tree), cycle
+        _, parent_half = self.walk(self.vertices[0], sorted(self.edges))
+        tree = {edge_of(h) for h in parent_half.values()}
+        return sorted(tree), sorted(set(self.edges) - tree)
 
     def tree_path(self, u: str, v: str,
                   tree_edges: Sequence[str] | None = None) -> list[str]:
@@ -300,24 +290,13 @@ class StableGraph:
             tree_edges, _ = self.maximal_subtree()
         if u == v:
             return []
-        prev: dict[str, str] = {u: ""}
-        frontier = [u]
-        while frontier and v not in prev:
-            nxt = []
-            for w in frontier:
-                for eid in tree_edges:
-                    e = self.edges[eid]
-                    for h in (half(eid, "+"), half(eid, "-")):
-                        if self.origin(h) == w and self.terminus(h) not in prev:
-                            prev[self.terminus(h)] = h
-                            nxt.append(self.terminus(h))
-            frontier = nxt
-        if v not in prev:
+        _, parent_half = self.walk(u, tree_edges)
+        if v not in parent_half:
             raise GraphInvalid("tree does not span")
         path: list[str] = []
         cur = v
         while cur != u:
-            h = prev[cur]
+            h = parent_half[cur]
             path.append(h)
             cur = self.origin(h)
         path.reverse()
@@ -362,12 +341,11 @@ class StableGraph:
             w = w[1:-1]
         return w, pre
 
-    def closed_words(self, max_len: int,
-                     dedupe_rotation: bool = True) -> list[list[str]]:
+    def closed_words(self, max_len: int) -> list[list[str]]:
         """All cyclically reduced closed half-edge words of length 1..max_len.
 
-        With ``dedupe_rotation`` only one representative per rotation class
-        is kept (rotations are conjugate loops).  Inverse words are kept:
+        Only one representative per rotation class is kept (rotations
+        are conjugate loops).  Inverse words are kept:
         they carry independent data (multiplier inverts, fixed points swap).
         """
         if max_len < 1:
@@ -378,8 +356,8 @@ class StableGraph:
         def extend(path: list[str]) -> None:
             if self.terminus(path[-1]) == self.origin(path[0]):
                 if path[0] != flip(path[-1]):
-                    key = min(tuple(path[i:] + path[:i]) for i in range(len(path))) \
-                        if dedupe_rotation else tuple(path)
+                    key = min(tuple(path[i:] + path[:i])
+                              for i in range(len(path)))
                     found.setdefault(key, list(path))
             if len(path) >= max_len:
                 return

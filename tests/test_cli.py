@@ -53,6 +53,14 @@ def test_graph_validate_rejects_garbage(tmp_path):
     bad.write_text("{not json")
     run_cli("graph", "validate", str(bad), expect=2)
     run_cli("graph", "validate", str(tmp_path / "missing.json"), expect=2)
+    # well-formed JSON, but disconnected, and unstable (valence 2)
+    apart = StableGraph(["a", "b"], [],
+                        [Tail(f"t{i}", "a" if i <= 3 else "b", i)
+                         for i in range(1, 7)])
+    thin = StableGraph(["a"], [], [Tail("t1", "a", 1), Tail("t2", "a", 2)])
+    for name, graph in (("apart", apart), ("thin", thin)):
+        path = write_json(tmp_path / f"{name}.json", graph.to_json())
+        run_cli("graph", "subtree", "--graph", path, expect=2)
 
 
 def test_graph_expand_contract_round_trip(four_tails, tmp_path):

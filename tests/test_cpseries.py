@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvelog.cpseries import TruncatedSeries as TS, align, solve_quadratic
+from curvelog.cpseries import TruncatedSeries as TS, solve_quadratic
 
 VARS = ("x", "y")
 D = 4
@@ -109,23 +109,6 @@ def test_solve_quadratic_nonzero_root0():
     assert z.constant_term() == 2
 
 
-def test_substitute_composition():
-    # 1/(1 - x) with x -> y + y^2 equals 1/(1 - y - y^2): Fibonacci coeffs.
-    vs = ("y",)
-    x = var("x")
-    s = (const(1) - x).invert()
-    y = TS.variable("y", vs, D)
-    t = s.substitute({"x": y + y * y, "y": TS.constant(F(0), vs, D)})
-    fib = [1, 1, 2, 3, 5]
-    assert [t.coefficient((k,)) for k in range(5)] == [F(v) for v in fib]
-
-
-def test_substitute_requires_zero_constant_term():
-    x = var("x")
-    with pytest.raises(ValueError):
-        x.substitute({"x": const(1), "y": const(0)})
-
-
 def test_ideal_order():
     x, y = var("x"), var("y")
     s = x * x * y + x ** 4
@@ -148,16 +131,6 @@ def test_divide_monomial():
 def test_invert_requires_unit():
     with pytest.raises(ValueError):
         var("x").invert()
-
-
-def test_align_merges_variables():
-    a = TS.variable("x", ("x",), 5)
-    b = TS.variable("y", ("y",), 3)
-    a2, b2 = align(a, b)
-    assert a2.vars == b2.vars == ("x", "y")
-    assert a2.trunc == b2.trunc == 3
-    s = a2 * b2
-    assert s.coefficient((1, 1)) == 1
 
 
 def test_json_round_trip_bit_exact():

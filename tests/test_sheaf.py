@@ -1,4 +1,5 @@
 """Residue sheaves and the monodromy move calculus on stable graphs."""
+import hashlib
 import itertools
 
 import pytest
@@ -84,6 +85,19 @@ def test_four_tails_path_decomposition_table():
     assert elem.coefficient(("X_t1",)).coefficient((1,)) == CC.ipi(1, -2)
     assert elem.coefficient(("X_t2",)).coefficient((1,)) == CC.ipi(1, -2)
     assert not elem.coefficient(("X_t3",))
+
+
+def test_farthest_tails_path_is_pinned():
+    # t2 and t4 sit two edges apart on the (0, 5) caterpillar.  The dump
+    # carries the numeric value of every coefficient, so a change in the
+    # order in which residue terms are summed shows too.
+    graph = stable_graphs(0, 5)[0]
+    calc = MonodromyCalculator(build_sheaf(graph, 3))
+    assert len(graph.tree_path(graph.tails["t2"].vertex,
+                               graph.tails["t4"].vertex)) == 2
+    text = calc.path(calc.tail_path_moves("t2", "t4")).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "57e6c5e145913d98c5a9404499d0b0274c9f0f3c0b77b196acd4d57456ac288d"
 
 
 def test_path_validates_chart_states():

@@ -1,8 +1,11 @@
 """Stable graph structure, trees, loops, alterations, serialization."""
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
+from curvelog.catalog import stable_graphs
+from curvelog.jsonio import canonical_dumps
 from curvelog.stable_graph import (Chart, Edge, GraphInvalid, NotComposable,
                                    NotReduced, StableGraph, Tail, flip)
 
@@ -108,6 +111,26 @@ def test_maximal_subtree_and_loops():
     assert loops[1] == ["e1+", "e2+", "e1-"]
     for w in loops:
         g.check_path(w, closed=True, reduced=True)
+
+
+# sha256 of the trees, loops and tree paths of every stable graph of a
+# type; a spanning tree is not unique, so these pin the walk order
+WALK_PINS = {
+    (1, 3): "3949973d0b5ed0644207d524034348f370ecb774b5ca54c40012be11573fc49c",
+    (2, 1): "d6f77cab703254f2576513634f582e1e6200e2cf4f611b54715c1725bbc87cc9",
+    (3, 0): "ff6625c7cbc69eb042a2e57df1f7c3ed573e37ab76db5f621b966694952a8558",
+}
+
+
+@pytest.mark.parametrize("gn", sorted(WALK_PINS),
+                         ids=lambda gn: f"g{gn[0]}n{gn[1]}")
+def test_spanning_tree_walk_is_pinned(gn):
+    data = [{"tree": g.maximal_subtree(), "loops": g.pi1_loops(),
+             "paths": [g.tree_path(u, v)
+                       for u in g.vertices for v in g.vertices]}
+            for g in stable_graphs(*gn, trivalent_only=False)]
+    digest = hashlib.sha256(canonical_dumps(data).encode()).hexdigest()
+    assert digest == WALK_PINS[gn]
 
 
 def test_free_and_cyclic_reduce():
