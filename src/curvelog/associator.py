@@ -10,7 +10,10 @@ endpoint 1), with a sign per occurrence of the second letter.
 same connection (any finite set of first-order poles with nilpotent
 residue series) along a straight segment with high-order local
 expansions at both endpoints to realize the regularized limits, and
-returns the transport as a complex-coefficient series.  Conventions:
+returns the transport as a complex-coefficient series.  It is the only
+code in the package that needs numpy and scipy; they are imported on
+its first call, so the exact layers and the CLI run on the standard
+library alone.  Conventions:
 
 * the local coordinate at the source is ``(z - src) / scale_src`` and
   the one at the destination is ``(dst - z) / scale_dst``;
@@ -21,9 +24,6 @@ from __future__ import annotations
 
 import cmath
 from itertools import product as iter_product
-
-import numpy as np
-from scipy.integrate import solve_ivp
 
 from .constants import CONSTANTS, ConstantCombination
 from .ncseries import COMPLEX, NCSeries
@@ -114,6 +114,9 @@ def ode_transport(residues: dict[complex, NCSeries], src: complex,
     endpoint must not be a pole; the transport starts (or ends) with
     the identity there.
     """
+    import numpy as np
+    from scipy.integrate import solve_ivp
+
     points = {complex(p): r for p, r in residues.items()}
     src, dst = complex(src), complex(dst)
     if src_tangential and src not in points:

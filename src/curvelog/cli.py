@@ -20,8 +20,7 @@ from .logpoly import LogPoly, logpoly_ring
 from .ncseries import NCSeries
 from .polylog import Divergent, mzv_numeric
 from .schottky import fixed_points_multiplier, verify_graph
-from .sheaf import (MonodromyCalculator, build_sheaf, decompose_element,
-                    log_symbol)
+from .sheaf import MonodromyCalculator, build_sheaf, decompose_element
 from .stable_graph import StableGraph
 
 

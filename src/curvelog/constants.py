@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .ncseries import Ring
 from .polylog import check_indices, mzv_numeric
@@ -33,6 +33,13 @@ class ConstantCombination:
                 c = Fraction(c)
                 if c:
                     self.terms[key] = c
+
+    @classmethod
+    def _raw(cls, terms: dict[Key, Fraction]) -> "ConstantCombination":
+        """Wrap nonzero ``Fraction`` terms without normalizing them."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     # ------------------------------------------------------------------
     @classmethod
@@ -72,17 +79,18 @@ class ConstantCombination:
             return NotImplemented
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key, Fraction(0)) + c
+            s = terms.get(key)
+            s = c if s is None else s + c
             if s:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-        return ConstantCombination(terms)
+        return ConstantCombination._raw(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ConstantCombination({k: -c for k, c in self.terms.items()})
+        return ConstantCombination._raw({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -101,12 +109,14 @@ class ConstantCombination:
         for (p1, z1), c1 in self.terms.items():
             for (p2, z2), c2 in other.terms.items():
                 key = (p1 + p2, tuple(sorted(z1 + z2)))
-                s = terms.get(key, Fraction(0)) + c1 * c2
+                c = c1 * c2
+                s = terms.get(key)
+                s = c if s is None else s + c
                 if s:
                     terms[key] = s
                 else:
                     terms.pop(key, None)
-        return ConstantCombination(terms)
+        return ConstantCombination._raw(terms)
 
     __rmul__ = __mul__
 

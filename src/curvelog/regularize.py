@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
 from .constants import ConstantCombination
 from .ncseries import shuffle_words

@@ -248,9 +248,11 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
     comparison integrates to the cut ``1/2`` and iterates ``trunc``
     times.
 
-    Truncation dust: the kernels' deformation tails are cut at
-    ``kmax`` and the model series at ``xorder``, so coefficients beyond
-    degree 0 in ``y`` carry an error around ``2^-kmax``.
+    Truncation dust: the model series are cut at ``xorder``.  The
+    chart deformation tails stop at ``y^ydeg``, which loses nothing.
+    The annulus tail ``sum_k y^k w^(-k-1)`` is cut at ``kmax``, so
+    coefficients beyond degree 0 in ``y`` carry an error around
+    ``2^-kmax``, from that tail alone.
     """
     alphabet, trunc = a_res.alphabet, a_res.trunc
     if a_res.ring.name != "sew":
@@ -271,9 +273,11 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
         return out
 
     # the other pole at distance y, seen from 0 in the variable s:
-    # sum_k y^k (1 - s)^(-k-1) = sum_k y^k sum_j binom(k+j, j) s^j
+    # sum_k y^k (1 - s)^(-k-1) = sum_k y^k sum_j binom(k+j, j) s^j;
+    # the frame conjugation adds no y and no negative power of w, so
+    # clean(., ydeg) would drop every layer k > ydeg
     deformation = scalar(((k, 0, 0, j, 0), comb(k + j, j))
-                         for k in range(1, kmax + 1)
+                         for k in range(1, min(kmax, ydeg) + 1)
                          for j in range(xorder + 1))
 
     def chart_comparison(x: NCSeries, hole: NCSeries,

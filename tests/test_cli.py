@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line interface."""
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,3 +272,20 @@ def test_determinism_and_text_format(four_tails):
                   "--format", "text").stdout
     assert json.loads(txt) == json.loads(a)
     assert txt != a  # text form is indented
+
+
+def test_runtime_imports_only_the_standard_library():
+    """numpy and scipy belong to the ODE oracle alone."""
+    code = ("import sys\n"
+            "import curvelog.cli, curvelog.elliptic, curvelog.sewing, "
+            "curvelog.sheaf\n"
+            "from curvelog.associator import kz_associator\n"
+            "kz_associator(3)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] in ('numpy', 'scipy')))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvelog.constants import (CONSTANTS, ZETA_REDUCTIONS,
                                 ConstantCombination as CC, in_zeta_span,
@@ -119,3 +120,34 @@ def test_span_residual_scales_with_the_missing_part():
     # distance to the nearest lattice member
     assert abs(zeta_span_residual(CC.rational(F(5, 2))) - 0.5) < 1e-12
     assert abs(zeta_span_residual(CC.ipi(1, F(1, 6))) - math.pi / 6) < 1e-12
+
+
+_ZETAS = ((), ((2,),), ((3,),), ((2,), (3,)), ((1, 2),), ((2,), (2,)))
+
+
+@st.composite
+def combinations(draw):
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.sampled_from(_ZETAS)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        max_size=5))
+    return CC(terms)
+
+
+def _normalized(x: CC) -> bool:
+    return all(type(c) is F and c for c in x.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(combinations(), combinations(), combinations(),
+       st.integers(-3, 3))
+def test_ring_laws_over_mixed_keys(a, b, c, n):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a - a).terms == {}
+    assert a + n == n + a and a * n == n * a
+    for x in (a + b, a - b, -a, a * b, (a + b) * c, a * n, a + n):
+        assert _normalized(x)

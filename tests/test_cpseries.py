@@ -1,5 +1,4 @@
 """Exact truncated multivariate series: ring laws and solvers."""
-import itertools
 from fractions import Fraction as F
 
 import pytest

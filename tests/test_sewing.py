@@ -209,11 +209,24 @@ def test_constant_layer_is_the_undeformed_product():
     assert sew_specialize(d0, y, 1e-12).is_grouplike(tol=1e-5)
 
 
-def test_tail_transport_words3_is_pinned():
-    """Exact sew-ring output on the one-edge (0,4) tree at words 3."""
+def _tail_transport_digest(ydeg: int) -> str:
+    """sha256 of the exact sew-ring transport t1 -> t3 on the one-edge
+    (0,4) tree at words 3, xorder 12, kmax 8."""
     graph = next(g for g in stable_graphs(0, 4) if len(g.edges) == 1)
     calc = MonodromyCalculator(build_sheaf(graph, 3))
-    dumped = calc.dressed_tail_transport("t1", "t3", ydeg=2, xorder=12,
+    dumped = calc.dressed_tail_transport("t1", "t3", ydeg=ydeg, xorder=12,
                                          kmax=8).dumps()
-    assert hashlib.sha256(dumped.encode()).hexdigest() == \
+    return hashlib.sha256(dumped.encode()).hexdigest()
+
+
+def test_tail_transport_words3_is_pinned():
+    assert _tail_transport_digest(2) == \
         "f5ddb26f001acb22181f19b900557c6170f4b04cca3bd475fe5d0a69621151d1"
+
+
+@pytest.mark.parametrize("ydeg, digest", [
+    (0, "c9b103f562c1175dac24a3f0798c2425d5d3cc3e4124d3e309524516185c327c"),
+    (1, "3565dca3e1ecb5553f29cf779d0ec3acf325fd6ee8c368330421660c11844d23"),
+])
+def test_low_ydeg_tail_transport_is_pinned(ydeg, digest):
+    assert _tail_transport_digest(ydeg) == digest
