@@ -2,7 +2,9 @@
 
 Graphs are generated as labeled multigraphs (stub matching per vertex,
 loops allowed) plus a tail-count vector, then deduplicated by the
-minimum of the encoding over all vertex permutations.  Tail numbering is
+minimum of the encoding over all vertex permutations.  That key ignores
+labels, so only one (tails, deg) vector per relabelling orbit is used:
+the one whose per-vertex pairs are non-increasing.  Tail numbering is
 not part of the isomorphism class: the catalog assigns ``nu`` in vertex
 order, so two graphs differing only by renumbered tails are listed once.
 """
@@ -79,7 +81,7 @@ def _canonical(n_vertices: int, edges: Sequence[EdgePair],
     Only permutations preserving the local invariant (tail count, degree,
     loop count) can realize the minimum, so the search runs within those
     classes; class blocks are laid out in sorted order, which is itself
-    permutation invariant.
+    permutation invariant, and so is the tail vector it induces.
     """
     deg = [0] * n_vertices
     loops = [0] * n_vertices
@@ -92,19 +94,15 @@ def _canonical(n_vertices: int, edges: Sequence[EdgePair],
     order = sorted(range(n_vertices), key=lambda i: cls[i])
     groups = [list(grp) for _, grp in
               itertools.groupby(order, key=lambda i: cls[i])]
+    pt = tuple(cls[v][0] for v in order)
     best: Encoding | None = None
     for parts in itertools.product(*[itertools.permutations(g) for g in groups]):
         perm = [0] * n_vertices
-        newidx = 0
-        for part in parts:
-            for v in part:
-                perm[v] = newidx
-                newidx += 1
-        pe = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in edges))
-        pt = [0] * n_vertices
-        for i in range(n_vertices):
-            pt[perm[i]] = tails[i]
-        enc = (pe, tuple(pt))
+        for k, v in enumerate(itertools.chain(*parts)):
+            perm[v] = k
+        pe = tuple(sorted((a, b) if a <= b else (b, a) for a, b in
+                          ((perm[i], perm[j]) for i, j in edges)))
+        enc = (pe, pt)
         if best is None or enc < best:
             best = enc
     assert best is not None
@@ -147,8 +145,6 @@ def stable_graphs(g: int, n: int, trivalent_only: bool = True) -> list[StableGra
     v_range = [max_v] if trivalent_only else range(1, max_v + 1)
     for nv in v_range:
         ne = g + nv - 1
-        if ne < 0:
-            continue
         for tails in _tail_vectors(n, nv):
             if trivalent_only:
                 deg = [3 - c for c in tails]
@@ -158,11 +154,11 @@ def stable_graphs(g: int, n: int, trivalent_only: bool = True) -> list[StableGra
             else:
                 deg_choices = list(_degree_vectors(2 * ne, nv, tails))
             for deg in deg_choices:
+                pairs = list(zip(tails, deg))
+                if pairs != sorted(pairs, reverse=True):
+                    continue
                 for edges in _multigraphs(list(deg)):
                     if not _connected(nv, edges):
-                        continue
-                    val = [deg[i] + tails[i] for i in range(nv)]
-                    if any(v < 3 for v in val):
                         continue
                     key = _canonical(nv, edges, tails)
                     if key not in out:

@@ -37,7 +37,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .cpseries import TruncatedSeries as TS, solve_quadratic
-from .schottky import (DegenerateWord, Moebius, cross_ratio, edge_moebius,
+from .schottky import (DegenerateWord, Moebius, edge_moebius,
                        fixed_points_multiplier, phi_matrix, word_matrix)
 from .stable_graph import StableGraph, edge_of, flip
 
@@ -297,26 +297,26 @@ class ChartComparison:
         return alpha.truncate(self.trunc), alpha_p.truncate(self.trunc)
 
     def check_cross_ratios(self, max_len: int = 2) -> dict:
+        """[a, b; c, d] = (a-c)(b-d) / ((a-d)(b-c)) agrees on both sides
+        wherever both denominators are units; with unit denominators the
+        cross-multiplied comparison is exact, so nothing is inverted."""
         pts = self.marked_points(max_len)
         if len(pts) < 4:
             raise NoWitnessLoops(
                 f"only {len(pts)} marked points on the base line")
+        diff = {(i, j): (pts[i][1] - pts[j][1], pts[i][2] - pts[j][2])
+                for i, j in combinations(range(len(pts)), 2)}
         results: dict[str, bool] = {}
-        checked = 0
-        for quad in combinations(range(len(pts)), 4):
-            names = [pts[i][0] for i in quad]
-            p = [pts[i][1] for i in quad]
-            q = [pts[i][2] for i in quad]
-            den1 = (p[0] - p[3]) * (p[1] - p[2])
-            den2 = (q[0] - q[3]) * (q[1] - q[2])
-            if not (den1.is_unit() and den2.is_unit()):
-                continue
-            ok = (cross_ratio(*p) - cross_ratio(*q)).is_zero()
-            results["[" + ",".join(names) + "]"] = ok
-            checked += 1
-        if checked == 0:
+        for a, b, c, d in combinations(range(len(pts)), 4):
+            (ac1, ac2), (bd1, bd2) = diff[a, c], diff[b, d]
+            (ad1, ad2), (bc1, bc2) = diff[a, d], diff[b, c]
+            if all(x.is_unit() for x in (ad1, bc1, ad2, bc2)):
+                names = ",".join(pts[i][0] for i in (a, b, c, d))
+                results[f"[{names}]"] = (ac1 * bd1 * (ad2 * bc2)
+                                         - ac2 * bd2 * (ad1 * bc1)).is_zero()
+        if not results:
             raise NoWitnessLoops("no cross-ratio with unit denominators")
-        return {"n_checked": checked,
+        return {"n_checked": len(results),
                 "pass": all(results.values()),
                 "ratios": results}
 

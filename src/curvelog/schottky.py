@@ -158,10 +158,16 @@ class FixedPointData:
     x: TS          # unit eigenvalue
     x_prime: TS    # complementary eigenvalue (positive order)
     beta: TS       # multiplier x_prime / x
-    u: TS          # x / trace
-    nu: TS         # det / trace^2
     alpha: TS | None = None        # attractive fixed point
     alpha_prime: TS | None = None  # repulsive fixed point
+
+    @property
+    def u(self) -> TS:  # x / trace, computed when read
+        return self.x * self.trace.invert()
+
+    @property
+    def nu(self) -> TS:  # det / trace^2, computed when read
+        return self.det * (self.trace * self.trace).invert()
 
 
 def _require_cyclically_reduced(graph: StableGraph, word: Sequence[str]) -> None:
@@ -189,10 +195,8 @@ def multiplier_data(graph: StableGraph, word: Sequence[str],
     one = TS.constant(1, vars, trunc)
     x = solve_quadratic(one, -tr, det, t0)
     x_prime = tr - x
-    inv_x = x.invert()
-    inv_tr = tr.invert()
     return FixedPointData(list(word), m, tr, det, x, x_prime,
-                          x_prime * inv_x, x * inv_tr, det * inv_tr * inv_tr)
+                          x_prime * x.invert())
 
 
 def fixed_points_multiplier(graph: StableGraph, word: Sequence[str],

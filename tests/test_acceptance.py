@@ -18,16 +18,15 @@ import pytest
 from curvelog.associator import associator_numeric, kz_associator, ode_transport
 from curvelog.catalog import stable_graphs
 from curvelog.chart_compare import expand_and_compare
-from curvelog.constants import CONSTANTS, ConstantCombination as CC, in_zeta_span
+from curvelog.constants import ConstantCombination as CC, in_zeta_span
 from curvelog.cpseries import TruncatedSeries as TS
 from curvelog.elliptic import (a_to_b, monodromy_around_zero, w_infinity,
                                w_one, w_zero)
 from curvelog.logpoly import LogPoly
 from curvelog.ncseries import COMPLEX, NCSeries, shuffle_words
 from curvelog.polylog import indices_to_word, li_numeric, mzv_numeric, word_to_indices
-from curvelog.schottky import (fixed_points_multiplier, multiplier_data,
-                               phi_matrix, random_closed_word, verify_graph,
-                               verify_word)
+from curvelog.schottky import (multiplier_data, phi_matrix,
+                               random_closed_word, verify_graph, verify_word)
 from curvelog.sewing import sew_specialize
 from curvelog.sheaf import (MonodromyCalculator, NonIntegralCoefficient,
                             assert_integral, build_sheaf, decompose_element,
@@ -59,10 +58,10 @@ def test_criterion_01_loop_normal_form_orders():
         assert rep["pass"], (charted.gn_type(), rep)
         n_words += rep["n_words"]
     dt = time.time() - t0
-    assert dt < 120.0
+    assert dt < 30.0
     print(f"[criterion 01] PASS — {len(graphs)} graphs, {n_words} closed "
           f"words: divisibility orders >= 1 and multiplier lowest monomial "
-          f"= unit * product(y) at degree 6 ({dt:.1f}s < 120s)")
+          f"= unit * product(y) at degree 6 ({dt:.1f}s < 30s)")
 
 
 def test_criterion_02_moebius_action_fixes_alpha():
@@ -130,10 +129,10 @@ def test_criterion_04_refinement_matching_equations():
     ((expo, coeff),) = low.terms.items()
     assert dict(zip(low.vars, expo)) == {"e0": 2, "f": 1} and coeff
     dt = time.time() - t0
-    assert dt < 300.0
+    assert dt < 30.0
     print(f"[criterion 04] PASS — star and loop-corner refinements: unit "
           f"reparameterizations, multiplier and cross-ratio equations hold "
-          f"to s-degree 4 ({dt:.1f}s < 300s)")
+          f"to s-degree 4 ({dt:.1f}s < 30s)")
 
 
 def _random_convergent_indices(rng, weight):

@@ -1,10 +1,14 @@
 """Graph catalogs: enumeration counts, isomorphism, move connectivity."""
+import hashlib
+import itertools
+
 import pytest
 
-from curvelog.catalog import (_multigraphs, canonical_key, isomorphic,
-                              moves_connected, stable_graphs,
+from curvelog.catalog import (_build, _multigraphs, canonical_key,
+                              isomorphic, moves_connected, stable_graphs,
                               whitehead_neighbors)
-from curvelog.stable_graph import Edge, StableGraph, Tail
+from curvelog.jsonio import canonical_dumps
+from curvelog.stable_graph import Edge, GraphInvalid, StableGraph
 
 
 def count_multigraphs(deg):
@@ -49,6 +53,64 @@ def test_stable_counts(gn):
     assert len(cat) == STABLE_COUNTS[gn]
     for gr in cat:
         assert gr.validate() == gn
+
+
+# sha256 of the canonical JSON of whole catalogs, graph order included;
+# values from the enumeration over every tail vector in every vertex order
+CATALOG_SHA256 = {
+    "g3n2": ((3, 2, True),
+             "deb1c309832aac757f2304ae8049e8617139685be28a2e257edf1d02a0c87f3a"),
+    "g2n3-all": ((2, 3, False),
+                 "56afbf820239755c7b0af3b739c5ab94f84f82f0d4463551b0d5991930bbe75f"),
+    "g3n1-all": ((3, 1, False),
+                 "f9e03f4b929eb747fa910696a321ea65ba4fcf7f8ce70e05d74cddc94aa96b9f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_SHA256))
+def test_catalog_bytes_are_pinned(name):
+    gnt, expected = CATALOG_SHA256[name]
+    data = [gr.to_json() for gr in stable_graphs(*gnt)]
+    assert hashlib.sha256(canonical_dumps(data).encode()).hexdigest() == expected
+
+
+def _brute_force_keys(g, n, trivalent_only):
+    """Canonical keys of every labelled multigraph over every tail and
+    degree vector, in any vertex order, that is a stable graph of the
+    type (trivalent when asked)."""
+    keys = set()
+    max_v = 2 * g - 2 + n
+    for nv in range(1, max_v + 1):
+        stubs = 2 * (g + nv - 1)
+        for tails in itertools.product(range(n + 1), repeat=nv):
+            if sum(tails) != n:
+                continue
+            for deg in itertools.product(range(stubs + 1), repeat=nv):
+                if sum(deg) != stubs:
+                    continue
+                for edges in _multigraphs(list(deg)):
+                    gr = _build((tuple(edges), tails))
+                    try:
+                        gr_type = gr.validate()
+                    except GraphInvalid:
+                        continue
+                    assert gr_type == (g, n)
+                    if trivalent_only and not gr.is_trivalent():
+                        continue
+                    keys.add(canonical_key(gr))
+    return keys
+
+
+@pytest.mark.parametrize("gn", [(g, n) for g in range(4) for n in range(7)
+                                if 0 < 2 * g - 2 + n <= 4],
+                         ids=lambda gn: f"g{gn[0]}n{gn[1]}")
+def test_catalog_matches_brute_force(gn):
+    # generating only non-increasing (tails, deg) vectors loses no class
+    for trivalent_only in (True, False):
+        cat = stable_graphs(*gn, trivalent_only=trivalent_only)
+        keys = [canonical_key(gr) for gr in cat]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == _brute_force_keys(*gn, trivalent_only)
 
 
 def test_theta_and_dumbbell_in_catalog():

@@ -10,8 +10,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from curvelog.chart_compare import (ChartComparison, NoWitnessLoops,
-                                    compare_parameters, expand_and_compare)
+from curvelog.chart_compare import (NoWitnessLoops, compare_parameters,
+                                    expand_and_compare)
 from curvelog.cpseries import TruncatedSeries as TS
 from curvelog.schottky import DegenerateWord, Moebius, cross_ratio
 from curvelog.stable_graph import Chart, Edge, StableGraph, Tail
@@ -176,3 +176,14 @@ def test_tail_and_half_edge_mixed_expansion():
     # moved tail follows the bubble; its position picks up s0 corrections
     assert len(cmp.positions["t1"].terms) > 1
     assert len(cmp.positions["t2"].terms) == 1
+
+
+def test_cross_ratio_check_fails_on_a_perturbed_position():
+    star = StableGraph(["v0"], [], [Tail(f"t{i}", "v0", i)
+                                    for i in range(1, 5)])
+    cmp = expand_and_compare(star, "v0", "t1", "t2", trunc=4, seed=3)
+    assert cmp.check_cross_ratios()["pass"] and cmp.report()["pass"]
+    v = TS.variable(cmp.vars[0], cmp.vars, cmp.trunc)
+    cmp.positions["t1"] = cmp.positions["t1"] + v * v
+    assert not cmp.check_cross_ratios()["pass"]
+    assert not cmp.report()["pass"]

@@ -1,7 +1,6 @@
 """Truncated noncommutative series: ring laws, exp/log, substitution."""
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvelog.ncseries import COMPLEX, NCSeries, RATIONAL, shuffle_words

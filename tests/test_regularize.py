@@ -2,7 +2,6 @@
 from fractions import Fraction as F
 from itertools import product
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvelog.constants import ConstantCombination as CC

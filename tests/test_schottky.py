@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvelog.cpseries import TruncatedSeries as TS
-from curvelog.schottky import (DegenerateWord, cross_ratio, edge_moebius,
+from curvelog.schottky import (DegenerateWord, cross_ratio,
                                fixed_points_multiplier, multiplier_data,
                                phi_matrix, random_closed_word, verify_graph,
                                verify_word, word_matrix)
