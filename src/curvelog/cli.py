@@ -178,8 +178,8 @@ def _path_moves(calc: MonodromyCalculator, spec: dict) -> list:
 
 
 def _logdeg_filter(poly: LogPoly, logdeg: int) -> LogPoly:
-    return LogPoly(poly.vars, {e: c for e, c in poly.terms.items()
-                               if sum(e) <= logdeg})
+    n = len(poly.vars)
+    return poly.select(lambda k: sum(k[:n]) <= logdeg)
 
 
 def cmd_monodromy(args) -> int:

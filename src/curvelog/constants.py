@@ -3,9 +3,16 @@
 A :class:`ConstantCombination` is a finite rational linear combination
 of basis symbols ``(i*pi)**p * zeta(idx_1) * ... * zeta(idx_r)`` where
 each ``idx`` is a convergent increasing-convention index tuple (last
-entry >= 2).  Products of zeta symbols are stored as multisets and are
-NOT reduced against zeta-value identities, so ``==`` means equality of
+entry >= 2).  It is the :class:`~curvelog.logpoly.LogPoly` over no
+symbols: its terms map the period key ``(p, zetas)`` (``zetas`` the
+sorted tuple of index tuples) to a nonzero ``Fraction``, and its
+arithmetic is the ``LogPoly`` arithmetic.  In an operation with a
+``LogPoly`` over symbols it lifts into that polynomial's symbol set.
+Products of zeta symbols are stored as multisets and are NOT reduced
+against zeta-value identities, so ``==`` means equality of
 representations; use :meth:`numeric_eq` for equality of values.
+:meth:`numeric` sums the term values with ``math.fsum``, so it depends
+only on the exact combination.
 """
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
+from .logpoly import LogPoly
 from .ncseries import Ring
 from .polylog import check_indices, mzv_numeric
 
@@ -23,23 +31,17 @@ Key = tuple[int, tuple[tuple[int, ...], ...]]
 _ONE_KEY: Key = (0, ())
 
 
-class ConstantCombination:
-    __slots__ = ("terms",)
+class ConstantCombination(LogPoly):
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Key, Fraction] | None = None):
+        self.vars = ()
         self.terms: dict[Key, Fraction] = {}
         if terms:
             for key, c in terms.items():
                 c = Fraction(c)
                 if c:
                     self.terms[key] = c
-
-    @classmethod
-    def _raw(cls, terms: dict[Key, Fraction]) -> "ConstantCombination":
-        """Wrap nonzero ``Fraction`` terms without normalizing them."""
-        out = object.__new__(cls)
-        out.terms = terms
-        return out
 
     # ------------------------------------------------------------------
     @classmethod
@@ -66,73 +68,6 @@ class ConstantCombination:
         return cls({(0, (ks,)): Fraction(coeff)})
 
     # ------------------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, ConstantCombination):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ConstantCombination.rational(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return ConstantCombination._raw(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ConstantCombination._raw({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms: dict[Key, Fraction] = {}
-        for (p1, z1), c1 in self.terms.items():
-            for (p2, z2), c2 in other.terms.items():
-                key = (p1 + p2, tuple(sorted(z1 + z2)))
-                c = c1 * c2
-                s = terms.get(key)
-                s = c if s is None else s + c
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        return ConstantCombination._raw(terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    # ------------------------------------------------------------------
     def is_rational(self) -> bool:
         return all(key == _ONE_KEY for key in self.terms)
 
@@ -150,26 +85,18 @@ class ConstantCombination:
         return {p + sum(sum(idx) for idx in zs) for (p, zs) in self.terms}
 
     def numeric(self, prec: float = 1e-12) -> complex:
-        total = 0j
-        for (p, zs), c in self.terms.items():
-            val = complex(c) * (1j * math.pi) ** p
-            for idx in zs:
-                val *= mzv_numeric(idx, prec)
-            total += val
-        return total
+        return self.evaluate({}, prec)
 
     def numeric_eq(self, other, tol: float = 1e-9) -> bool:
-        other = self._coerce(other)
+        if not isinstance(other, LogPoly):
+            other = ConstantCombination.rational(other)
         return abs(self.numeric() - other.numeric()) <= tol
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
-        items = []
-        for (p, zs) in sorted(self.terms):
-            c = self.terms[(p, zs)]
-            items.append({"ipi_pow": p,
-                          "zeta_indices": [list(idx) for idx in zs],
-                          "coeff": {"num": c.numerator, "den": c.denominator}})
+        items = [{"ipi_pow": p, "zeta_indices": [list(idx) for idx in zs],
+                  "coeff": {"num": c.numerator, "den": c.denominator}}
+                 for (p, zs), c in sorted(self.terms.items())]
         num = self.numeric()
         return {"terms": items, "numeric": {"re": num.real, "im": num.imag}}
 
@@ -182,22 +109,6 @@ class ConstantCombination:
                                 for idx in t["zeta_indices"])))
             terms[key] = Fraction(t["coeff"]["num"], t["coeff"]["den"])
         return cls(terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "<cc 0>"
-        bits = []
-        for (p, zs), c in sorted(self.terms.items()):
-            sym = [str(c)]
-            if p:
-                sym.append(f"(i*pi)^{p}" if p != 1 else "(i*pi)")
-            sym.extend("zeta" + str(tuple(idx)) for idx in zs)
-            bits.append("*".join(sym))
-        return f"<cc {' + '.join(bits)}>"
-
-
-def _close(a: ConstantCombination, b: ConstantCombination, tol: float) -> bool:
-    return abs(a.numeric() - b.numeric()) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -312,5 +223,5 @@ CONSTANTS = Ring(
     lambda q: ConstantCombination.rational(q),
     lambda c: c.to_json(),
     ConstantCombination.from_json,
-    close=_close,
+    close=lambda a, b, tol: a.numeric_eq(b, tol),
 )

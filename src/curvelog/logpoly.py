@@ -1,8 +1,15 @@
-"""Sparse polynomials in named commuting symbols over period combinations.
+"""Sparse polynomials in named commuting symbols over period symbols.
 
 A :class:`LogPoly` is a polynomial in a fixed tuple of commuting symbols
-whose coefficients are :class:`~curvelog.constants.ConstantCombination`
-values.  The package uses one type over three symbol sets:
+with rational coefficients on the period monomials ``(i*pi)**p *
+zeta(idx_1) * ... * zeta(idx_r)``.  Its terms are one flat dict from the
+key ``(e_1, ..., e_n, ipi_pow, zetas)`` (symbol exponents, then the
+period key, ``zetas`` a sorted tuple of zeta index tuples) to a nonzero
+``Fraction``.  In a product the exponents and ``ipi_pow`` add and the
+zeta multisets merge, unreduced.  Over no symbols the key is the period
+key alone: that is :class:`~curvelog.constants.ConstantCombination`,
+the type :meth:`LogPoly.coefficients` gives per exponent.  The package
+uses one type over three symbol sets:
 
 * one symbol per graph edge, standing for ``log(y_edge) / (2 i pi)``:
   the coefficients of monodromy elements (:func:`logpoly_ring`), where
@@ -15,38 +22,59 @@ values.  The package uses one type over three symbol sets:
   logarithm (:data:`curvelog.sewing.ZONE`).  These polynomials are
   Laurent in ``w``: exponents may be negative, and only :meth:`shift`
   insists on non-negative powers.
+
+Numeric values sum the term values with ``math.fsum`` (real and
+imaginary parts apart), so they depend only on the exact polynomial.
 """
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .constants import ConstantCombination
 from .ncseries import Ring
+from .polylog import mzv_numeric
 
 Expo = tuple[int, ...]
+# symbol exponents, then (i*pi)-power and sorted tuple of zeta index tuples
+Key = tuple
+
+_ONE = (0, ())      # period key of the rational unit
+
+
+def _constants():
+    from .constants import ConstantCombination   # constants builds on this
+    return ConstantCombination
 
 
 class LogPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Sequence[str],
-                 terms: Mapping[Expo, ConstantCombination] | None = None):
+                 terms: Mapping[Expo, object] | None = None):
+        """``terms`` maps exponent tuples to ``int``, ``Fraction`` or
+        ``ConstantCombination`` coefficients."""
         self.vars = tuple(vars)
-        self.terms: dict[Expo, ConstantCombination] = {}
+        self.terms: dict[Key, Fraction] = {}
         if terms:
             for e, c in terms.items():
                 e = tuple(int(k) for k in e)
                 if len(e) != len(self.vars):
                     raise ValueError("exponent arity mismatch")
-                if c:
-                    self.terms[e] = c
+                if isinstance(c, LogPoly):
+                    if c.vars:
+                        raise ValueError("coefficient carries symbols")
+                    for per, q in c.terms.items():
+                        self.terms[e + per] = q
+                else:
+                    c = Fraction(c)
+                    if c:
+                        self.terms[e + _ONE] = c
 
     @classmethod
-    def _raw(cls, vars: tuple[str, ...],
-             terms: dict[Expo, ConstantCombination]) -> "LogPoly":
-        """Wrap terms that are already normalized and free of zeros."""
+    def _raw(cls, vars: tuple[str, ...], terms: dict[Key, Fraction]):
+        """Wrap flat terms that are already free of zeros."""
         out = object.__new__(cls)
         out.vars = vars
         out.terms = terms
@@ -62,8 +90,6 @@ class LogPoly:
                  coeff=1) -> "LogPoly":
         """``coeff`` (int, Fraction or ConstantCombination) times the
         monomial with exponents ``expo``."""
-        if isinstance(coeff, (int, Fraction)):
-            coeff = ConstantCombination.rational(coeff)
         return cls(vars, {tuple(expo): coeff})
 
     @classmethod
@@ -80,38 +106,53 @@ class LogPoly:
         return cls.monomial(vars, expo, coeff)
 
     # ------------------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, LogPoly):
-            if other.vars != self.vars:
-                raise ValueError("symbol set mismatch")
-            return other
-        if isinstance(other, (int, Fraction, ConstantCombination)):
-            return LogPoly.constant(self.vars, other)
-        return None
+    def _align(self, other):
+        """``(result class, vars, own terms, other's terms)`` over one
+        symbol set, or None for an operand of another type.  A rational,
+        or a polynomial over no symbols, lifts into the other symbols."""
+        a, vars = self.terms, self.vars
+        if not isinstance(other, LogPoly):
+            if not isinstance(other, (int, Fraction)):
+                return None
+            q = Fraction(other)
+            b = {(0,) * len(vars) + _ONE: q} if q else {}
+            return type(self), vars, a, b
+        b = other.terms
+        if other.vars == vars:
+            return (type(self) if type(other) is type(self) else LogPoly,
+                    vars, a, b)
+        if vars and other.vars:
+            raise ValueError("symbol set mismatch")
+        pad = (0,) * len(vars or other.vars)
+        if vars:
+            b = {pad + k: c for k, c in b.items()}
+        else:
+            vars, a = other.vars, {pad + k: c for k, c in a.items()}
+        return LogPoly, vars, a, b
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        op = self._align(other)
+        if op is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s:
-                terms[e] = s
+        cls, vars, a, b = op
+        terms = dict(a)
+        for k, c in b.items():
+            s = terms.get(k)
+            if s is None:
+                terms[k] = c
+            elif s := s + c:
+                terms[k] = s
             else:
-                terms.pop(e, None)
-        return LogPoly._raw(self.vars, terms)
+                del terms[k]
+        return cls._raw(vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LogPoly._raw(self.vars,
-                            {e: -c for e, c in self.terms.items()})
+        return self._raw(self.vars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (LogPoly, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -119,30 +160,39 @@ class LogPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        op = self._align(other)
+        if op is None:
             return NotImplemented
-        terms: dict[Expo, ConstantCombination] = {}
+        cls, vars, a, b = op
+        terms: dict[Key, Fraction] = {}
+        get = terms.get
         add = operator.add
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                p = c1 * c2
-                s = terms.get(e)
-                s = p if s is None else s + p
-                if s:
-                    terms[e] = s
+        for k1, c1 in a.items():
+            h1, z1 = k1[:-1], k1[-1]
+            for k2, c2 in b.items():
+                z2 = k2[-1]
+                if z2:
+                    z = tuple(sorted(z1 + z2)) if z1 else z2
                 else:
-                    terms.pop(e, None)
-        return LogPoly._raw(self.vars, terms)
+                    z = z1
+                key = (*map(add, h1, k2[:-1]), z)
+                p = c1 * c2
+                s = get(key)
+                if s is None:
+                    terms[key] = p
+                elif s := s + p:
+                    terms[key] = s
+                else:
+                    del terms[key]
+        return cls._raw(vars, terms)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        op = self._align(other)
+        if op is None:
             return NotImplemented
-        return self.terms == other.terms
+        return op[2] == op[3]
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -155,72 +205,98 @@ class LogPoly:
         """Multiply by ``name**d``; a negative power raises ValueError."""
         i = self.vars.index(name)
         terms = {}
-        for e, c in self.terms.items():
-            k = e[i] + d
-            if k < 0:
+        for k, c in self.terms.items():
+            e = k[i] + d
+            if e < 0:
                 raise ValueError(f"negative power of {name}")
-            terms[e[:i] + (k,) + e[i + 1:]] = c
-        return LogPoly._raw(self.vars, terms)
+            terms[k[:i] + (e,) + k[i + 1:]] = c
+        return self._raw(self.vars, terms)
 
     def truncate(self, name: str, m: int) -> "LogPoly":
         """Drop the terms of degree above ``m`` in ``name``."""
         i = self.vars.index(name)
-        return LogPoly._raw(self.vars, {e: c for e, c in self.terms.items()
-                                        if e[i] <= m})
+        return self._raw(self.vars, {k: c for k, c in self.terms.items()
+                                     if k[i] <= m})
 
-    def coefficient(self, expo: Sequence[int]) -> ConstantCombination:
-        return self.terms.get(tuple(expo), ConstantCombination.zero())
+    def select(self, keep: Callable[[Key], bool]) -> "LogPoly":
+        """The terms whose key passes ``keep``."""
+        return self._raw(self.vars, {k: c for k, c in self.terms.items()
+                                     if keep(k)})
+
+    def coefficients(self) -> dict:
+        """The coefficient of each exponent present, as a
+        ``ConstantCombination``, in the order the terms were built."""
+        n = len(self.vars)
+        groups: dict[Expo, dict] = {}
+        for k, c in self.terms.items():
+            e = k[:n]
+            g = groups.get(e)
+            if g is None:
+                groups[e] = g = {}
+            g[k[n:]] = c
+        cc = _constants()
+        return {e: cc._raw((), g) for e, g in groups.items()}
+
+    def coefficient(self, expo: Sequence[int]):
+        """The coefficient of ``expo``, as a ``ConstantCombination``."""
+        return self.coefficients().get(tuple(expo)) or _constants()()
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        n = len(self.vars)
+        return max((sum(k[:n]) for k in self.terms), default=0)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        n = len(self.vars)
+        return all(sum(k[:n]) == 0 for k in self.terms)
 
-    def constant_part(self) -> ConstantCombination:
+    def constant_part(self):
         return self.coefficient((0,) * len(self.vars))
 
     def evaluate(self, values: Mapping[str, complex],
                  prec: float = 1e-12) -> complex:
         """Numeric value with each symbol set to ``values[symbol]``."""
-        total = 0j
-        for e, c in self.terms.items():
-            val = c.numeric(prec)
-            for v, k in zip(self.vars, e):
-                if k:
-                    val *= values[v] ** k
-            total += val
-        return total
+        n = len(self.vars)
+        re, im = [], []
+        for k, c in self.terms.items():
+            val = complex(c) * (1j * math.pi) ** k[n]
+            for idx in k[n + 1]:
+                val *= mzv_numeric(idx, prec)
+            for v, e in zip(self.vars, k):
+                if e:
+                    val *= values[v] ** e
+            re.append(val.real)
+            im.append(val.imag)
+        return complex(math.fsum(re), math.fsum(im))
 
     def numeric_close(self, other: "LogPoly", tol: float) -> bool:
-        other = self._coerce(other)
-        keys = set(self.terms) | set(other.terms)
-        zero = ConstantCombination.zero()
-        return all(abs((self.terms.get(e, zero) -
-                        other.terms.get(e, zero)).numeric()) <= tol
-                   for e in keys)
+        return all(abs(c.numeric()) <= tol
+                   for c in (self - other).coefficients().values())
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
-        items = [{"exp": list(e), "coeff": self.terms[e].to_json()}
-                 for e in sorted(self.terms)]
-        return {"vars": list(self.vars), "terms": items}
+        coeffs = self.coefficients()
+        return {"vars": list(self.vars),
+                "terms": [{"exp": list(e), "coeff": coeffs[e].to_json()}
+                          for e in sorted(coeffs)]}
 
     @classmethod
     def from_json(cls, data: dict) -> "LogPoly":
+        cc = _constants()
         return cls(tuple(data["vars"]),
-                   {tuple(t["exp"]): ConstantCombination.from_json(t["coeff"])
+                   {tuple(t["exp"]): cc.from_json(t["coeff"])
                     for t in data["terms"]})
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "<lp 0>"
-        bits = []
-        for e in sorted(self.terms):
-            mon = "*".join(f"{v}^{k}" if k != 1 else v
-                           for v, k in zip(self.vars, e) if k)
-            bits.append(f"({self.terms[e]!r})" + (f"*{mon}" if mon else ""))
-        return f"<lp {' + '.join(bits)}>"
+        n, bits = len(self.vars), []
+        for k, c in sorted(self.terms.items()):
+            sym = [str(c)]
+            if k[n]:
+                sym.append(f"(i*pi)^{k[n]}" if k[n] != 1 else "(i*pi)")
+            sym.extend(f"zeta{idx}" for idx in k[n + 1])
+            sym.extend(f"{v}^{e}" if e != 1 else v
+                       for v, e in zip(self.vars, k) if e)
+            bits.append("*".join(sym))
+        return f"<{'lp' if n else 'cc'} {' + '.join(bits) or '0'}>"
 
 
 def logpoly_ring(vars: Sequence[str]) -> Ring:

@@ -61,7 +61,7 @@ SEW_VARS = ("y", "l", "kappa")
 
 def _sew_encode(p: LogPoly) -> list:
     return [{"y": dy, "l": dl, "kappa": dk, "coeff": c.to_json()}
-            for (dy, dl, dk), c in sorted(p.terms.items())]
+            for (dy, dl, dk), c in sorted(p.coefficients().items())]
 
 
 def _sew_decode(data: list) -> LogPoly:
@@ -76,9 +76,7 @@ SEW = Ring("sew", LogPoly.zero(SEW_VARS), LogPoly.constant(SEW_VARS, 1),
 
 _TWO_IPI = ConstantCombination.ipi(1, 2)
 # log(y / cut) = 2 pi i l - kappa
-_LOG_Y_OVER_CUT = LogPoly(SEW_VARS, {(0, 1, 0): _TWO_IPI,
-                                     (0, 0, 1):
-                                     ConstantCombination.rational(-1)})
+_LOG_Y_OVER_CUT = LogPoly(SEW_VARS, {(0, 1, 0): _TWO_IPI, (0, 0, 1): -1})
 _HALF = Fraction(1, 2)
 
 
@@ -90,24 +88,26 @@ ZONE = logpoly_ring(ZONE_VARS)
 
 
 def _termwise(s: NCSeries, term: Callable, ring: Ring) -> NCSeries:
-    """Send every coefficient term ``(expo, c)`` of ``s`` through
-    ``term``, which gives ``(expo, c)`` pairs over ``ring``, and sum."""
+    """Send every coefficient term ``(key, c)`` of ``s`` through
+    ``term``, which gives ``(key, c)`` pairs over ``ring``, and sum.  A
+    key is the symbol exponents followed by the period key ``(ipi_pow,
+    zetas)``, which ``term`` carries along."""
     vars = ring.one.vars
 
     def coeff(p: LogPoly) -> LogPoly:
         acc: dict = {}
-        for e, c in p.terms.items():
-            for e2, c2 in term(e, c):
-                prev = acc.get(e2)
-                acc[e2] = c2 if prev is None else prev + c2
-        return LogPoly(vars, acc)
+        for k, c in p.terms.items():
+            for k2, c2 in term(k, c):
+                prev = acc.get(k2)
+                acc[k2] = c2 if prev is None else prev + c2
+        return LogPoly._raw(vars, {k: c for k, c in acc.items() if c})
 
     return s.map_coefficients(coeff, ring)
 
 
 def _lift(s: NCSeries, p: int = 0, q: int = 0) -> NCSeries:
     """The sew series ``s`` times ``w^p L^q``, as a zone element."""
-    return _termwise(s, lambda e, c: ((e + (p, q), c),), ZONE)
+    return _termwise(s, lambda k, c: ((k[:3] + (p, q) + k[3:], c),), ZONE)
 
 
 def clean(z: NCSeries, ymax: int) -> NCSeries:
@@ -117,22 +117,20 @@ def clean(z: NCSeries, ymax: int) -> NCSeries:
     multiply by ``y^p`` at worst, so a term with ``dy + min(p, 0) > ymax``
     can never contribute."""
     return z.map_coefficients(
-        lambda c: LogPoly(ZONE_VARS, {e: cc for e, cc in c.terms.items()
-                                      if e[0] + min(e[3], 0) <= ymax}),
-        ZONE)
+        lambda c: c.select(lambda k: k[0] + min(k[3], 0) <= ymax), ZONE)
 
 
 def antiderivative(z: NCSeries) -> NCSeries:
     """Antiderivative in ``w``, integrating ``w^p L^q`` by parts until the
     log power is gone."""
-    def term(e, c):
-        head, p, q = e[:3], e[3], e[4]
+    def term(k, c):
+        head, p, q, per = k[:3], k[3], k[4], k[5:]
         if p == -1:
-            yield head + (0, q + 1), c * Fraction(1, q + 1)
+            yield head + (0, q + 1) + per, c * Fraction(1, q + 1)
             return
         f = Fraction(1, p + 1)
         for qq in range(q, -1, -1):
-            yield head + (p + 1, qq), c * f
+            yield head + (p + 1, qq) + per, c * f
             f = -f * Fraction(qq, p + 1)
 
     return _termwise(z, term, ZONE)
@@ -140,11 +138,11 @@ def antiderivative(z: NCSeries) -> NCSeries:
 
 def eval_zero(z: NCSeries) -> NCSeries:
     """Value at ``w = 0``; a term singular there raises ValueError."""
-    def term(e, c):
-        if e[3] > 0:
+    def term(k, c):
+        if k[3] > 0:
             return ()
-        if e[3] == 0 and e[4] == 0:
-            return ((e[:3], c),)
+        if k[3] == 0 and k[4] == 0:
+            return ((k[:3] + k[5:], c),)
         raise ValueError("zone element is singular at 0")
 
     return _termwise(z, term, SEW)
@@ -152,25 +150,24 @@ def eval_zero(z: NCSeries) -> NCSeries:
 
 def eval_cut(z: NCSeries) -> NCSeries:
     """Value at the cut ``w = 1/2``; ``L`` becomes ``kappa``."""
-    return _termwise(z, lambda e, c: (((e[0], e[1], e[2] + e[4]),
-                                       c * _HALF ** e[3]),), SEW)
+    return _termwise(z, lambda k, c: (((k[0], k[1], k[2] + k[4]) + k[5:],
+                                       c * _HALF ** k[3]),), SEW)
 
 
 def eval_y_over_cut(z: NCSeries) -> NCSeries:
     """Value at ``w = y / (1/2)``: ``w^p`` becomes ``2^p y^p`` and ``L``
     becomes ``2 pi i l - kappa``; a negative power of ``y`` raises
     ValueError."""
-    log_pows = [SEW.one]
-
-    def term(e, c):
-        dy, dl, dk, p, q = e
+    def term(k, c):
+        dy, dl, dk, p, q, ipi, zs = k
         if dy + p < 0:
             raise ValueError("negative power of y")
-        while len(log_pows) <= q:
-            log_pows.append(log_pows[-1] * _LOG_Y_OVER_CUT)
         c = c * _HALF ** -p
-        return [((dy + p + a, dl + b, dk + k), c * f)
-                for (a, b, k), f in log_pows[q].terms.items()]
+        # (2 pi i l - kappa)^q = sum_j binom(q, j) 2^j (i pi)^j l^j
+        #                        (-kappa)^(q - j)
+        return [((dy + p, dl + j, dk + q - j, ipi + j, zs),
+                 c * (comb(q, j) * 2 ** j * (-1) ** (q - j)))
+                for j in range(q + 1)]
 
     return _termwise(z, term, SEW)
 
@@ -261,8 +258,7 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
     r_child = -r_hole
 
     def scalar(terms) -> LogPoly:
-        return LogPoly(ZONE_VARS, {e: ConstantCombination.rational(c)
-                                   for e, c in terms})
+        return LogPoly(ZONE_VARS, dict(terms))
 
     def frame_zone(x: NCSeries, other: NCSeries) -> NCSeries:
         """``sum_m H_m w^m`` of :func:`frame_series` with tails
@@ -347,7 +343,7 @@ def kappa_residual(series: NCSeries, prec: float = 1e-9) -> float:
     it recombines with the cut-evaluated frame values.)"""
     worst = 0.0
     for c in series.terms.values():
-        for (dy, dl, dk), cc in c.terms.items():
+        for (dy, dl, dk), cc in c.coefficients().items():
             if dk > 0 and dy == 0:
                 worst = max(worst, abs(cc.numeric(prec)))
     return worst

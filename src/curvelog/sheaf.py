@@ -252,12 +252,8 @@ class MonodromyCalculator:
         self.lvars = tuple(log_symbol(e) for e in sorted(self.graph.edges))
         self.ring: Ring = logpoly_ring(self.lvars)
         self._embed = lambda c: LogPoly.constant(self.lvars, c)
-        self.residues = {
-            b: s.map_coefficients(
-                lambda c: LogPoly.constant(self.lvars,
-                                           ConstantCombination.rational(c)),
-                self.ring)
-            for b, s in sheaf.residues.items()}
+        self.residues = {b: s.map_coefficients(self._embed, self.ring)
+                         for b, s in sheaf.residues.items()}
         self._local_cache: dict[tuple[str, str], NCSeries] = {}
 
     def unit(self) -> NCSeries:
@@ -431,9 +427,9 @@ def decompose_element(elem: NCSeries) -> dict:
     violations = []
     max_deg = 0
     for w in sorted(elem.terms, key=lambda w: (len(w), w)):
-        poly: LogPoly = elem.terms[w]
-        for e in sorted(poly.terms):
-            cc = poly.terms[e]
+        coeffs = elem.terms[w].coefficients()
+        for e in sorted(coeffs):
+            cc = coeffs[e]
             scale = 1
             for k in e:
                 scale *= factorial(k)

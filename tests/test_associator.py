@@ -1,4 +1,5 @@
 """Transport series from 0 to 1 and its numeric ODE oracle."""
+import hashlib
 import itertools
 import math
 
@@ -17,6 +18,14 @@ def test_frozen_low_weight_coefficients():
     assert phi.coefficient(("X1", "X0")) == CC.zeta(2)
     assert phi.coefficient(("X0", "X0", "X1")) == CC.zeta(3, coeff=-1)
     assert phi.coefficient(("X1", "X1", "X0")) == CC.zeta(1, 2)
+
+
+def test_weight_six_dump_is_pinned():
+    # the dump carries the numeric value of every coefficient, summed with
+    # math.fsum; five of them depend on the summation order otherwise
+    text = kz_associator(6).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "7eef7be7dfedff01d9ac4860db8549571595b78a8a443613c55302f872ea3ebc"
 
 
 def test_linear_coefficients_vanish():

@@ -18,6 +18,18 @@ def test_rational_arithmetic():
     assert (x - x) == CC.zero()
 
 
+def test_is_the_logpoly_over_no_symbols():
+    # one coefficient algebra: no arithmetic of its own, Fraction values
+    from curvelog.logpoly import LogPoly
+    assert issubclass(CC, LogPoly) and CC().vars == ()
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "_coerce",
+                 "_raw", "__eq__", "__hash__"):
+        assert name not in vars(CC), name
+    x = CC.zeta(2) * CC.ipi(1, F(1, 2)) + 3
+    assert type(x) is CC
+    assert all(type(c) is F for c in x.terms.values())
+
+
 def test_monomial_products_add_exponents():
     z2 = CC.zeta(2)
     ip = CC.ipi()
@@ -41,6 +53,17 @@ def test_numeric_values():
     assert abs(CC.ipi(2).numeric() + math.pi ** 2) < 1e-12
     # increasing convention: the inner exponent comes first
     assert CC.zeta(1, 2).numeric_eq(CC.zeta(3), tol=1e-10)
+
+
+def test_numeric_is_independent_of_term_order():
+    # fsum over the term values: the same exact combination built in two
+    # orders gives the same float, to the last bit
+    terms = [CC.rational(1), CC.zeta(3), CC.ipi(2, F(1, 7))]
+    forward = terms[0] + terms[1] + terms[2]
+    backward = terms[2] + terms[1] + terms[0]
+    assert list(forward.terms) != list(backward.terms)
+    assert forward.numeric() == backward.numeric()
+    assert forward.to_json() == backward.to_json()
 
 
 def test_numeric_eq_distinguishes():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from curvelog.constants import ConstantCombination as CC
 from curvelog.logpoly import LogPoly, logpoly_ring
+from curvelog.sewing import SEW
 
 VARS = ("u", "v")
 SEW_VARS = ("y", "l", "kappa")
@@ -44,6 +45,29 @@ def test_evaluate_matches_direct_substitution():
     assert abs(got - expect) < 1e-12
 
 
+def test_evaluate_is_independent_of_term_order():
+    # fsum over the term values: two insertion orders, one float
+    items = [((0, 0), CC.rational(1)), ((1, 0), CC.zeta(3)),
+             ((0, 2), CC.ipi(2, F(1, 7))), ((1, 1), CC.zeta(2, coeff=-3))]
+    forward = LogPoly(VARS, dict(items))
+    backward = LogPoly(VARS, dict(reversed(items)))
+    assert list(forward.terms) != list(backward.terms)
+    vals = {"u": 0.5, "v": 0.25}     # summed in either order, these differ
+    assert forward.evaluate(vals) == backward.evaluate(vals)
+
+
+def test_constants_lift_into_the_symbols():
+    u = LogPoly.symbol(VARS, "u")
+    for got in (CC.zeta(2) * u, u * CC.zeta(2)):
+        assert type(got) is LogPoly and got.vars == VARS
+        assert got == LogPoly.symbol(VARS, "u", CC.zeta(2))
+    assert CC.ipi() + u == u + LogPoly.constant(VARS, CC.ipi())
+    assert CC.one() - u == LogPoly.constant(VARS, 1) - u
+    assert LogPoly.constant(VARS, CC.zeta(3)) == CC.zeta(3)
+    with pytest.raises(ValueError):
+        u + LogPoly.symbol(("w",), "w")
+
+
 def test_numeric_close():
     a = LogPoly.constant(VARS, CC.zeta(1, 2))
     b = LogPoly.constant(VARS, CC.zeta(3))
@@ -77,7 +101,8 @@ def test_from_json_rejects_bad_exponents():
             LogPoly.from_json(bad)
 
 
-_BASIS = (CC.one(), CC.ipi(), CC.zeta(2), CC.zeta(3))
+_BASIS = (CC.one(), CC.ipi(), CC.zeta(2), CC.zeta(3),
+          CC.zeta(2) * CC.zeta(3), CC.zeta(1, 2), CC.ipi(2))
 
 
 @st.composite
@@ -98,7 +123,7 @@ _VALUES = {"y": 0.03, "l": cmath.log(0.03) / (2j * math.pi),
 def _size(p: LogPoly) -> float:
     return sum(abs(c.numeric()) * math.prod(abs(_VALUES[v]) ** k
                                             for v, k in zip(p.vars, e))
-               for e, c in p.terms.items())
+               for e, c in p.coefficients().items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,6 +134,12 @@ def test_sew_symbols_ring_laws(a, b, c):
     assert a * b == b * a
     assert (a * b).shift("y", 1) == a.shift("y", 1) * b
     assert (a * b).shift("kappa", 2) == a * b.shift("kappa", 2)
+    assert (a - a).terms == {} and a + b - b == a
+    for x in (a + b, a - b, -a, a * b, (a + b) * c):
+        assert all(type(q) is F and q for q in x.terms.values())
     got = (a * b).evaluate(_VALUES)
     expect = a.evaluate(_VALUES) * b.evaluate(_VALUES)
     assert abs(got - expect) <= 1e-12 * (1 + _size(a) * _size(b))
+    for e, cc in a.coefficients().items():
+        assert LogPoly(SEW_VARS, {e: cc}).coefficient(e) == cc
+    assert SEW.decode(SEW.encode(a)) == a
