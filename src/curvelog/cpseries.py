@@ -9,12 +9,20 @@ agree on it before they can be combined.
 The representation is a sparse dict mapping exponent tuples to nonzero
 coefficients.  Ring operations keep the invariant that no zero coefficient
 is stored.
+
+Coefficients are ``Fraction`` at the boundary: in ``terms``, the JSON and
+every argument and result.  Products and the graded roots behind
+:meth:`TruncatedSeries.invert` and :func:`solve_quadratic` work inside on
+integer numerators over one common denominator per operand, and build
+each result coefficient as a ``Fraction`` once, so they pay no gcd per
+pair of terms.
 """
 from __future__ import annotations
 
 import json
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .jsonio import canonical_dumps
@@ -199,32 +207,23 @@ class TruncatedSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compat(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
+        (na, da), (nb, db) = _numerators(self.terms), _numerators(other.terms)
+        if len(na) > len(nb):
+            na, nb = nb, na
         trunc = self.trunc
-        bdeg = [(e, sum(e), c) for e, c in b.items()]
-        out: dict[Exponent, Fraction] = {}
-        get = out.get
-        for ea, ca in a.items():
-            da = sum(ea)
-            room = trunc - da
-            for eb, db, cb in bdeg:
-                if db > room:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = get(e)
-                p = ca * cb
-                if s is None:
-                    out[e] = p
-                else:
-                    s = s + p
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
+        bdeg = [(e, sum(e), n) for e, n in nb.items()]
+        acc: dict[Exponent, int] = {}
+        get = acc.get
+        for ea, ca in na.items():
+            room = trunc - sum(ea)
+            for eb, deg, cb in bdeg:
+                if deg <= room:
+                    e = tuple(map(add, ea, eb))
+                    acc[e] = get(e, 0) + ca * cb
+        den = da * db
         res = TruncatedSeries.__new__(TruncatedSeries)
-        res.vars, res.trunc, res.terms = self.vars, self.trunc, out
+        res.vars, res.trunc = self.vars, self.trunc
+        res.terms = {e: Fraction(n, den) for e, n in acc.items() if n}
         return res
 
     __rmul__ = __mul__
@@ -329,17 +328,28 @@ def _grade(terms: Mapping[Exponent, Fraction]) -> dict[int, dict[Exponent, Fract
     return parts
 
 
-def _conv_into(acc: dict[Exponent, Fraction],
-               a: Mapping[Exponent, Fraction],
-               b: Mapping[Exponent, Fraction]) -> None:
+def _numerators(terms: Mapping[Exponent, Fraction]
+                ) -> tuple[dict[Exponent, int], int]:
+    """The integer numerators of ``terms`` over ``den``, the lcm of their
+    denominators, and ``den``."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in terms.items()}, den
+
+
+def _convolve(acc: dict[Exponent, int], a: Mapping[Exponent, int],
+              b: Mapping[Exponent, int], f: int = 1) -> dict[Exponent, int]:
+    """Add ``f * a[ea] * b[eb]`` at ``ea + eb`` into ``acc`` for every
+    pair and return ``acc``; sums that cancel stay in as zeros."""
     if len(a) > len(b):
         a, b = b, a
     get = acc.get
     for ea, ca in a.items():
+        ca *= f
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = get(e)
-            acc[e] = ca * cb if s is None else s + ca * cb
+            e = tuple(map(add, ea, eb))
+            acc[e] = get(e, 0) + ca * cb
+    return acc
 
 
 def solve_quadratic(a2: TruncatedSeries, a1: TruncatedSeries,
@@ -375,20 +385,30 @@ def _graded_root(vars: tuple[str, ...], trunc: int,
     inverse of the linearization divisor ``2*a2(0)*root0 + a1(0)``.
 
     The degree-d part of the quadratic is ``div * z_d`` plus terms in
-    ``z_0 .. z_{d-1}`` only, which fixes ``z_d``.
+    ``z_0 .. z_{d-1}`` only, which fixes ``z_d``.  Every part is carried
+    as ``(integer numerators, denominator)``; a solved part ``z_d`` is
+    divided by the gcd of its numerators and denominator, so its
+    denominator is the lcm of its reduced coefficients' denominators.
     """
-    zero_exp = (0,) * len(vars)
-    z_parts: dict[int, dict[Exponent, Fraction]] = {}
+    a2 = {i: _numerators(t) for i, t in p2.items()}
+    a1 = {i: _numerators(t) for i, t in p1.items()}
+    a0 = {i: _numerators(t) for i, t in p0.items()}
+    zero = (0,) * len(vars)
+    one = {zero: 1}
+    z_parts: dict[int, tuple[dict[Exponent, int], int]] = {}
     if root0 != 0:
-        z_parts[0] = {zero_exp: root0}
+        z_parts[0] = ({zero: root0.numerator}, root0.denominator)
+    neg_num, div_den = -inv_div.numerator, inv_div.denominator
     for d in range(1, trunc + 1):
-        acc: dict[Exponent, Fraction] = {}
+        # the degree-d contributions as products (a, b, den) of integer
+        # numerators over a common denominator
+        prods = []
         # a2 * z * z contributions of total degree d, excluding the term
         # containing z_d itself (i = 0 and one factor of degree d with the
         # other of degree 0 and a2 of degree 0)
         for i in range(0, d + 1):
-            ai = p2.get(i)
-            if not ai:
+            ai = a2.get(i)
+            if ai is None:
                 continue
             for j in range(0, d - i + 1):
                 k = d - i - j
@@ -397,26 +417,33 @@ def _graded_root(vars: tuple[str, ...], trunc: int,
                     continue
                 zj = z_parts.get(j)
                 zk = z_parts.get(k)
-                if not zj or not zk:
+                if zj is None or zk is None:
                     continue
-                tmp: dict[Exponent, Fraction] = {}
-                _conv_into(tmp, zj, zk)
-                _conv_into(acc, ai, tmp)
+                prods.append((ai[0], _convolve({}, zj[0], zk[0]),
+                              ai[1] * zj[1] * zk[1]))
         for i in range(1, d + 1):
-            ai = p1.get(i)
+            ai = a1.get(i)
             zj = z_parts.get(d - i)
-            if ai and zj:
-                _conv_into(acc, ai, zj)
-        if d in p0:
-            for e, c in p0[d].items():
-                acc[e] = acc.get(e, _ZERO) + c
-        # a1_0 * z_d + 2 a2_0 z_0 z_d + acc = 0
-        part = {e: -c * inv_div for e, c in acc.items() if c}
+            if ai is not None and zj is not None:
+                prods.append((ai[0], zj[0], ai[1] * zj[1]))
+        if d in a0:
+            nums, c = a0[d]
+            prods.append((nums, one, c))
+        # a1_0 * z_d + 2 a2_0 z_0 z_d + acc = 0, with acc summed over the
+        # lcm of the products' denominators
+        den = math.lcm(*[c for _, _, c in prods])
+        acc: dict[Exponent, int] = {}
+        for a, b, c in prods:
+            _convolve(acc, a, b, den // c)
+        part = {e: n * neg_num for e, n in acc.items() if n}
         if part:
-            z_parts[d] = part
+            den *= div_den
+            g = math.gcd(den, *part.values())
+            z_parts[d] = ({e: n // g for e, n in part.items()}, den // g)
     terms: dict[Exponent, Fraction] = {}
-    for part in z_parts.values():
-        terms.update(part)
+    for nums, den in z_parts.values():
+        for e, n in nums.items():
+            terms[e] = Fraction(n, den)
     out = TruncatedSeries.__new__(TruncatedSeries)
     out.vars, out.trunc, out.terms = vars, trunc, terms
     return out

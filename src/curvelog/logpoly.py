@@ -198,7 +198,15 @@ class LogPoly:
         return bool(self.terms)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms)))
+        # by value: == lifts a rational or a constant into any symbol set,
+        # and the values it finds equal must hash alike
+        n = len(self.vars)
+        if any(any(k[:n]) for k in self.terms):
+            return hash((self.vars, frozenset(self.terms)))
+        periods = {k[n:]: c for k, c in self.terms.items()}
+        if periods.keys() <= {_ONE}:
+            return hash(periods.get(_ONE, 0))
+        return hash(frozenset(periods))
 
     # ------------------------------------------------------------------
     def shift(self, name: str, d: int) -> "LogPoly":

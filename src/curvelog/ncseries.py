@@ -74,7 +74,7 @@ class NCSeries:
         self.terms: dict[Word, object] = {}
         if terms:
             for w, c in terms.items():
-                if len(w) <= self.trunc and c != ring.zero:
+                if len(w) <= self.trunc and c:
                     self.terms[tuple(w)] = c
 
     # ------------------------------------------------------------------
@@ -139,7 +139,7 @@ class NCSeries:
         zero = self.ring.zero
         for w, c in other.terms.items():
             s = terms.get(w, zero) + c
-            if s != zero:
+            if s:
                 terms[w] = s
             else:
                 terms.pop(w, None)
@@ -164,7 +164,6 @@ class NCSeries:
     def __mul__(self, other: "NCSeries") -> "NCSeries":
         self._compat(other)
         out: dict[Word, object] = {}
-        zero = self.ring.zero
         trunc = self.trunc
         for w1, c1 in self.terms.items():
             room = trunc - len(w1)
@@ -175,11 +174,11 @@ class NCSeries:
                 p = c1 * c2
                 s = out.get(w)
                 if s is None:
-                    if p != zero:
+                    if p:
                         out[w] = p
                 else:
                     s = s + p
-                    if s != zero:
+                    if s:
                         out[w] = s
                     else:
                         del out[w]

@@ -281,18 +281,23 @@ def verify_word(graph: StableGraph, word: Sequence[str],
 def random_closed_word(graph: StableGraph, rng, length: int) -> list[str]:
     """Random cyclically reduced closed word of exactly this length."""
     halves = graph.half_edges()
+    terminus = {h: graph.terminus(h) for h in halves}
+    origin = {h: terminus[flip(h)] for h in halves}
+    # outgoing half-edges per vertex, in half_edges() order
+    leaving: dict[str, list[str]] = {}
+    for h in halves:
+        leaving.setdefault(origin[h], []).append(h)
     for _ in range(20000):
         word = [rng.choice(halves)]
         while len(word) < length:
-            opts = [h for h in halves
-                    if graph.origin(h) == graph.terminus(word[-1])
-                    and h != flip(word[-1])]
+            back = flip(word[-1])
+            opts = [h for h in leaving[terminus[word[-1]]] if h != back]
             if not opts:
                 break
             word.append(rng.choice(opts))
         if len(word) != length:
             continue
-        if graph.origin(word[0]) != graph.terminus(word[-1]):
+        if origin[word[0]] != terminus[word[-1]]:
             continue
         if length >= 2 and word[0] == flip(word[-1]):
             continue

@@ -58,10 +58,10 @@ def test_criterion_01_loop_normal_form_orders():
         assert rep["pass"], (charted.gn_type(), rep)
         n_words += rep["n_words"]
     dt = time.time() - t0
-    assert dt < 30.0
+    assert dt < 15.0
     print(f"[criterion 01] PASS — {len(graphs)} graphs, {n_words} closed "
           f"words: divisibility orders >= 1 and multiplier lowest monomial "
-          f"= unit * product(y) at degree 6 ({dt:.1f}s < 30s)")
+          f"= unit * product(y) at degree 6 ({dt:.1f}s < 15s)")
 
 
 def test_criterion_02_moebius_action_fixes_alpha():

@@ -1,10 +1,14 @@
 """Exact truncated multivariate series: ring laws and solvers."""
+import hashlib
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from curvelog.catalog import stable_graphs
 from curvelog.cpseries import TruncatedSeries as TS, solve_quadratic
+from curvelog.jsonio import canonical_dumps
+from curvelog.schottky import fixed_points_multiplier, verify_graph
 
 VARS = ("x", "y")
 D = 4
@@ -139,3 +143,96 @@ def test_json_round_trip_bit_exact():
     t = TS.loads(text)
     assert t.dumps() == text
     assert t.terms == s.terms and t.vars == s.vars and t.trunc == s.trunc
+
+
+# the two largest primes below 2^b for b = 20, 24, ..., 40
+PRIMES = (1048573, 1048571, 16777213, 16777199, 268435399, 268435367,
+          4294967291, 4294967279, 68719476731, 68719476719,
+          1099511627689, 1099511627609)
+
+
+@st.composite
+def coprime_operands(draw):
+    """``(u, v, c, r)``: two series and two scalars whose denominators are
+    distinct large primes, so every pair of denominators is coprime."""
+    primes = iter(draw(st.permutations(PRIMES)))
+
+    def scalar():
+        n = draw(st.integers(1, 2 ** 40)) * draw(st.sampled_from([1, -1]))
+        return F(n, next(primes))
+
+    def series():
+        exps = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                             min_size=1, max_size=4, unique=True))
+        return TS(VARS, D, {e: scalar() for e in exps})
+
+    return series(), series(), scalar(), scalar()
+
+
+def reference_product(a, b):
+    """The truncated product by pairwise Fraction arithmetic."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= a.trunc:
+                out[e] = out.get(e, F(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_stored_clean(s):
+    assert all(type(c) is F and c != 0 for c in s.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_operands())
+def test_kernel_exact_over_coprime_denominators(operands):
+    u, v, c, r = operands
+    a, b = u + v, u - v          # the u*v cross terms of a*b cancel
+    prod = a * b
+    assert prod.terms == reference_product(a, b)
+    assert prod == u * u - v * v
+    unit = a - a.constant_term() + c
+    inv = unit.invert()
+    assert unit * inv == const(1)
+    # a2 z^2 + a1 z + a0 = 0 with root r at the constant term
+    a2, a1 = u, v - v.constant_term() + c
+    a0 = b - b.constant_term() - (a2.constant_term() * r * r + c * r)
+    assume(2 * a2.constant_term() * r + c != 0)
+    z = solve_quadratic(a2, a1, a0, r)
+    assert z.constant_term() == r
+    assert (a2 * z * z + a1 * z + a0).is_zero()
+    for s in (prod, inv, z):
+        assert_stored_clean(s)
+
+
+# sha256 of the verify_graph reports and of the fixed-point and
+# multiplier series over every trivalent graph with g <= 2, n <= 2 (the
+# charts of the acceptance suite), words up to length 3, degree 6
+SCHOTTKY_REPORTS_SHA256 = \
+    "3bb512a39ac40a63665642e83245414a5aed8ee225e5885bca3d872626f96c02"
+FIXED_POINTS_SHA256 = \
+    "cd26bc141b4a5c7977a99dfe7945b5fe8fdb2d2b12f105b486be3d870e711b3c"
+
+
+def test_schottky_outputs_are_pinned():
+    graphs = []
+    for g in range(3):
+        for n in range(3):
+            if 2 * g - 2 + n > 0:
+                for graph in stable_graphs(g, n):
+                    graphs.append(graph.specialize_chart(seed=100 + len(graphs)))
+    reports = [verify_graph(graph, max_len=3, trunc=6) for graph in graphs]
+    series = []
+    for graph in graphs:
+        for word in graph.closed_words(3):
+            data = fixed_points_multiplier(graph, word, 6)
+            series.append({k: getattr(data, k).to_json()
+                           for k in ("x", "beta", "alpha", "alpha_prime")})
+    assert len(graphs) == 17 and len(series) == 122
+
+    def sha(obj):
+        return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()
+
+    assert sha(reports) == SCHOTTKY_REPORTS_SHA256
+    assert sha(series) == FIXED_POINTS_SHA256

@@ -68,6 +68,16 @@ def test_constants_lift_into_the_symbols():
         u + LogPoly.symbol(("w",), "w")
 
 
+def test_values_equal_across_a_lift_hash_alike():
+    lifted = LogPoly.constant(VARS, CC.zeta(3))
+    for x, y in ((CC.one(), 1), (lifted, CC.zeta(3)),
+                 (LogPoly.constant(VARS, F(2, 3)), F(2, 3)),
+                 (LogPoly.zero(VARS), 0)):
+        assert x == y and hash(x) == hash(y)
+        assert {x: 1}[y] == 1 and {y: 1}[x] == 1
+    assert {CC.zeta(3), lifted} == {CC.zeta(3)}
+
+
 def test_numeric_close():
     a = LogPoly.constant(VARS, CC.zeta(1, 2))
     b = LogPoly.constant(VARS, CC.zeta(3))

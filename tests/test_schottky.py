@@ -149,3 +149,22 @@ def test_random_word_residuals(seed, length):
     w = random_closed_word(g, rng, length)
     rep = verify_word(g, w, trunc=5)
     assert rep["pass"], (w, rep)
+
+
+def test_random_closed_words_are_pinned():
+    # the words one seed draws, in order: the rng calls must not change
+    theta = StableGraph(["v0", "v1"],
+                        [Edge("e0", "v0", 0, "v1", 0),
+                         Edge("e1", "v0", 1, "v1", 1),
+                         Edge("e2", "v0", 2, "v1", 2)], [])
+    rng = random.Random(20260815)
+    words = [random_closed_word(dumbbell_charted(), rng, n)
+             for n in (1, 2, 3, 4, 5, 6)]
+    words += [random_closed_word(theta, rng, n) for n in (2, 4, 6, 8)]
+    assert words == [
+        ["e0+"], ["e0-", "e0-"], ["e2+", "e2+", "e2+"],
+        ["e2+", "e1-", "e0+", "e1+"], ["e0+", "e1+", "e2-", "e2-", "e1-"],
+        ["e2+", "e1-", "e0-", "e0-", "e1+", "e2+"],
+        ["e1-", "e2+"], ["e1+", "e2-", "e1+", "e0-"],
+        ["e1-", "e2+", "e1-", "e2+", "e1-", "e0+"],
+        ["e2-", "e0+", "e1-", "e2+", "e0-", "e1+", "e2-", "e0+"]]
