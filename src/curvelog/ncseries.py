@@ -156,7 +156,7 @@ class NCSeries:
         """Multiply by a scalar: a rational (embedded) or ring element."""
         if isinstance(value, (int, Fraction)):
             value = self.ring.embed(Fraction(value))
-        if value == self.ring.zero:
+        if not value:
             return NCSeries.zero(self.alphabet, self.trunc, self.ring)
         return NCSeries(self.alphabet, self.trunc, self.ring,
                         {w: value * c for w, c in self.terms.items()})
@@ -198,7 +198,7 @@ class NCSeries:
                 p = c1 * c2
                 for w, m in shuffle_words(w1, w2):
                     s = terms.get(w, zero) + p * self.ring.embed(m)
-                    if s != zero:
+                    if s:
                         terms[w] = s
                     else:
                         terms.pop(w, None)
@@ -255,10 +255,10 @@ class NCSeries:
                 out = out + cur.scale(coeffs[n])
         return out
 
-    def substitute(self, images: Mapping[str, "NCSeries"],
-                   embed: Callable | None = None) -> "NCSeries":
+    def substitute(self, images: Mapping[str, "NCSeries"]) -> "NCSeries":
         """Ring homomorphism sending each letter to a series of positive
-        order; ``embed`` maps source coefficients into the target ring."""
+        order; source coefficients enter a different target ring through
+        its ``embed``."""
         if not images:
             raise ValueError("no images")
         target = next(iter(images.values()))
@@ -271,9 +271,8 @@ class NCSeries:
             if (img.alphabet, img.trunc, img.ring.name) != \
                     (target.alphabet, target.trunc, target.ring.name):
                 raise ValueError("images live in different rings")
-        if embed is None:
-            embed = target.ring.embed if target.ring.name != self.ring.name \
-                else (lambda c: c)
+        embed = target.ring.embed if target.ring.name != self.ring.name \
+            else (lambda c: c)
         out = NCSeries.zero(target.alphabet, target.trunc, target.ring)
         for w, c in self.terms.items():
             piece = NCSeries.unit(target.alphabet, target.trunc, target.ring)

@@ -306,8 +306,8 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
 
     # ---- associator factors
     phi = kz_associator(trunc)
-    phi_par = phi.substitute({"X0": r_hole, "X1": c_res}, embed=SEW.embed)
-    phi_child = phi.substitute({"X0": r_child, "X1": b_res}, embed=SEW.embed)
+    phi_par = phi.substitute({"X0": r_hole, "X1": c_res})
+    phi_child = phi.substitute({"X0": r_child, "X1": b_res})
 
     kappa = LogPoly.monomial(SEW_VARS, (0, 0, 1))
     neg_kappa = -kappa

@@ -108,11 +108,11 @@ class IdealReducer:
         zero = series.ring.zero
         for piv in sorted(self.pivots):
             c = terms.get(piv)
-            if c is None or c == zero:
+            if not c:
                 continue
             for w, q in self.pivots[piv].items():
                 s = terms.get(w, zero) - c * embed(q)
-                if s != zero:
+                if s:
                     terms[w] = s
                 else:
                     terms.pop(w, None)
@@ -251,8 +251,7 @@ class MonodromyCalculator:
         self.trunc = sheaf.trunc
         self.lvars = tuple(log_symbol(e) for e in sorted(self.graph.edges))
         self.ring: Ring = logpoly_ring(self.lvars)
-        self._embed = lambda c: LogPoly.constant(self.lvars, c)
-        self.residues = {b: s.map_coefficients(self._embed, self.ring)
+        self.residues = {b: s.map_coefficients(self.ring.embed, self.ring)
                          for b, s in sheaf.residues.items()}
         self._local_cache: dict[tuple[str, str], NCSeries] = {}
 
@@ -270,8 +269,7 @@ class MonodromyCalculator:
         if cached is None:
             phi = kz_associator(self.trunc)
             cached = phi.substitute(
-                {"X0": self.residues[src], "X1": self.residues[dst]},
-                embed=self._embed)
+                {"X0": self.residues[src], "X1": self.residues[dst]})
             self._local_cache[key] = cached
         return cached
 

@@ -28,6 +28,12 @@ def test_weight_six_dump_is_pinned():
         "7eef7be7dfedff01d9ac4860db8549571595b78a8a443613c55302f872ea3ebc"
 
 
+def test_weight_eight_dump_is_pinned():
+    text = kz_associator(8).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "4703284d150674de53508724e75a9c1e2855a93b9ce2d75a42240b49d73b04d1"
+
+
 def test_linear_coefficients_vanish():
     phi = kz_associator(4)
     assert phi.coefficient(("X0",)) == CC.zero()

@@ -187,3 +187,10 @@ def test_cross_ratio_check_fails_on_a_perturbed_position():
     cmp.positions["t1"] = cmp.positions["t1"] + v * v
     assert not cmp.check_cross_ratios()["pass"]
     assert not cmp.report()["pass"]
+
+
+def test_multiplier_check_fails_on_a_perturbed_refined_chart_value():
+    cmp = compare_parameters(loop_refinement(), "e0", trunc=5)
+    cmp.delta2.chart.finite["f+"] = F(11, 10)
+    assert not cmp.check_multiplier(["f+"])
+    assert not cmp.report(loops_len=2, ratios_len=1)["pass"]

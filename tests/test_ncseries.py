@@ -94,7 +94,7 @@ def test_substitute_with_ring_change():
     a, b = letters(trunc=2)
     za = NCSeries.letter("a", AB, 2, COMPLEX)
     zb = NCSeries.letter("b", AB, 2, COMPLEX)
-    out = (a * b).substitute({"a": za, "b": zb}, embed=complex)
+    out = (a * b).substitute({"a": za, "b": zb})
     assert out.ring is COMPLEX
     assert out.coefficient(("a", "b")) == complex(1)
 

@@ -1,32 +1,16 @@
-"""Shuffle regularization: decomposition, reassembly, frozen values."""
+"""Shuffle regularization: the closed form against its characterization."""
 from fractions import Fraction as F
 from itertools import product
-
-from hypothesis import given, settings, strategies as st
 
 from curvelog.constants import ConstantCombination as CC
 from curvelog.ncseries import shuffle_words
 from curvelog.polylog import mzv_numeric, word_to_indices
-from curvelog.regularize import (components, decompose, is_convergent_word,
-                                 reassemble, reg_value)
+from curvelog.regularize import is_convergent_word, reg_value
 
 
-def test_convergent_words_decompose_to_themselves():
-    for w in [(0, 1), (0, 0, 1), (0, 1, 1)]:
-        assert components(w) == {(0, 0): {w: F(1)}}
-
-
-def test_reassembly_exhaustive_small():
-    for n in range(1, 6):
-        for w in product((0, 1), repeat=n):
-            assert reassemble(components(w)) == {w: F(1)}
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=7))
-def test_reassembly_property(bits):
-    w = tuple(bits)
-    assert reassemble(components(w)) == {w: F(1)}
+def _words(max_len):
+    for n in range(max_len + 1):
+        yield from product((0, 1), repeat=n)
 
 
 def test_reg_values_frozen():
@@ -48,11 +32,21 @@ def _shuffle_reg(u, v):
 
 
 def test_reg_kills_boundary_letter_shuffles():
-    # reg(u sh v) = reg(u)*reg(v); with a boundary letter the product
-    # vanishes, and the cancellation is exact at the symbol level
-    for u, v in [((1,), (0, 1)), ((0,), (0, 1)), ((1,), (0, 1, 1)),
-                 ((0,), (0, 0, 1))]:
-        assert _shuffle_reg(u, v) == CC.zero()
+    # reg(e sh u) = reg(e)*reg(u) = 0 for a single letter e, and the
+    # cancellation is exact at the symbol level
+    for u in _words(6):
+        for e in ((0,), (1,)):
+            assert _shuffle_reg(e, u) == CC.zero()
+
+
+def test_reg_fixes_convergent_words():
+    # with the test above this pins reg_value on every word of length
+    # <= 7: the shuffle algebra is the polynomial ring in the two single
+    # letters over the convergent words
+    assert reg_value(()) == CC.one()
+    for w in _words(7):
+        if w and is_convergent_word(w):
+            assert reg_value(w) == CC.zeta(*word_to_indices(w))
 
 
 def test_reg_shuffle_homomorphism_numeric():
@@ -76,8 +70,3 @@ def test_is_convergent_word():
     assert not is_convergent_word((1, 0))
     assert not is_convergent_word((0,))
 
-
-def test_decompose_is_frozen_view_of_components():
-    frozen = decompose((1, 0, 1))
-    thawed = {key: dict(combo) for key, combo in frozen}
-    assert thawed == components((1, 0, 1))
