@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
+from .cpseries import _add_terms, _as_fraction, _exponent
 from .logpoly import LogPoly
 from .ncseries import Ring
 from .polylog import check_indices, mzv_numeric
@@ -39,8 +40,7 @@ class ConstantCombination(LogPoly):
         self.terms: dict[Key, Fraction] = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
-                if c:
+                if c := _as_fraction(c):
                     self.terms[key] = c
 
     # ------------------------------------------------------------------
@@ -50,7 +50,7 @@ class ConstantCombination(LogPoly):
 
     @classmethod
     def rational(cls, q) -> "ConstantCombination":
-        return cls({_ONE_KEY: Fraction(q)})
+        return cls({_ONE_KEY: q})
 
     @classmethod
     def one(cls) -> "ConstantCombination":
@@ -58,14 +58,15 @@ class ConstantCombination(LogPoly):
 
     @classmethod
     def ipi(cls, power: int = 1, coeff=1) -> "ConstantCombination":
-        return cls({(int(power), ()): Fraction(coeff)})
+        (p,) = _exponent([power], 1)
+        return cls({(p, ()): coeff})
 
     @classmethod
     def zeta(cls, *indices: int, coeff=1) -> "ConstantCombination":
         ks = check_indices(indices)
         if ks[-1] < 2:
             raise ValueError(f"zeta{ks} diverges; not a basis symbol")
-        return cls({(0, (ks,)): Fraction(coeff)})
+        return cls({(0, (ks,)): coeff})
 
     # ------------------------------------------------------------------
     def is_rational(self) -> bool:
@@ -104,9 +105,9 @@ class ConstantCombination(LogPoly):
     def from_json(cls, data: dict) -> "ConstantCombination":
         terms: dict[Key, Fraction] = {}
         for t in data["terms"]:
-            key = (int(t["ipi_pow"]),
-                   tuple(sorted(tuple(int(k) for k in idx)
-                                for idx in t["zeta_indices"])))
+            (p,) = _exponent([t["ipi_pow"]], 1)
+            key = (p, tuple(sorted(check_indices(idx)
+                                   for idx in t["zeta_indices"])))
             terms[key] = Fraction(t["coeff"]["num"], t["coeff"]["den"])
         return cls(terms)
 
@@ -174,11 +175,7 @@ def span_coordinates(c: ConstantCombination):
                 a += da
                 b += db
                 q = q * r
-            s = coords.get((a, b), Fraction(0)) + q
-            if s:
-                coords[(a, b)] = s
-            else:
-                coords.pop((a, b), None)
+            _add_terms(coords, (((a, b), q),))
         else:
             raw[(p, zs)] = q
     return coords, raw

@@ -16,6 +16,11 @@ every argument and result.  Products and the graded roots behind
 integer numerators over one common denominator per operand, and build
 each result coefficient as a ``Fraction`` once, so they pay no gcd per
 pair of terms.
+
+:class:`curvelog.logpoly.LogPoly` shares the term kernel below: the exact
+coercion, the exponent check, the sum and the product, whose keys add
+entrywise.  Here a product drops the terms above the total degree; a
+``LogPoly`` product truncates nothing.
 """
 from __future__ import annotations
 
@@ -34,13 +39,58 @@ _ONE = Fraction(1)
 
 
 def _as_fraction(value) -> Fraction:
+    """``value`` as a ``Fraction``; a float or any other inexact value
+    raises TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")
+
+
+def _exponent(exp, arity: int) -> Exponent:
+    """``exp`` as a tuple of ``arity`` integers; any other length or a
+    non-integral entry raises ValueError."""
+    exp = tuple(exp)
+    out = tuple(map(int, exp))
+    if len(out) != arity or out != exp:
+        raise ValueError(f"exponent {list(exp)} is not {arity} integers")
+    return out
+
+
+def _add_terms(terms: dict, pairs: Iterable[tuple[tuple, object]]) -> dict:
+    """Add the ``(key, coefficient)`` pairs into the term dict ``terms``
+    and return it; a sum that cancels leaves no zero behind."""
+    for k, c in pairs:
+        s = terms.get(k)
+        if s is None:
+            terms[k] = c
+        elif s := s + c:
+            terms[k] = s
+        else:
+            del terms[k]
+    return terms
+
+
+def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction],
+               cap: int | None = None) -> dict[tuple, Fraction]:
+    """The product of two term dicts of nonzero ``Fraction``s, storing no
+    zero; keys add entrywise, and with ``cap`` the pairs whose keys sum
+    above ``cap`` are dropped.  Uncapped, an operand of at most one term
+    has its coefficients multiplied directly (no keys can collide);
+    every other product runs on integer numerators."""
+    if len(a) > len(b):
+        a, b = b, a
+    if cap is None and len(a) <= 1:
+        terms = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                terms[tuple(map(add, ka, kb))] = ca * cb
+        return terms
+    (na, da), (nb, db) = _numerators(a), _numerators(b)
+    den = da * db
+    return {k: Fraction(n, den)
+            for k, n in _convolve({}, na, nb, 1, cap).items() if n}
 
 
 class TruncatedSeries:
@@ -56,17 +106,21 @@ class TruncatedSeries:
         if terms:
             nv = len(self.vars)
             for exp, c in terms.items():
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != nv:
-                    raise ValueError("exponent arity mismatch")
+                exp = _exponent(exp, nv)
                 if any(e < 0 for e in exp):
                     raise ValueError("negative exponent")
-                if sum(exp) > self.trunc:
-                    continue
                 c = _as_fraction(c)
-                if c != 0:
+                if c and sum(exp) <= self.trunc:
                     clean[exp] = c
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, vars: tuple[str, ...], trunc: int,
+             terms: dict[Exponent, Fraction]) -> "TruncatedSeries":
+        """Wrap clean terms: nonzero ``Fraction``s at valid exponents."""
+        out = object.__new__(cls)
+        out.vars, out.trunc, out.terms = vars, trunc, terms
+        return out
 
     # ------------------------------------------------------------------
     # constructors
@@ -87,11 +141,7 @@ class TruncatedSeries:
         return cls(vars, trunc, {exp: _ONE})
 
     def copy(self) -> "TruncatedSeries":
-        out = TruncatedSeries.__new__(TruncatedSeries)
-        out.vars = self.vars
-        out.trunc = self.trunc
-        out.terms = dict(self.terms)
-        return out
+        return self._raw(self.vars, self.trunc, dict(self.terms))
 
     # ------------------------------------------------------------------
     # inspection
@@ -166,31 +216,19 @@ class TruncatedSeries:
             raise ValueError("truncation mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(other, self.vars, self.trunc)
         self._check_compat(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, _ZERO) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        out = TruncatedSeries.__new__(TruncatedSeries)
-        out.vars, out.trunc, out.terms = self.vars, self.trunc, terms
-        return out
+        return self._raw(self.vars, self.trunc,
+                         _add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = TruncatedSeries.__new__(TruncatedSeries)
-        out.vars, out.trunc = self.vars, self.trunc
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return self._raw(self.vars, self.trunc,
+                         {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(other, self.vars, self.trunc)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -198,33 +236,15 @@ class TruncatedSeries:
 
     def scale(self, value) -> "TruncatedSeries":
         c = _as_fraction(value)
-        out = TruncatedSeries.__new__(TruncatedSeries)
-        out.vars, out.trunc = self.vars, self.trunc
-        out.terms = {} if c == 0 else {e: c * k for e, k in self.terms.items()}
-        return out
+        terms = {e: c * k for e, k in self.terms.items()} if c else {}
+        return self._raw(self.vars, self.trunc, terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check_compat(other)
-        (na, da), (nb, db) = _numerators(self.terms), _numerators(other.terms)
-        if len(na) > len(nb):
-            na, nb = nb, na
-        trunc = self.trunc
-        bdeg = [(e, sum(e), n) for e, n in nb.items()]
-        acc: dict[Exponent, int] = {}
-        get = acc.get
-        for ea, ca in na.items():
-            room = trunc - sum(ea)
-            for eb, deg, cb in bdeg:
-                if deg <= room:
-                    e = tuple(map(add, ea, eb))
-                    acc[e] = get(e, 0) + ca * cb
-        den = da * db
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.vars, res.trunc = self.vars, self.trunc
-        res.terms = {e: Fraction(n, den) for e, n in acc.items() if n}
-        return res
+        return self._raw(self.vars, self.trunc,
+                         _mul_terms(self.terms, other.terms, self.trunc))
 
     __rmul__ = __mul__
 
@@ -266,9 +286,7 @@ class TruncatedSeries:
             if any(x < 0 for x in ne):
                 raise ValueError(f"term {e} not divisible by {exp}")
             terms[ne] = k / c
-        out = TruncatedSeries.__new__(TruncatedSeries)
-        out.vars, out.trunc, out.terms = self.vars, self.trunc - sum(exp), terms
-        return out
+        return self._raw(self.vars, self.trunc - sum(exp), terms)
 
     # ------------------------------------------------------------------
     # structural operations
@@ -337,18 +355,31 @@ def _numerators(terms: Mapping[Exponent, Fraction]
             for e, c in terms.items()}, den
 
 
-def _convolve(acc: dict[Exponent, int], a: Mapping[Exponent, int],
-              b: Mapping[Exponent, int], f: int = 1) -> dict[Exponent, int]:
-    """Add ``f * a[ea] * b[eb]`` at ``ea + eb`` into ``acc`` for every
-    pair and return ``acc``; sums that cancel stay in as zeros."""
+def _convolve(acc: dict[tuple, int], a: Mapping[tuple, int],
+              b: Mapping[tuple, int], f: int = 1,
+              cap: int | None = None) -> dict[tuple, int]:
+    """Add ``f * a[ka] * b[kb]`` at the entrywise sum of ``ka`` and ``kb``
+    into ``acc`` for every pair, or with ``cap`` for every pair whose keys
+    sum to at most ``cap``, and return ``acc``; sums that cancel stay in
+    as zeros."""
     if len(a) > len(b):
         a, b = b, a
     get = acc.get
-    for ea, ca in a.items():
+    if cap is None:
+        for ka, ca in a.items():
+            ca *= f
+            for kb, cb in b.items():
+                k = tuple(map(add, ka, kb))
+                acc[k] = get(k, 0) + ca * cb
+        return acc
+    bdeg = [(kb, sum(kb), cb) for kb, cb in b.items()]
+    for ka, ca in a.items():
+        room = cap - sum(ka)
         ca *= f
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            acc[e] = get(e, 0) + ca * cb
+        for kb, deg, cb in bdeg:
+            if deg <= room:
+                k = tuple(map(add, ka, kb))
+                acc[k] = get(k, 0) + ca * cb
     return acc
 
 
@@ -444,6 +475,4 @@ def _graded_root(vars: tuple[str, ...], trunc: int,
     for nums, den in z_parts.values():
         for e, n in nums.items():
             terms[e] = Fraction(n, den)
-    out = TruncatedSeries.__new__(TruncatedSeries)
-    out.vars, out.trunc, out.terms = vars, trunc, terms
-    return out
+    return TruncatedSeries._raw(vars, trunc, terms)

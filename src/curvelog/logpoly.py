@@ -6,10 +6,14 @@ zeta(idx_1) * ... * zeta(idx_r)``.  Its terms are one flat dict from the
 key ``(e_1, ..., e_n, ipi_pow, zetas)`` (symbol exponents, then the
 period key, ``zetas`` a sorted tuple of zeta index tuples) to a nonzero
 ``Fraction``.  In a product the exponents and ``ipi_pow`` add and the
-zeta multisets merge, unreduced.  Over no symbols the key is the period
-key alone: that is :class:`~curvelog.constants.ConstantCombination`,
-the type :meth:`LogPoly.coefficients` gives per exponent.  The package
-uses one type over three symbol sets:
+zeta multisets merge, unreduced.  The sum, the product and the exact
+coercion are the term kernel of :mod:`curvelog.cpseries`, shared with
+``TruncatedSeries``, but a product here truncates nothing: only
+:meth:`truncate` caps the degree in one symbol, on request.  Over no
+symbols the key is the period key alone: that is
+:class:`~curvelog.constants.ConstantCombination`, the type
+:meth:`LogPoly.coefficients` gives per exponent.  The package uses one
+type over three symbol sets:
 
 * one symbol per graph edge, standing for ``log(y_edge) / (2 i pi)``:
   the coefficients of monodromy elements (:func:`logpoly_ring`), where
@@ -29,10 +33,11 @@ imaginary parts apart), so they depend only on the exact polynomial.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
+from .cpseries import _add_terms, _as_fraction, _exponent, _mul_terms
 from .ncseries import Ring
 from .polylog import mzv_numeric
 
@@ -41,6 +46,7 @@ Expo = tuple[int, ...]
 Key = tuple
 
 _ONE = (0, ())      # period key of the rational unit
+_ZETAS = itemgetter(-1)     # zeta multiset of a key
 
 
 def _constants():
@@ -59,18 +65,14 @@ class LogPoly:
         self.terms: dict[Key, Fraction] = {}
         if terms:
             for e, c in terms.items():
-                e = tuple(int(k) for k in e)
-                if len(e) != len(self.vars):
-                    raise ValueError("exponent arity mismatch")
+                e = _exponent(e, len(self.vars))
                 if isinstance(c, LogPoly):
                     if c.vars:
                         raise ValueError("coefficient carries symbols")
                     for per, q in c.terms.items():
                         self.terms[e + per] = q
-                else:
-                    c = Fraction(c)
-                    if c:
-                        self.terms[e + _ONE] = c
+                elif c := _as_fraction(c):
+                    self.terms[e + _ONE] = c
 
     @classmethod
     def _raw(cls, vars: tuple[str, ...], terms: dict[Key, Fraction]):
@@ -114,7 +116,7 @@ class LogPoly:
         if not isinstance(other, LogPoly):
             if not isinstance(other, (int, Fraction)):
                 return None
-            q = Fraction(other)
+            q = _as_fraction(other)
             b = {(0,) * len(vars) + _ONE: q} if q else {}
             return type(self), vars, a, b
         b = other.terms
@@ -135,16 +137,7 @@ class LogPoly:
         if op is None:
             return NotImplemented
         cls, vars, a, b = op
-        terms = dict(a)
-        for k, c in b.items():
-            s = terms.get(k)
-            if s is None:
-                terms[k] = c
-            elif s := s + c:
-                terms[k] = s
-            else:
-                del terms[k]
-        return cls._raw(vars, terms)
+        return cls._raw(vars, _add_terms(dict(a), b.items()))
 
     __radd__ = __add__
 
@@ -164,26 +157,12 @@ class LogPoly:
         if op is None:
             return NotImplemented
         cls, vars, a, b = op
-        terms: dict[Key, Fraction] = {}
-        get = terms.get
-        add = operator.add
-        for k1, c1 in a.items():
-            h1, z1 = k1[:-1], k1[-1]
-            for k2, c2 in b.items():
-                z2 = k2[-1]
-                if z2:
-                    z = tuple(sorted(z1 + z2)) if z1 else z2
-                else:
-                    z = z1
-                key = (*map(add, h1, k2[:-1]), z)
-                p = c1 * c2
-                s = get(key)
-                if s is None:
-                    terms[key] = p
-                elif s := s + p:
-                    terms[key] = s
-                else:
-                    del terms[key]
+        terms = _mul_terms(a, b)
+        if any(map(_ZETAS, a)) and any(map(_ZETAS, b)):
+            # the kernel concatenated the zeta multisets: sort each, and
+            # sum the terms whose keys then agree
+            terms = _add_terms({}, (((*k[:-1], tuple(sorted(k[-1]))), c)
+                                    for k, c in terms.items()))
         return cls._raw(vars, terms)
 
     __rmul__ = __mul__

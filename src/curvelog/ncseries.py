@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
+from .cpseries import _add_terms
 from .jsonio import canonical_dumps, frac_to_str
 
 Word = tuple[int, ...]
@@ -135,15 +136,8 @@ class NCSeries:
 
     def __add__(self, other: "NCSeries") -> "NCSeries":
         self._compat(other)
-        terms = dict(self.terms)
-        zero = self.ring.zero
-        for w, c in other.terms.items():
-            s = terms.get(w, zero) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        return NCSeries(self.alphabet, self.trunc, self.ring, terms)
+        return NCSeries(self.alphabet, self.trunc, self.ring,
+                        _add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "NCSeries":
         return NCSeries(self.alphabet, self.trunc, self.ring,
@@ -190,18 +184,13 @@ class NCSeries:
     def shuffle_mul(self, other: "NCSeries") -> "NCSeries":
         self._compat(other)
         terms: dict[Word, object] = {}
-        zero = self.ring.zero
+        embed = self.ring.embed
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                if len(w1) + len(w2) > self.trunc:
-                    continue
-                p = c1 * c2
-                for w, m in shuffle_words(w1, w2):
-                    s = terms.get(w, zero) + p * self.ring.embed(m)
-                    if s:
-                        terms[w] = s
-                    else:
-                        terms.pop(w, None)
+                if len(w1) + len(w2) <= self.trunc:
+                    p = c1 * c2
+                    _add_terms(terms, ((w, p * embed(m))
+                                       for w, m in shuffle_words(w1, w2)))
         return NCSeries(self.alphabet, self.trunc, self.ring, terms)
 
     def exp(self) -> "NCSeries":

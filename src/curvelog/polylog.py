@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .cpseries import TruncatedSeries
+from .cpseries import TruncatedSeries, _exponent
 
 Indices = tuple[int, ...]
 Word = tuple[int, ...]
@@ -35,7 +35,7 @@ class Divergent(ValueError):
 
 
 def check_indices(indices: Sequence[int]) -> Indices:
-    ks = tuple(int(k) for k in indices)
+    ks = _exponent(indices, len(indices))
     if not ks:
         raise ValueError("empty index tuple")
     if any(k < 1 for k in ks):

@@ -53,6 +53,7 @@ from typing import Callable
 
 from .associator import kz_associator
 from .constants import ConstantCombination
+from .cpseries import _add_terms
 from .logpoly import LogPoly, logpoly_ring
 from .ncseries import COMPLEX, NCSeries, Ring
 
@@ -95,12 +96,8 @@ def _termwise(s: NCSeries, term: Callable, ring: Ring) -> NCSeries:
     vars = ring.one.vars
 
     def coeff(p: LogPoly) -> LogPoly:
-        acc: dict = {}
-        for k, c in p.terms.items():
-            for k2, c2 in term(k, c):
-                prev = acc.get(k2)
-                acc[k2] = c2 if prev is None else prev + c2
-        return LogPoly._raw(vars, {k: c for k, c in acc.items() if c})
+        return LogPoly._raw(vars, _add_terms({}, (
+            pair for k, c in p.terms.items() for pair in term(k, c))))
 
     return s.map_coefficients(coeff, ring)
 

@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 
 from .associator import kz_associator
 from .constants import ConstantCombination, in_zeta_span
+from .cpseries import _add_terms
 from .elliptic import w_infinity, w_zero
 from .logpoly import LogPoly, logpoly_ring
 from .ncseries import NCSeries, RATIONAL, Ring
@@ -85,37 +86,24 @@ class IdealReducer:
     def _insert(self, row: dict[Word, Fraction]) -> None:
         while row:
             piv = min(row)
+            c = row.pop(piv)
             prow = self.pivots.get(piv)
             if prow is None:
-                c = row.pop(piv)
                 self.pivots[piv] = {piv: Fraction(1),
                                     **{w: q / c for w, q in row.items()}}
                 return
-            c = row.pop(piv)
-            for w, q in prow.items():
-                if w == piv:
-                    continue
-                s = row.get(w, Fraction(0)) - c * q
-                if s:
-                    row[w] = s
-                else:
-                    row.pop(w, None)
+            _add_terms(row, ((w, -c * q) for w, q in prow.items()
+                             if w != piv))
 
     def reduce(self, series: NCSeries) -> NCSeries:
         """Eliminate every pivot word; ring-agnostic (rational pivots)."""
         terms = dict(series.terms)
         embed = series.ring.embed
-        zero = series.ring.zero
         for piv in sorted(self.pivots):
             c = terms.get(piv)
-            if not c:
-                continue
-            for w, q in self.pivots[piv].items():
-                s = terms.get(w, zero) - c * embed(q)
-                if s:
-                    terms[w] = s
-                else:
-                    terms.pop(w, None)
+            if c:
+                _add_terms(terms, ((w, -c * embed(q))
+                                   for w, q in self.pivots[piv].items()))
         return NCSeries(series.alphabet, series.trunc, series.ring, terms)
 
 

@@ -262,6 +262,11 @@ def test_decompose_flags_non_integral_input(tmp_path):
     # and a non-monodromy file is an input error
     bad = write_json(tmp_path / "bad.json", {"kind": "other"})
     run_cli("decompose", "--in", bad, expect=2)
+    # as is a non-integral exponent, which must not be read as an integer
+    artifact["element"]["terms"][0]["coeff"]["terms"][0]["exp"] = [1.5]
+    bad_exp = write_json(tmp_path / "bad_exp.json", artifact)
+    assert "exponent" in run_cli("decompose", "--in", bad_exp,
+                                 expect=2).stderr
 
 
 def test_determinism_and_text_format(four_tails):

@@ -85,6 +85,12 @@ def test_divergent_zeta_rejected():
         CC.zeta(2, 1)  # last index 1 diverges
 
 
+def test_non_integral_powers_rejected():
+    for make in (lambda: CC.ipi(1.5), lambda: CC.zeta(1, 2.5)):
+        with pytest.raises(ValueError):
+            make()
+
+
 def test_json_roundtrip():
     x = CC.zeta(2, 3, coeff=F(-7, 2)) + CC.ipi(3) + CC.rational(F(1, 6))
     back = CC.from_json(x.to_json())

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from curvelog.catalog import stable_graphs
+from curvelog.constants import ConstantCombination as CC
 from curvelog.cpseries import TruncatedSeries as TS, solve_quadratic
 from curvelog.jsonio import canonical_dumps
+from curvelog.logpoly import LogPoly
 from curvelog.schottky import fixed_points_multiplier, verify_graph
+from curvelog.sewing import ZONE_VARS
 
 VARS = ("x", "y")
 D = 4
@@ -136,6 +139,25 @@ def test_invert_requires_unit():
         var("x").invert()
 
 
+def test_inexact_scalars_are_rejected():
+    one = TS.constant(1, ("x",), 2)
+    for make in (lambda: one + 0.5, lambda: 0.5 + one, lambda: one - 0.5,
+                 lambda: one * 0.5, lambda: 0.5 * one,
+                 lambda: TS.constant(0.5, ("x",), 2),
+                 lambda: TS(("x",), 2, {(1,): 0.1})):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_from_json_rejects_bad_exponents():
+    good = (var("x") + var("y")).to_json()
+    for exp in ([1.5, 0], [1], [1, 0, 0], ["x", 0], ["1", 0], [-1, 0]):
+        bad = dict(good, terms=[dict(good["terms"][0], exp=exp)])
+        with pytest.raises(ValueError):
+            TS.from_json(bad)
+    assert TS.from_json(good) == var("x") + var("y")
+
+
 def test_json_round_trip_bit_exact():
     x, y = var("x"), var("y")
     s = F(3, 7) * x * y - y ** 2 + const(F(-2, 5))
@@ -169,15 +191,31 @@ def coprime_operands(draw):
     return series(), series(), scalar(), scalar()
 
 
+def pairwise(a, b, key, keep=lambda k: True):
+    """The product of two term dicts by pairwise Fraction arithmetic: the
+    pair ``(ka, kb)`` lands at ``key(ka, kb)`` if ``keep`` accepts it."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = key(ka, kb)
+            if keep(k):
+                out[k] = out.get(k, F(0)) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def add_exponents(ea, eb):
+    return tuple(x + y for x, y in zip(ea, eb))
+
+
+def add_zone_keys(ka, kb):
+    """Symbol exponents and the (i*pi)-power add, zeta multisets merge."""
+    return add_exponents(ka[:-1], kb[:-1]) + (tuple(sorted(ka[-1] + kb[-1])),)
+
+
 def reference_product(a, b):
     """The truncated product by pairwise Fraction arithmetic."""
-    out = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if sum(e) <= a.trunc:
-                out[e] = out.get(e, F(0)) + ca * cb
-    return {e: c for e, c in out.items() if c}
+    return pairwise(a.terms, b.terms, add_exponents,
+                    lambda e: sum(e) <= a.trunc)
 
 
 def assert_stored_clean(s):
@@ -204,6 +242,58 @@ def test_kernel_exact_over_coprime_denominators(operands):
     assert (a2 * z * z + a1 * z + a0).is_zero()
     for s in (prod, inv, z):
         assert_stored_clean(s)
+
+
+# period keys: zeta(2) and zeta(3) alone and together, so that products
+# merge the multiset {2, 3} from both operand orders
+PERIODS = ((0, ()), (1, ()), (0, ((2,),)), (0, ((3,),)),
+           (0, ((2,), (3,))), (2, ((1, 2),)))
+SMALL = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def kernel_operands(draw):
+    """Two series truncated at total degree D and two zone polynomials
+    (negative powers of ``w``), each of 0, 1 or several terms."""
+    def series():
+        return TS(VARS, D, draw(st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), SMALL,
+            max_size=5)))
+
+    def zone():
+        expo = st.tuples(st.integers(0, 1), st.integers(0, 1),
+                         st.integers(0, 1), st.integers(-2, 2),
+                         st.integers(0, 1))
+        terms = draw(st.dictionaries(st.tuples(expo, st.sampled_from(PERIODS)),
+                                     SMALL, max_size=5))
+        return sum((LogPoly.monomial(ZONE_VARS, e, CC({per: c}))
+                    for (e, per), c in terms.items()), LogPoly.zero(ZONE_VARS))
+
+    return series(), series(), zone(), zone()
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_operands())
+def test_shared_product_matches_pairwise_reference(operands):
+    s, t, a, b = operands
+    assert (s * t).terms == reference_product(s, t)
+    assert (a * b).terms == pairwise(a.terms, b.terms, add_zone_keys)
+    assert (b * a).terms == (a * b).terms
+    for x in (s * t, s + t, s - t, a * b, a + b, a - b):
+        assert_stored_clean(x)
+    assert all(list(k[-1]) == sorted(k[-1]) for k in (a * b).terms)
+
+
+def test_merged_zeta_multisets_cancel():
+    w = LogPoly.monomial(ZONE_VARS, (0, 0, 0, 1, 0))
+    w_inv = LogPoly.monomial(ZONE_VARS, (0, 0, 0, -1, 0))
+    z2, z3 = CC.zeta(2), CC.zeta(3)
+    a, b = (z2 + z3) * w, (z3 - z2) * w_inv
+    # zeta(2)*zeta(3) arises once from each operand order and cancels
+    expect = CC({(0, ((3,), (3,))): 1, (0, ((2,), (2,))): -1})
+    assert a * b == expect and b * a == expect
+    assert (a * b).terms == {(0, 0, 0, 0, 0) + k: c
+                             for k, c in expect.terms.items()}
 
 
 # sha256 of the verify_graph reports and of the fixed-point and

@@ -1,5 +1,6 @@
 """Source hygiene checks that need only the standard library."""
 import ast
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,3 +29,21 @@ def test_no_unused_imports():
               for path in sorted((ROOT / top).rglob("*.py"))
               for hit in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_ring_operators_are_defined_in_their_own_class_body():
+    """The benchmark's tracer names the span of a method after the class
+    whose body defines it, so an inherited or borrowed operator would
+    leave ``cpseries.mul``, ``logpoly.add`` and the like reading 0."""
+    from curvelog import cpseries
+    from curvelog.logpoly import LogPoly
+
+    for cls in (cpseries.TruncatedSeries, LogPoly):
+        for op in ("__add__", "__sub__", "__neg__", "__mul__"):
+            fn = vars(cls).get(op)
+            assert isinstance(fn, types.FunctionType), (cls.__name__, op)
+            assert fn.__qualname__ == f"{cls.__name__}.{op}"
+    assert isinstance(vars(cpseries.TruncatedSeries).get("invert"),
+                      types.FunctionType)
+    assert isinstance(vars(cpseries).get("solve_quadratic"),
+                      types.FunctionType)

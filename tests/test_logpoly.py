@@ -105,10 +105,29 @@ def test_ring_contract():
 def test_from_json_rejects_bad_exponents():
     good = LogPoly.symbol(VARS, "u", CC.zeta(2)).to_json()
     coeff = good["terms"][0]["coeff"]
-    for exp in ([1, 0, 0], [1], ["x", 0]):
+    for exp in ([1, 0, 0], [1], ["x", 0], [1.5, 0]):
         bad = {"vars": list(VARS), "terms": [{"exp": exp, "coeff": coeff}]}
         with pytest.raises(ValueError):
             LogPoly.from_json(bad)
+    # the period key of a coefficient is integral too
+    period = coeff["terms"][0]
+    for change in ({"ipi_pow": 0.5}, {"zeta_indices": [[2.5]]}):
+        bad_coeff = dict(coeff, terms=[dict(period, **change)])
+        bad = {"vars": list(VARS),
+               "terms": [{"exp": [1, 0], "coeff": bad_coeff}]}
+        with pytest.raises(ValueError):
+            LogPoly.from_json(bad)
+
+
+def test_inexact_coefficients_are_rejected():
+    u = LogPoly.symbol(VARS, "u")
+    for make in (lambda: LogPoly(("u",), {(1,): 0.1}),
+                 lambda: LogPoly.constant(VARS, 0.5),
+                 lambda: CC({(0, ()): 0.5}), lambda: CC.rational(0.5),
+                 lambda: CC.zeta(3, coeff=0.5), lambda: u + 0.5,
+                 lambda: 0.5 * u):
+        with pytest.raises(TypeError):
+            make()
 
 
 _BASIS = (CC.one(), CC.ipi(), CC.zeta(2), CC.zeta(3),
