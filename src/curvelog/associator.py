@@ -29,13 +29,13 @@ from .constants import CONSTANTS, ConstantCombination
 from .ncseries import COMPLEX, NCSeries
 from .regularize import reg_value
 
-_ASSOC_CACHE: dict[tuple, NCSeries] = {}
+_ASSOC_CACHE: dict[int, NCSeries] = {}
 
 
-def kz_associator(trunc: int, letters: tuple[str, str] = ("X0", "X1")) -> NCSeries:
-    """Transport series from 0 to 1; coefficients are exact period symbols."""
-    key = (trunc, tuple(letters))
-    cached = _ASSOC_CACHE.get(key)
+def kz_associator(trunc: int) -> NCSeries:
+    """Transport series from 0 to 1 in the letters ``X0``, ``X1``;
+    coefficients are exact period symbols."""
+    cached = _ASSOC_CACHE.get(trunc)
     if cached is not None:
         return cached
     terms: dict[tuple[int, ...], ConstantCombination] = {
@@ -47,15 +47,14 @@ def kz_associator(trunc: int, letters: tuple[str, str] = ("X0", "X1")) -> NCSeri
                 val = -val
             if val:
                 terms[w] = val
-    out = NCSeries(tuple(letters), trunc, CONSTANTS, terms)
-    _ASSOC_CACHE[key] = out
+    out = NCSeries(("X0", "X1"), trunc, CONSTANTS, terms)
+    _ASSOC_CACHE[trunc] = out
     return out
 
 
-def associator_numeric(trunc: int, letters=("X0", "X1"),
-                       prec: float = 1e-12) -> NCSeries:
+def associator_numeric(trunc: int, prec: float = 1e-12) -> NCSeries:
     """The associator with coefficients evaluated to complex numbers."""
-    return kz_associator(trunc, letters).map_coefficients(
+    return kz_associator(trunc).map_coefficients(
         lambda c: c.numeric(prec), COMPLEX)
 
 

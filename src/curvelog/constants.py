@@ -10,21 +10,28 @@ arithmetic is the ``LogPoly`` arithmetic.  In an operation with a
 ``LogPoly`` over symbols it lifts into that polynomial's symbol set.
 Products of zeta symbols are stored as multisets and are NOT reduced
 against zeta-value identities, so ``==`` means equality of
-representations; use :meth:`numeric_eq` for equality of values.
-:meth:`numeric` sums the term values with ``math.fsum``, so it depends
-only on the exact combination.
+representations.  :meth:`numeric` sums the term values with
+``math.fsum``, so it depends only on the exact combination.
+
+Values compare by :meth:`normal_form`: zeta values modulo the
+regularized double shuffle relations (Ihara-Kaneko-Zagier, Compositio
+Math. 142 (2006)), products expanded by stuffle, ``(i*pi)**2 = -6
+zeta(2)``; at weights 2-8 the basis has Zagier's d_k = 1, 1, 1, 2, 2,
+3, 4 tuples.  Equal normal forms, like a True from the exact
+:func:`in_zeta_span`, prove the fact; a False proves only if the basis
+is independent over Q (Zagier's conjecture, open from weight 5).
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Mapping
 
-from .cpseries import _add_terms, _as_fraction, _exponent
+from .cpseries import _add_terms, _as_fraction, _echelon_insert, _exponent
 from .logpoly import LogPoly
-from .ncseries import Ring
-from .polylog import check_indices, mzv_numeric
+from .ncseries import Ring, shuffle_words
+from .polylog import check_indices, indices_to_word, word_to_indices
 
 # basis key: (ipi_power, sorted tuple of zeta index tuples)
 Key = tuple[int, tuple[tuple[int, ...], ...]]
@@ -88,10 +95,15 @@ class ConstantCombination(LogPoly):
     def numeric(self, prec: float = 1e-12) -> complex:
         return self.evaluate({}, prec)
 
-    def numeric_eq(self, other, tol: float = 1e-9) -> bool:
-        if not isinstance(other, LogPoly):
-            other = ConstantCombination.rational(other)
-        return abs(self.numeric() - other.numeric()) <= tol
+    def normal_form(self) -> dict:
+        """The value as ``{(p % 2, idx): Fraction}``, each key standing
+        for ``(i*pi)**(p % 2) * zeta(idx)`` on a non-pivot index tuple
+        (``()`` for 1).  Equal normal forms prove equal values."""
+        out: dict = {}
+        for (p, zs), q in self.terms.items():
+            _add_terms(out, (((p % 2, t), q * r)
+                             for t, r in _key_form(p, zs)))
+        return out
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
@@ -113,104 +125,102 @@ class ConstantCombination(LogPoly):
 
 
 # ---------------------------------------------------------------------------
-# membership in the Z-span of products of (i*pi)-powers and zeta values
-#
-# Every convergent increasing-convention zeta word of weight <= 4 reduces
-# exactly to q * (i*pi)^a * zeta(3)^b; the reductions are frozen below.
-# After reduction, a combination lies in the Z-span of all products
-# (i*pi)^p * zeta(w_1) * ... * zeta(w_r) iff each (a, b)-coordinate lies in
-# the lattice generated by the reduced span monomials at that coordinate.
-# zeta(3) factors reduce with unit coefficient, so the lattice depends only
-# on the (i*pi)-exponent headroom `a`.
-
-ZETA_REDUCTIONS: dict[tuple[int, ...], tuple[int, int, Fraction]] = {
-    (2,): (2, 0, Fraction(-1, 6)),        # zeta(2) = -(i*pi)^2 / 6
-    (3,): (0, 1, Fraction(1)),
-    (1, 2): (0, 1, Fraction(1)),          # zeta(1,2) = zeta(3)
-    (4,): (4, 0, Fraction(1, 90)),        # zeta(4) = (i*pi)^4 / 90
-    (1, 3): (4, 0, Fraction(1, 360)),
-    (2, 2): (4, 0, Fraction(1, 120)),
-    (1, 1, 2): (4, 0, Fraction(1, 90)),   # dual to zeta(4)
-}
-
-_EVEN_GENERATORS = sorted({(a, r) for (a, b, r) in ZETA_REDUCTIONS.values()
-                           if b == 0})
-
-
-def _gcd_fraction(x: Fraction, y: Fraction) -> Fraction:
-    return Fraction(math.gcd(x.numerator * y.denominator,
-                             y.numerator * x.denominator),
-                    x.denominator * y.denominator)
+# the normal form and the lattice, built one weight at a time
 
 
 @lru_cache(maxsize=None)
-def span_lattice_gap(ipi_pow: int) -> Fraction:
-    """Generator of the rational lattice at the (i*pi)^a coordinate.
+def _stuffle(a: tuple, b: tuple) -> tuple:
+    """Stuffle product of two index tuples: ``(tuple, multiplicity)``."""
+    if not a or not b:
+        return ((a + b, 1),)
+    out: dict[tuple, int] = {}
+    for u, v, last in ((a[:-1], b, a[-1]), (a, b[:-1], b[-1]),
+                       (a[:-1], b[:-1], a[-1] + b[-1])):
+        _add_terms(out, ((w + (last,), m) for w, m in _stuffle(u, v)))
+    return tuple(out.items())
 
-    The lattice is spanned by the reduced coefficients of all products of
-    even-weight zeta words whose total (i*pi)-exponent fits inside `a`.
-    """
-    if ipi_pow < 0:
+
+def _convergent(weight: int) -> tuple:
+    """The convergent index tuples of ``weight`` (``()`` at weight 0)."""
+    if weight < 2:
+        return ((),) if weight == 0 else ()
+    return tuple(word_to_indices((0, *mid, 1))
+                 for mid in product((0, 1), repeat=weight - 2))
+
+
+@lru_cache(maxsize=None)
+def _pivots(weight: int) -> tuple:
+    """``(pivot, row)`` pairs, by increasing pivot: the echelon form of
+    stuffle minus shuffle of the convergent pairs and of ``(1)`` with each
+    ``b`` (Hoffman), at ``weight``; the divergent terms cancel."""
+    pivots: dict[tuple, dict] = {}
+    for i in range(1, weight // 2 + 1):
+        for a in _convergent(i) or ((1,),):    # i = 1: Hoffman's (1)
+            for b in _convergent(weight - i):
+                _echelon_insert(pivots, _add_terms(dict(_stuffle(a, b)), (
+                    (word_to_indices(w), -m) for w, m in shuffle_words(
+                        indices_to_word(a), indices_to_word(b)))))
+    return tuple(sorted(pivots.items()))
+
+
+@lru_cache(maxsize=None)
+def _key_form(p: int, zetas: tuple) -> tuple:
+    """Normal form of ``(i*pi)**(p - p % 2) * prod zeta(zetas)`` as
+    ``(tuple, Fraction)`` pairs: the stuffle expansion, reduced."""
+    if p < 0:
         raise ValueError("negative (i*pi)-exponent")
-    gap = Fraction(1)
-    for a, r in _EVEN_GENERATORS:
-        if a <= ipi_pow:
-            gap = _gcd_fraction(gap, abs(r) * span_lattice_gap(ipi_pow - a))
-    return gap
+    terms = {(): Fraction((-6) ** (p // 2))}
+    for idx in ((2,),) * (p // 2) + zetas:
+        terms = _add_terms({}, ((w, c * m) for u, c in terms.items()
+                                for w, m in _stuffle(u, idx)))
+    for piv, row in _pivots(p - p % 2 + sum(map(sum, zetas))):
+        if c := terms.get(piv):
+            _add_terms(terms, ((w, -c * q) for w, q in row.items()))
+    return tuple(terms.items())
 
 
-def span_coordinates(c: ConstantCombination):
-    """Exact (ipi_pow, zeta3_pow) coordinates after weight<=4 reduction.
+@lru_cache(maxsize=None)
+def _lattice(weight: int) -> tuple:
+    """Hermite basis, ``(column, row)`` pairs, of the Z-span of the normal
+    forms of the convergent zeta values of ``weight``."""
+    rows = [dict(_key_form(0, (s,))) for s in _convergent(weight)]
+    basis = []
+    while rows:
+        j = min(map(min, rows))
+        live = [r for r in rows if j in r]
+        while len(live) > 1:            # Euclid on column j
+            live.sort(key=lambda r: abs(r[j]))
+            for r in live[1:]:
+                n = r[j] // live[0][j]
+                _add_terms(r, ((k, -n * q) for k, q in live[0].items()))
+            live = [r for r in live if j in r]
+        basis.append((j, live[0]))
+        rows = [r for r in rows if r and j not in r]
+    return tuple(basis)
 
-    Returns (coords, raw) where `raw` collects terms containing a zeta word
-    outside the reduction table; those stay on their own basis monomial.
-    """
-    coords: dict[tuple[int, int], Fraction] = {}
-    raw: dict[Key, Fraction] = {}
+
+@lru_cache(maxsize=None)
+def _coordinates(p: int, zetas: tuple) -> tuple:
+    """Integer coordinates, keyed ``(p % 2, column)``, of ``(i*pi)**p *
+    prod zeta(zetas)`` on the Hermite basis of its weight."""
+    x = dict(_key_form(p, zetas))
+    out = []
+    for j, row in _lattice(p - p % 2 + sum(map(sum, zetas))):
+        if y := x.get(j):
+            y /= row[j]
+            _add_terms(x, ((k, -y * q) for k, q in row.items()))
+            out.append(((p % 2, j), y))
+    return tuple(out)
+
+
+def in_zeta_span(c: ConstantCombination) -> bool:
+    """Whether ``c`` is a Z-combination of the products ``(i*pi)**p *
+    zeta(idx_1) * ... * zeta(idx_r)``, exactly: True is a proof, False
+    one only under Zagier's conjecture (module docstring)."""
+    total: dict = {}
     for (p, zs), q in c.terms.items():
-        if all(idx in ZETA_REDUCTIONS for idx in zs):
-            a, b = p, 0
-            for idx in zs:
-                da, db, r = ZETA_REDUCTIONS[idx]
-                a += da
-                b += db
-                q = q * r
-            _add_terms(coords, (((a, b), q),))
-        else:
-            raw[(p, zs)] = q
-    return coords, raw
-
-
-_ZETA3 = 1.2020569031595943
-
-
-def zeta_span_residual(c: ConstantCombination) -> float:
-    """Numeric distance from `c` to the Z-span of (i*pi)/zeta products.
-
-    Zero (exactly) when every reduced coordinate is an integer multiple of
-    its lattice gap; otherwise the magnitude of the off-lattice part.
-    """
-    coords, raw = span_coordinates(c)
-    off = 0.0
-    for (a, b), q in coords.items():
-        gap = span_lattice_gap(a)
-        ratio = q / gap
-        residue = abs(ratio - round(ratio)) * gap
-        if residue:
-            off += float(residue) * math.pi ** a * _ZETA3 ** b
-    for (p, zs), q in raw.items():
-        residue = abs(q - round(q))
-        if residue:
-            size = math.pi ** p
-            for idx in zs:
-                size *= abs(mzv_numeric(idx))
-            off += float(residue) * size
-    return off
-
-
-def in_zeta_span(c: ConstantCombination, tol: float = 1e-6) -> bool:
-    """Whether `c` is a Z-combination of (i*pi)-power x zeta-value products."""
-    return zeta_span_residual(c) <= tol
+        _add_terms(total, ((i, q * y) for i, y in _coordinates(p, zs)))
+    return all(v.denominator == 1 for v in total.values())
 
 
 CONSTANTS = Ring(
@@ -220,5 +230,5 @@ CONSTANTS = Ring(
     lambda q: ConstantCombination.rational(q),
     lambda c: c.to_json(),
     ConstantCombination.from_json,
-    close=lambda a, b, tol: a.numeric_eq(b, tol),
+    close=lambda a, b, tol: not (a - b).normal_form(),
 )

@@ -72,6 +72,19 @@ def _add_terms(terms: dict, pairs: Iterable[tuple[tuple, object]]) -> dict:
     return terms
 
 
+def _echelon_insert(pivots: dict, row: dict) -> None:
+    """Reduce ``row`` by the echelon rows of ``pivots``, each stored under
+    its smallest key with coefficient 1, and store any rest the same way."""
+    while row:
+        piv = min(row)
+        c = _as_fraction(row.pop(piv))
+        prow = pivots.get(piv)
+        if prow is None:
+            pivots[piv] = {piv: _ONE, **{w: q / c for w, q in row.items()}}
+            return
+        _add_terms(row, ((w, -c * q) for w, q in prow.items() if w != piv))
+
+
 def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction],
                cap: int | None = None) -> dict[tuple, Fraction]:
     """The product of two term dicts of nonzero ``Fraction``s, storing no

@@ -255,10 +255,6 @@ class LogPoly:
             im.append(val.imag)
         return complex(math.fsum(re), math.fsum(im))
 
-    def numeric_close(self, other: "LogPoly", tol: float) -> bool:
-        return all(abs(c.numeric()) <= tol
-                   for c in (self - other).coefficients().values())
-
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
         coeffs = self.coefficients()
@@ -295,5 +291,6 @@ def logpoly_ring(vars: Sequence[str]) -> Ring:
         lambda q: LogPoly.constant(vars, q),
         lambda p: p.to_json(),
         LogPoly.from_json,
-        close=lambda a, b, tol: a.numeric_close(b, tol),
+        close=lambda a, b, tol: not any(
+            c.normal_form() for c in (a - b).coefficients().values()),
     )

@@ -2,9 +2,9 @@
 
 Words are tuples of letter indices; everything of length beyond the
 truncation is dropped.  Coefficients live in a ring described by a small
-:class:`Ring` record (zero, one, embedding of rationals, JSON codec),
-so the same series type serves exact rational computations, symbolic
-period combinations, log-polynomials, and complex numerics.
+:class:`Ring` record (zero, one, embedding of rationals, JSON codec, value
+equality), so the same series type serves exact rational computations,
+symbolic period combinations, log-polynomials, and complex numerics.
 
 Group-likeness is the shuffle-relation test: an element with constant
 term 1 is group-like iff ``c(u) c(v) = sum_w <u sh v, w> c(w)`` for all
@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
-from .cpseries import _add_terms
+from .cpseries import _add_terms, _as_fraction
 from .jsonio import canonical_dumps, frac_to_str
 
 Word = tuple[int, ...]
@@ -33,11 +33,11 @@ class Ring:
     embed: Callable          # Fraction | int -> element
     encode: Callable         # element -> JSON-able
     decode: Callable         # JSON-able -> element
-    close: Callable | None = None   # (a, b, tol) -> bool, for numeric rings
+    close: Callable = lambda a, b, tol: a == b   # equal values (COMPLEX: tol)
 
 
-RATIONAL = Ring("rational", Fraction(0), Fraction(1), Fraction,
-                frac_to_str, Fraction)
+RATIONAL = Ring("rational", Fraction(0), Fraction(1), _as_fraction,
+                frac_to_str, _as_fraction)
 
 COMPLEX = Ring("complex", complex(0), complex(1), complex,
                lambda c: {"re": c.real, "im": c.imag},
@@ -148,8 +148,8 @@ class NCSeries:
 
     def scale(self, value) -> "NCSeries":
         """Multiply by a scalar: a rational (embedded) or ring element."""
-        if isinstance(value, (int, Fraction)):
-            value = self.ring.embed(Fraction(value))
+        if isinstance(value, (int, Fraction)) or self.ring is RATIONAL:
+            value = self.ring.embed(value)
         if not value:
             return NCSeries.zero(self.alphabet, self.trunc, self.ring)
         return NCSeries(self.alphabet, self.trunc, self.ring,
@@ -288,9 +288,10 @@ class NCSeries:
     # ------------------------------------------------------------------
     # structure tests
 
-    def is_grouplike(self, tol: float | None = None) -> bool:
-        """Shuffle-relation test for group-likeness."""
-        if not self._eq_coeff(self.constant_term(), self.ring.one, tol):
+    def is_grouplike(self, tol: float = 0.0) -> bool:
+        """Shuffle-relation test; coefficients compare by ``ring.close``."""
+        close = self.ring.close
+        if not close(self.constant_term(), self.ring.one, tol):
             return False
         # relations must hold for every pair of nonempty words, including
         # pairs whose coefficient is zero; enumerate all words up to trunc
@@ -309,14 +310,9 @@ class NCSeries:
                     c = self.terms.get(w)
                     if c is not None:
                         rhs = rhs + c * self.ring.embed(m)
-                if not self._eq_coeff(lhs, rhs, tol):
+                if not close(lhs, rhs, tol):
                     return False
         return True
-
-    def _eq_coeff(self, a, b, tol) -> bool:
-        if tol is not None and self.ring.close is not None:
-            return self.ring.close(a, b, tol)
-        return a == b
 
     # ------------------------------------------------------------------
     # serialization

@@ -47,6 +47,7 @@ coordinate of the destination chart the source frame has scale ``y``.
 from __future__ import annotations
 
 from cmath import log as _clog
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, log as _mlog
 from typing import Callable
@@ -71,8 +72,8 @@ def _sew_decode(data: list) -> LogPoly:
                               for d in data})
 
 
-SEW = Ring("sew", LogPoly.zero(SEW_VARS), LogPoly.constant(SEW_VARS, 1),
-           lambda q: LogPoly.constant(SEW_VARS, q), _sew_encode, _sew_decode)
+SEW = replace(logpoly_ring(SEW_VARS), name="sew", encode=_sew_encode,
+              decode=_sew_decode)
 
 
 _TWO_IPI = ConstantCombination.ipi(1, 2)

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from .associator import kz_associator
 from .constants import ConstantCombination, in_zeta_span
-from .cpseries import _add_terms
+from .cpseries import _add_terms, _echelon_insert
 from .elliptic import w_infinity, w_zero
 from .logpoly import LogPoly, logpoly_ring
 from .ncseries import NCSeries, RATIONAL, Ring
@@ -80,20 +80,8 @@ class IdealReducer:
             for a in range(d - 1):
                 for u in iter_product(range(n), repeat=a):
                     for v in iter_product(range(n), repeat=d - 2 - a):
-                        row = {u + w + v: Fraction(c) for w, c in rel}
-                        self._insert(row)
-
-    def _insert(self, row: dict[Word, Fraction]) -> None:
-        while row:
-            piv = min(row)
-            c = row.pop(piv)
-            prow = self.pivots.get(piv)
-            if prow is None:
-                self.pivots[piv] = {piv: Fraction(1),
-                                    **{w: q / c for w, q in row.items()}}
-                return
-            _add_terms(row, ((w, -c * q) for w, q in prow.items()
-                             if w != piv))
+                        _echelon_insert(self.pivots,
+                                        {u + w + v: c for w, c in rel})
 
     def reduce(self, series: NCSeries) -> NCSeries:
         """Eliminate every pivot word; ring-agnostic (rational pivots)."""
@@ -406,8 +394,8 @@ def decompose_element(elem: NCSeries) -> dict:
     corresponding monomial multiplied by the factorials of the
     exponents; ``reassemble_element`` inverts this exactly.  Each entry
     also records whether its value lies in the Z-span of products of
-    (i*pi)-powers and zeta values (the value-level membership test of
-    :func:`curvelog.constants.in_zeta_span`).
+    (i*pi)-powers and zeta values (:func:`curvelog.constants.in_zeta_span`):
+    true is a proof, false one only under Zagier's conjecture.
     """
     entries = []
     violations = []

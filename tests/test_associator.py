@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import math
 
+from fractions import Fraction as F
+
 import pytest
 
 from curvelog.associator import (associator_numeric, kz_associator,
@@ -41,7 +43,25 @@ def test_linear_coefficients_vanish():
 
 
 def test_grouplike_at_weight_four():
-    assert kz_associator(4).is_grouplike(tol=1e-9)
+    assert kz_associator(4).is_grouplike()
+
+
+def test_grouplike_exactly_to_weight_eight():
+    # the shuffle relations hold between normal forms: zeta products
+    # are stored unexpanded, so equal values have unequal representations
+    for n in range(1, 9):
+        assert kz_associator(n).is_grouplike(), n
+
+
+def test_exact_grouplike_check_fails_on_a_perturbed_coefficient():
+    phi = kz_associator(4)
+    for word, q in [((0, 1), F(1, 2)), ((0, 0, 1), F(1)),
+                    ((1, 0, 1, 0), F(-1, 7))]:
+        terms = dict(phi.terms)
+        terms[word] = terms.get(word, CC.zero()) + q
+        bent = NCSeries(phi.alphabet, phi.trunc, phi.ring, terms)
+        assert not bent.is_grouplike(), word
+    assert phi.is_grouplike()
 
 
 def test_duality_value_wise():

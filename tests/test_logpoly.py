@@ -78,11 +78,20 @@ def test_values_equal_across_a_lift_hash_alike():
     assert {CC.zeta(3), lifted} == {CC.zeta(3)}
 
 
-def test_numeric_close():
+def test_equal_values_compare_normal_forms():
+    close = logpoly_ring(VARS).close
     a = LogPoly.constant(VARS, CC.zeta(1, 2))
     b = LogPoly.constant(VARS, CC.zeta(3))
-    assert a.numeric_close(b, 1e-9)
-    assert not a.numeric_close(b + LogPoly.symbol(VARS, "u"), 1e-9)
+    assert a != b and close(a, b, 0.0)
+    assert not close(a, b + LogPoly.symbol(VARS, "u"), 1.0)
+    u = LogPoly.symbol(VARS, "u")
+    assert close(u * CC.zeta(2) * CC.zeta(2),
+                 u * (CC.zeta(1, 3, coeff=4) + CC.zeta(2, 2, coeff=2)), None)
+    assert not close(u * CC.zeta(2), LogPoly.symbol(VARS, "v", CC.zeta(2)),
+                     None)
+    sew = SEW.zero.vars
+    assert SEW.close(LogPoly.constant(sew, CC.zeta(1, 2)),
+                     LogPoly.constant(sew, CC.zeta(3)), 0.0)
 
 
 def test_json_roundtrip():
@@ -98,7 +107,7 @@ def test_ring_contract():
     assert ring.embed(F(1, 2)) == LogPoly.constant(VARS, CC.rational(F(1, 2)))
     a = LogPoly.constant(VARS, CC.zeta(1, 2))
     b = LogPoly.constant(VARS, CC.zeta(3))
-    assert ring.close(a, b, 1e-9)
+    assert ring.close(a, b, 0.0)
     assert ring.decode(ring.encode(a)) == a
 
 

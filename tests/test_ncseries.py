@@ -1,6 +1,7 @@
 """Truncated noncommutative series: ring laws, exp/log, substitution."""
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvelog.ncseries import COMPLEX, NCSeries, RATIONAL, shuffle_words
@@ -123,6 +124,23 @@ def test_json_roundtrip():
     s = a.exp() * b - a.scale(F(5, 7))
     back = NCSeries.from_json(s.to_json(), RATIONAL)
     assert (back - s).is_zero()
+
+
+def test_rational_ring_rejects_inexact_scalars():
+    a = NCSeries.letter("a", AB, 2)
+    data = a.to_json()
+    data["terms"][0]["coeff"] = 0.1
+    for make in (lambda: a.scale(0.1), lambda: RATIONAL.embed(0.5),
+                 lambda: NCSeries.from_json(data, RATIONAL)):
+        with pytest.raises(TypeError):
+            make()
+    # the "n/d" strings of the JSON and exact scalars still work
+    data["terms"][0]["coeff"] = "-3/7"
+    assert NCSeries.from_json(data, RATIONAL).coefficient("a") == F(-3, 7)
+    assert a.scale(2).coefficient("a") == RATIONAL.embed(2) == F(2)
+    # a complex series takes a float scalar as it is
+    z = NCSeries.letter("a", AB, 2, COMPLEX).scale(0.5)
+    assert z.coefficient("a") == 0.5
 
 
 @st.composite

@@ -79,12 +79,43 @@ def test_four_tails_path_decomposition_table():
     assert report["violations"] == []
     back = reassemble_element(report, calc.ring)
     assert (back - elem).is_zero()
-    assert elem.is_grouplike(tol=1e-8)
+    assert elem.is_grouplike()
     # the only letters with a linear term are the two on the starting
     # chart, carried by the edge-crossing factor
     assert elem.coefficient(("X_t1",)).coefficient((1,)) == CC.ipi(1, -2)
     assert elem.coefficient(("X_t2",)).coefficient((1,)) == CC.ipi(1, -2)
     assert not elem.coefficient(("X_t3",))
+
+
+def _paths_and_loops(g, n, trunc):
+    """The monodromy element of every tail pair and every fundamental
+    loop over the (g, n) catalog."""
+    for graph in stable_graphs(g, n):
+        calc = MonodromyCalculator(build_sheaf(graph, trunc))
+        for s, d in itertools.combinations(sorted(graph.tails), 2):
+            yield calc.path(calc.tail_path_moves(s, d))
+        for e in sorted(calc.sheaf.cycle_edges):
+            h = e + "+"
+            word = [h] if graph.origin(h) == graph.terminus(h) else \
+                [h] + graph.tree_path(graph.terminus(h), graph.origin(h),
+                                      list(calc.sheaf.tree_edges))
+            yield calc.path(calc.loop_moves(word))
+
+
+def test_monodromy_elements_are_exactly_grouplike():
+    # the residues are primitive, so every transport is group-like; the
+    # check compares normal forms, with the edge symbols left free
+    elems = [elem for gn in [(0, 4), (0, 5), (1, 1), (1, 2)]
+             for elem in _paths_and_loops(*gn, 4)]
+    assert len(elems) == 21
+    for elem in elems:
+        assert elem.is_grouplike()
+    elem = elems[0]
+    terms = dict(elem.terms)
+    word = max(terms, key=len)
+    terms[word] = terms[word] + 1
+    bent = type(elem)(elem.alphabet, elem.trunc, elem.ring, terms)
+    assert not bent.is_grouplike()
 
 
 FARTHEST_TAILS_SHA256 = {
