@@ -26,7 +26,7 @@ import cmath
 from itertools import product as iter_product
 
 from .constants import CONSTANTS, ConstantCombination
-from .ncseries import COMPLEX, NCSeries
+from .ncseries import NCSeries
 from .regularize import reg_value
 
 _ASSOC_CACHE: dict[int, NCSeries] = {}
@@ -50,12 +50,6 @@ def kz_associator(trunc: int) -> NCSeries:
     out = NCSeries(("X0", "X1"), trunc, CONSTANTS, terms)
     _ASSOC_CACHE[trunc] = out
     return out
-
-
-def associator_numeric(trunc: int, prec: float = 1e-12) -> NCSeries:
-    """The associator with coefficients evaluated to complex numbers."""
-    return kz_associator(trunc).map_coefficients(
-        lambda c: c.numeric(prec), COMPLEX)
 
 
 # ---------------------------------------------------------------------------

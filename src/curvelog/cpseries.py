@@ -342,7 +342,8 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, data: dict) -> "TruncatedSeries":
         terms = {tuple(t["exp"]): Fraction(t["num"], t["den"]) for t in data["terms"]}
-        return cls(tuple(data["vars"]), int(data["trunc"]), terms)
+        return cls(tuple(data["vars"]), _exponent([data["trunc"]], 1)[0],
+                   terms)
 
     def dumps(self) -> str:
         return canonical_dumps(self.to_json())

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
-from .cpseries import _add_terms, _as_fraction
+from .cpseries import _add_terms, _as_fraction, _exponent
 from .jsonio import canonical_dumps, frac_to_str
 
 Word = tuple[int, ...]
@@ -333,7 +333,7 @@ class NCSeries:
         idx = {a: i for i, a in enumerate(alphabet)}
         terms = {tuple(idx[l] for l in t["word"]): ring.decode(t["coeff"])
                  for t in data["terms"]}
-        return cls(alphabet, int(data["trunc"]), ring, terms)
+        return cls(alphabet, _exponent([data["trunc"]], 1)[0], ring, terms)
 
     def dumps(self) -> str:
         return canonical_dumps(self.to_json())

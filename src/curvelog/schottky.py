@@ -209,16 +209,33 @@ def fixed_points_multiplier(graph: StableGraph, word: Sequence[str],
     be finite (re-chart the graph otherwise).
     """
     data = multiplier_data(graph, word, trunc)
+    data.alpha, data.alpha_prime = fixed_points(graph, word, data.matrix)
+    return data
+
+
+def fixed_points(graph: StableGraph, word: Sequence[str],
+                 m: Moebius) -> tuple[TS, TS]:
+    """Attractive and repulsive fixed points of the closed word with
+    matrix ``m``: the roots of ``c z^2 + (d - a) z - b`` seeded at the
+    chart coordinates of ``x_{h_last}`` and ``x_{-h_first}``."""
     seed_a = graph.chart.x(word[-1])
     seed_r = graph.chart.x(flip(word[0]))
     if seed_a is None or seed_r is None:
         raise DegenerateWord("fixed point at infinity in this chart")
-    m = data.matrix
     a1 = m.d - m.a
     a0 = -m.b
-    data.alpha = solve_quadratic(m.c, a1, a0, Fraction(seed_a))
-    data.alpha_prime = solve_quadratic(m.c, a1, a0, Fraction(seed_r))
-    return data
+    return (simple_root(m.c, a1, a0, seed_a),
+            simple_root(m.c, a1, a0, seed_r))
+
+
+def simple_root(a2: TS, a1: TS, a0: TS, root0: Fraction) -> TS:
+    """:func:`solve_quadratic`, with a root that is not simple raised as
+    :class:`DegenerateWord`."""
+    try:
+        return solve_quadratic(a2, a1, a0, root0)
+    except ZeroDivisionError as exc:
+        raise DegenerateWord(f"fixed point {root0} is not a simple root "
+                             "of the word's quadratic") from exc
 
 
 def edge_multiplicity(word: Sequence[str]) -> dict[str, int]:

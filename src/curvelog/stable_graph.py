@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .cpseries import _exponent
 from .jsonio import canonical_dumps, frac_to_str
 
 
@@ -550,11 +551,14 @@ class StableGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "StableGraph":
-        edges = [Edge(e["id"], e["from"]["vertex"], int(e["from"]["slot"]),
-                      e["to"]["vertex"], int(e["to"]["slot"]),
+        # slots and tail labels are integers; a non-integral value raises
+        edges = [Edge(e["id"], e["from"]["vertex"],
+                      _exponent([e["from"]["slot"]], 1)[0],
+                      e["to"]["vertex"], _exponent([e["to"]["slot"]], 1)[0],
                       e.get("oriented", "+"))
                  for e in data["edges"]]
-        tails = [Tail(t["id"], t["vertex"], int(t["nu"])) for t in data["tails"]]
+        tails = [Tail(t["id"], t["vertex"], _exponent([t["nu"]], 1)[0])
+                 for t in data["tails"]]
         chart = None
         if "chart" in data:
             chart = Chart({b: Fraction(x) for b, x in data["chart"]["finite"].items()},

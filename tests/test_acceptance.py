@@ -15,7 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from curvelog.associator import associator_numeric, kz_associator, ode_transport
+from curvelog.associator import kz_associator, ode_transport
 from curvelog.catalog import stable_graphs
 from curvelog.chart_compare import expand_and_compare
 from curvelog.constants import ConstantCombination as CC, in_zeta_span
@@ -104,16 +104,16 @@ def test_criterion_03_single_loop_scaling_chart():
 
 def test_criterion_04_refinement_matching_equations():
     t0 = time.time()
-    # four-point star: the refined chart must reproduce the cross-ratios
-    # of all four marked points (no loops exist, so the multiplier
-    # equations are vacuous here)
+    # four-point star: the refined chart must reproduce all four marked
+    # points exactly (no loops exist, so the multiplier equations are
+    # vacuous here)
     star = StableGraph(["v0"], [], [Tail(f"t{i}", "v0", i)
                                     for i in range(1, 5)])
     cmp_star = expand_and_compare(star, "v0", "t1", "t2", trunc=4, seed=7)
-    rep_star = cmp_star.report(loops_len=3, ratios_len=2)
-    assert rep_star["pass"], rep_star["cross_ratios"]
-    assert "skipped" not in rep_star["cross_ratios"]
-    assert rep_star["cross_ratios"]["pass"]
+    rep_star = cmp_star.report(loops_len=3, points_len=2)
+    assert rep_star["pass"], rep_star["points"]
+    assert rep_star["points"]["n_checked"] == 4
+    assert rep_star["points"]["pass"]
     assert not rep_star["edge_params"]  # no original edges on a star
 
     # loop corner (both branches of one edge): multiplier equations carry
@@ -122,7 +122,7 @@ def test_criterion_04_refinement_matching_equations():
     looped = StableGraph(["v0"], [Edge("f", "v0", 0, "v0", 1)],
                          [Tail("t1", "v0", 1), Tail("t2", "v0", 2)])
     cmp_loop = expand_and_compare(looped, "v0", "f+", "f-", trunc=4, seed=9)
-    rep_loop = cmp_loop.report(loops_len=3, ratios_len=2)
+    rep_loop = cmp_loop.report(loops_len=3, points_len=2)
     assert rep_loop["pass"], rep_loop
     assert rep_loop["multipliers"]["n_words"] > 0
     low = cmp_loop.edge_params["f"].lowest_part()
@@ -131,7 +131,7 @@ def test_criterion_04_refinement_matching_equations():
     dt = time.time() - t0
     assert dt < 30.0
     print(f"[criterion 04] PASS — star and loop-corner refinements: unit "
-          f"reparameterizations, multiplier and cross-ratio equations hold "
+          f"reparameterizations, multiplier and point equations hold "
           f"to s-degree 4 ({dt:.1f}s < 30s)")
 
 
@@ -170,7 +170,10 @@ def test_criterion_05_polylog_numerics_and_shuffle():
 
 def test_criterion_06_associator_against_transport():
     phi = kz_associator(4)
-    oracle = associator_numeric(4)
+    # the KZ connection integrated numerically, unit tangential frames
+    x0 = NCSeries.letter("X0", ("X0", "X1"), 4, COMPLEX)
+    x1 = NCSeries.letter("X1", ("X0", "X1"), 4, COMPLEX)
+    oracle = ode_transport({0.0: x0, 1.0: x1}, 0.0, 1.0)
     worst = 0.0
     for n in range(5):
         for w in itertools.product(("X0", "X1"), repeat=n):

@@ -7,8 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from curvelog.associator import (associator_numeric, kz_associator,
-                                 ode_transport)
+from curvelog.associator import kz_associator, ode_transport
 from curvelog.constants import ConstantCombination as CC
 from curvelog.ncseries import COMPLEX, NCSeries
 
@@ -76,15 +75,33 @@ def test_duality_value_wise():
     assert worst < 1e-10
 
 
-def test_ode_oracle_matches_symbolic():
-    w = 4
-    sym = kz_associator(w).map_coefficients(
-        lambda c: c.numeric(1e-12), COMPLEX)
-    num = associator_numeric(w)
-    worst = max(abs(sym.coefficient(word) - num.coefficient(word))
-                for n in range(w + 1)
-                for word in itertools.product(("X0", "X1"), repeat=n))
-    assert worst < 1e-6
+@pytest.fixture(scope="module")
+def kz_transport():
+    """The KZ connection integrated from 0 to 1 with unit tangential
+    frames at both ends, through weight 4."""
+    x0 = NCSeries.letter("X0", ("X0", "X1"), 4, COMPLEX)
+    x1 = NCSeries.letter("X1", ("X0", "X1"), 4, COMPLEX)
+    return ode_transport({0.0: x0, 1.0: x1}, 0.0, 1.0)
+
+
+def _worst_gap(phi, transport):
+    return max(abs(phi.coefficient(word).numeric(1e-12)
+                   - transport.coefficient(word))
+               for n in range(phi.trunc + 1)
+               for word in itertools.product(("X0", "X1"), repeat=n))
+
+
+def test_ode_oracle_matches_symbolic(kz_transport):
+    assert _worst_gap(kz_associator(4), kz_transport) < 1e-6
+
+
+def test_ode_oracle_catches_a_bent_coefficient(kz_transport):
+    phi = kz_associator(4)
+    terms = dict(phi.terms)
+    word = (0, 1)  # X0 X1
+    terms[word] = terms[word] + CC.one()
+    bent = NCSeries(phi.alphabet, phi.trunc, phi.ring, terms)
+    assert _worst_gap(bent, kz_transport) > 1e-6
 
 
 def _three_letter_setup(trunc):

@@ -64,8 +64,8 @@ def test_four_point_report_passes_and_no_loops():
     cmp = compare_parameters(four_point_refinement(), "e0", trunc=5)
     rep = cmp.check_multipliers(3)
     assert rep["n_words"] == 0 and rep["pass"]
-    ratios = cmp.check_cross_ratios()
-    assert ratios["pass"] and ratios["n_checked"] == 1
+    points = cmp.check_points()
+    assert points["pass"] and points["n_checked"] == 4  # the four tails
     assert cmp.report()["pass"]
 
 
@@ -98,17 +98,17 @@ def test_loop_case_multiplier_and_fixed_points():
         assert res.is_zero()
     gap = alpha - alpha_p
     assert gap.order() >= 1 and not gap.is_zero()
-    rep = cmp.report(loops_len=2, ratios_len=1)
+    rep = cmp.report(loops_len=2, points_len=1)
     assert rep["pass"]
     assert rep["multipliers"]["n_words"] >= 2
-    assert rep["cross_ratios"]["pass"]
+    assert rep["points"]["pass"]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_loop_case_proper_powers(n):
     # M^n = U M + V I, and at the loop corner U vanishes with s0: the
     # power's quadratic carries a common factor of s0 that must be divided
-    # out before the blow-up (ratios_len=1 above never forms a power)
+    # out before the blow-up (points_len=1 above never forms a power)
     cmp = compare_parameters(loop_refinement(), "e0", trunc=5)
     power = ["f+"] * n
     m = cmp.word_matrix1(power)
@@ -122,9 +122,9 @@ def test_loop_case_proper_powers(n):
 
 def test_loop_case_report_with_powers():
     cmp = compare_parameters(loop_refinement(), "e0", trunc=5)
-    rep = cmp.report(loops_len=3, ratios_len=2)
+    rep = cmp.report(loops_len=3, points_len=2)
     assert rep["pass"], rep
-    assert rep["cross_ratios"]["n_checked"] > 0
+    assert rep["points"]["n_checked"] > 0
 
 
 def test_loop_case_degenerate_after_common_factor(monkeypatch):
@@ -154,8 +154,8 @@ def test_generic_expansion_two_loops():
     assert rep["pass"] and rep["n_words"] > 4
     pts = cmp.marked_points(max_len=1)
     assert len(pts) == 8  # alpha and alpha' for f+, f-, g+, g-
-    ratios = cmp.check_cross_ratios(max_len=1)
-    assert ratios["pass"]
+    points = cmp.check_points(max_len=1)
+    assert points["pass"] and points["n_checked"] == 8
 
 
 def test_no_witness_loops_raised():
@@ -164,7 +164,7 @@ def test_no_witness_loops_raised():
                      [])
     cmp = expand_and_compare(g1, "v0", "f+", "g-", trunc=3, seed=4)
     with pytest.raises(NoWitnessLoops):
-        cmp.check_cross_ratios(max_len=0)
+        cmp.check_points(max_len=0)
 
 
 def test_tail_and_half_edge_mixed_expansion():
@@ -172,25 +172,38 @@ def test_tail_and_half_edge_mixed_expansion():
                      [Tail("t1", "v0", 1), Tail("t2", "v0", 2)])
     cmp = expand_and_compare(g1, "v0", "f+", "t1", trunc=4, seed=9)
     assert cmp.delta2.is_trivalent()
-    assert cmp.report(loops_len=2, ratios_len=1)["pass"]
+    assert cmp.report(loops_len=2, points_len=1)["pass"]
     # moved tail follows the bubble; its position picks up s0 corrections
     assert len(cmp.positions["t1"].terms) > 1
     assert len(cmp.positions["t2"].terms) == 1
 
 
-def test_cross_ratio_check_fails_on_a_perturbed_position():
+def test_point_check_fails_on_a_perturbed_position():
     star = StableGraph(["v0"], [], [Tail(f"t{i}", "v0", i)
                                     for i in range(1, 5)])
     cmp = expand_and_compare(star, "v0", "t1", "t2", trunc=4, seed=3)
-    assert cmp.check_cross_ratios()["pass"] and cmp.report()["pass"]
+    assert cmp.check_points()["pass"] and cmp.report()["pass"]
     v = TS.variable(cmp.vars[0], cmp.vars, cmp.trunc)
     cmp.positions["t1"] = cmp.positions["t1"] + v * v
-    assert not cmp.check_cross_ratios()["pass"]
+    points = cmp.check_points()["points"]
+    assert points == {"tail:t1": False, "tail:t2": True,
+                      "tail:t3": True, "tail:t4": True}
     assert not cmp.report()["pass"]
 
 
 def test_multiplier_check_fails_on_a_perturbed_refined_chart_value():
     cmp = compare_parameters(loop_refinement(), "e0", trunc=5)
+    # this also extracts the original parameters at the padded degrees
+    # the proper powers need, so they come from the chart before the move
+    assert cmp.check_points(3)["pass"]
     cmp.delta2.chart.finite["f+"] = F(11, 10)
     assert not cmp.check_multiplier(["f+"])
-    assert not cmp.report(loops_len=2, ratios_len=1)["pass"]
+    assert not cmp.report(loops_len=2, points_len=1)["pass"]
+    # the proper powers' multipliers miss the moved value, but their
+    # fixed points do not
+    assert cmp.check_multiplier(["f+", "f+"])
+    assert cmp.check_multiplier(["f+", "f+", "f+"])
+    points = cmp.check_points(3)["points"]
+    for word in ("f+ f+", "f+ f+ f+"):
+        assert points[f"alpha:{word}"] is False
+        assert points[f"alpha':{word}"] is False

@@ -182,7 +182,7 @@ def test_schottky_compare_thm31_loop_corner(tmp_path):
                              "--v", "v0", "--h1", "f+", "--h2", "f-",
                              "--deg", "4", "--seed", "9").stdout)
     assert out["pass"] is True
-    assert out["cross_ratios"]["n_checked"] > 0
+    assert out["points"]["n_checked"] > 0
 
 
 def test_monodromy_decompose_round_trip(four_tails, tmp_path):
@@ -267,6 +267,29 @@ def test_decompose_flags_non_integral_input(tmp_path):
     bad_exp = write_json(tmp_path / "bad_exp.json", artifact)
     assert "exponent" in run_cli("decompose", "--in", bad_exp,
                                  expect=2).stderr
+
+
+def test_graph_validate_rejects_a_non_integral_tail_label(four_tails, tmp_path):
+    data = json.loads(Path(four_tails).read_text())
+    data["tails"][0]["nu"] = 1.9
+    path = write_json(tmp_path / "nu.json", data)
+    run_cli("graph", "validate", path, expect=2)
+
+
+def test_graph_validate_rejects_a_non_integral_slot(four_tails, tmp_path):
+    data = json.loads(Path(four_tails).read_text())
+    data["edges"][0]["from"]["slot"] = 0.5
+    path = write_json(tmp_path / "slot.json", data)
+    run_cli("graph", "validate", path, expect=2)
+
+
+def test_decompose_rejects_a_non_integral_truncation(four_tails, tmp_path):
+    path = write_json(tmp_path / "path.json", {"tails": ["t1", "t3"]})
+    mono = json.loads(run_cli("monodromy", "--graph", four_tails,
+                              "--path", path, "--words", "3").stdout)
+    mono["element"]["trunc"] = 2.7
+    bad = write_json(tmp_path / "trunc.json", mono)
+    run_cli("decompose", "--in", bad, expect=2)
 
 
 def test_determinism_and_text_format(four_tails):

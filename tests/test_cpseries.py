@@ -155,6 +155,8 @@ def test_from_json_rejects_bad_exponents():
         bad = dict(good, terms=[dict(good["terms"][0], exp=exp)])
         with pytest.raises(ValueError):
             TS.from_json(bad)
+    with pytest.raises(ValueError):
+        TS.from_json(dict(good, trunc=good["trunc"] + 0.7))
     assert TS.from_json(good) == var("x") + var("y")
 
 
