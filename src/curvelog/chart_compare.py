@@ -66,6 +66,9 @@ class ChartComparison:
 
     # internal padded-truncation data for fixed-point work
     _tr_full: int = field(init=False)
+    # the refined graph with its chart as constructed: every extraction,
+    # at any truncation, reads this one chart
+    _frozen: StableGraph = field(init=False, repr=False)
     _gauge: Moebius = field(init=False)
     # extracted (positions, edge parameters), by truncation
     _extracted: dict[int, tuple[dict[str, TS], dict[str, TS]]] = \
@@ -84,7 +87,10 @@ class ChartComparison:
         self.delta1 = g2.contract_edge(self.edge0)
         self.vars = tuple(sorted(g2.edges))
         self._tr_full = self.trunc + 2
-        self._gauge = phi_matrix(g2, flip(self.h0), self.vars, self._tr_full)
+        self._frozen = StableGraph(g2.vertices, g2.edges.values(),
+                                   g2.tails.values(), g2.chart.copy())
+        self._gauge = phi_matrix(self._frozen, flip(self.h0), self.vars,
+                                 self._tr_full)
         pos, par = self._extract(self._tr_full)
         self.positions = {b: s.truncate(self.trunc) for b, s in pos.items()}
         self.edge_params = {e: s.truncate(self.trunc) for e, s in par.items()}
@@ -95,8 +101,9 @@ class ChartComparison:
     # parameter extraction
 
     def _extract(self, tr: int) -> tuple[dict[str, TS], dict[str, TS]]:
-        """Original positions and edge parameters, exact to degree ``tr``."""
-        g2 = self.delta2
+        """Original positions and edge parameters, exact to degree ``tr``,
+        from the chart as it was at construction."""
+        g2 = self._frozen
         gauge = self._gauge if tr == self._tr_full else \
             phi_matrix(g2, flip(self.h0), self.vars, tr)
         pos: dict[str, TS] = {}

@@ -76,9 +76,8 @@ def _to_constants(series: NCSeries) -> NCSeries:
 
 
 def _assoc_at(trunc: int, first: NCSeries, second: NCSeries) -> NCSeries:
-    phi = kz_associator(trunc)
-    return phi.substitute({"X0": _to_constants(first),
-                           "X1": _to_constants(second)})
+    """The associator at two rational residues, over the constants."""
+    return kz_associator(trunc).substitute({"X0": first, "X1": second})
 
 
 def monodromy_around_zero(trunc: int) -> NCSeries:

@@ -6,6 +6,16 @@ truncation is dropped.  Coefficients live in a ring described by a small
 equality), so the same series type serves exact rational computations,
 symbolic period combinations, log-polynomials, and complex numerics.
 
+A product groups the right operand's words by length, so that only the
+pairs within the truncation are visited, and multiplies their
+coefficients pair by pair in every ring.
+
+``substitute`` multiplies the images along each distinct prefix of the
+source words once.  Over rational images it sums ``c_w * q`` in the
+source series' own ring (the associator's period constants stay
+constants); over any other images it works in the images' ring, which
+the source coefficients enter through its ``embed``.
+
 Group-likeness is the shuffle-relation test: an element with constant
 term 1 is group-like iff ``c(u) c(v) = sum_w <u sh v, w> c(w)`` for all
 word pairs inside the truncation, which is the coefficient form of
@@ -157,26 +167,25 @@ class NCSeries:
 
     def __mul__(self, other: "NCSeries") -> "NCSeries":
         self._compat(other)
-        out: dict[Word, object] = {}
         trunc = self.trunc
+        by_len: list[list] = [[] for _ in range(trunc + 1)]
+        for w2, c2 in other.terms.items():
+            by_len[len(w2)].append((w2, c2))
+        out: dict[Word, object] = {}
         for w1, c1 in self.terms.items():
-            room = trunc - len(w1)
-            for w2, c2 in other.terms.items():
-                if len(w2) > room:
-                    continue
-                w = w1 + w2
-                p = c1 * c2
-                s = out.get(w)
-                if s is None:
-                    if p:
-                        out[w] = p
-                else:
-                    s = s + p
-                    if s:
+            for bucket in by_len[:trunc - len(w1) + 1]:
+                for w2, c2 in bucket:
+                    w = w1 + w2
+                    p = c1 * c2
+                    s = out.get(w)
+                    if s is None:
+                        if p:
+                            out[w] = p
+                    elif s := s + p:
                         out[w] = s
                     else:
                         del out[w]
-        return NCSeries(self.alphabet, self.trunc, self.ring, out)
+        return NCSeries(self.alphabet, trunc, self.ring, out)
 
     def bracket(self, other: "NCSeries") -> "NCSeries":
         return self * other - other * self
@@ -246,8 +255,9 @@ class NCSeries:
 
     def substitute(self, images: Mapping[str, "NCSeries"]) -> "NCSeries":
         """Ring homomorphism sending each letter to a series of positive
-        order; source coefficients enter a different target ring through
-        its ``embed``."""
+        order.  Over rational images the result keeps this series' ring;
+        otherwise it lives in the images' ring, which the coefficients
+        here enter through its ``embed``."""
         if not images:
             raise ValueError("no images")
         target = next(iter(images.values()))
@@ -260,16 +270,30 @@ class NCSeries:
             if (img.alphabet, img.trunc, img.ring.name) != \
                     (target.alphabet, target.trunc, target.ring.name):
                 raise ValueError("images live in different rings")
+        imgs = [images[name] for name in self.alphabet]
+        # the product of the images along each prefix, built once
+        prefix = {(): NCSeries.unit(target.alphabet, target.trunc,
+                                    target.ring)}
+        pieces = []
+        for w, c in self.terms.items():
+            n = len(w)
+            while w[:n] not in prefix:
+                n -= 1
+            p = prefix[w[:n]]
+            for i in range(n, len(w)):
+                p = p * imgs[w[i]]
+                prefix[w[:i + 1]] = p
+            pieces.append((c, p))
+        if target.ring is RATIONAL:
+            terms: dict[Word, object] = {}
+            for c, p in pieces:
+                _add_terms(terms, ((u, c * q) for u, q in p.terms.items()))
+            return NCSeries(target.alphabet, target.trunc, self.ring, terms)
         embed = target.ring.embed if target.ring.name != self.ring.name \
             else (lambda c: c)
         out = NCSeries.zero(target.alphabet, target.trunc, target.ring)
-        for w, c in self.terms.items():
-            piece = NCSeries.unit(target.alphabet, target.trunc, target.ring)
-            for i in w:
-                piece = piece * images[self.alphabet[i]]
-                if piece.is_zero():
-                    break
-            out = out + piece.scale(embed(c))
+        for c, p in pieces:
+            out = out + p.scale(embed(c))
         return out
 
     def rename(self, mapping: Mapping[str, str]) -> "NCSeries":

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from .associator import kz_associator
 from .constants import ConstantCombination, in_zeta_span
-from .cpseries import _add_terms, _echelon_insert
+from .cpseries import _add_terms, _echelon_insert, _exponent
 from .elliptic import w_infinity, w_zero
 from .logpoly import LogPoly, logpoly_ring
 from .ncseries import NCSeries, RATIONAL, Ring
@@ -243,9 +243,12 @@ class MonodromyCalculator:
         key = (src, dst)
         cached = self._local_cache.get(key)
         if cached is None:
-            phi = kz_associator(self.trunc)
-            cached = phi.substitute(
-                {"X0": self.residues[src], "X1": self.residues[dst]})
+            # the residues are rational: substitute over the period
+            # constants of the associator, then lift once
+            res = self.sheaf.residues
+            cached = kz_associator(self.trunc).substitute(
+                {"X0": res[src], "X1": res[dst]}).map_coefficients(
+                    self.ring.embed, self.ring)
             self._local_cache[key] = cached
         return cached
 
@@ -407,7 +410,7 @@ def decompose_element(elem: NCSeries) -> dict:
             scale = 1
             for k in e:
                 scale *= factorial(k)
-            entry = cc * Fraction(scale)
+            entry = cc * Fraction(scale) if scale > 1 else cc
             ok = in_zeta_span(entry)
             idx = len(entries)
             entries.append({
@@ -436,17 +439,19 @@ def reassemble_element(report: dict, ring: Ring) -> NCSeries:
     alphabet = tuple(report["alphabet"])
     lvars = tuple(report["lvars"])
     idx = {a: i for i, a in enumerate(alphabet)}
-    terms: dict[Word, LogPoly] = {}
+    flat: dict[Word, dict] = {}
     for entry in report["entries"]:
         w = tuple(idx[l] for l in entry["word"])
-        e = tuple(entry["log_exp"])
+        e = _exponent(entry["log_exp"], len(lvars))
         scale = 1
         for k in e:
             scale *= factorial(k)
-        cc = ConstantCombination.from_json(entry["coeff"]) * Fraction(1, scale)
-        poly = terms.get(w, LogPoly.zero(lvars)) + LogPoly(lvars, {e: cc})
-        terms[w] = poly
-    return NCSeries(alphabet, report["trunc"], ring, terms)
+        cc = ConstantCombination.from_json(entry["coeff"])
+        _add_terms(flat.setdefault(w, {}),
+                   ((e + per, q / scale if scale > 1 else q)
+                    for per, q in cc.terms.items()))
+    return NCSeries(alphabet, report["trunc"], ring,
+                    {w: LogPoly._raw(lvars, t) for w, t in flat.items()})
 
 
 def assert_integral(report: dict) -> None:

@@ -207,3 +207,19 @@ def test_multiplier_check_fails_on_a_perturbed_refined_chart_value():
     for word in ("f+ f+", "f+ f+ f+"):
         assert points[f"alpha:{word}"] is False
         assert points[f"alpha':{word}"] is False
+
+
+def test_chart_moved_before_any_power_is_checked():
+    # the original side is extracted from the chart as constructed, at
+    # every truncation, so the proper powers (which need a higher one)
+    # do not mix the moved chart into it: the report fails, it does not
+    # raise
+    cmp = compare_parameters(loop_refinement(), "e0", trunc=5)
+    cmp.delta2.chart.finite["f+"] = F(11, 10)
+    points = cmp.check_points(3)
+    assert not points["pass"]
+    for word in ("f+", "f+ f+", "f+ f+ f+", "f- f-"):
+        assert points["points"][f"alpha:{word}"] is False
+        assert points["points"][f"alpha':{word}"] is False
+    assert not cmp.check_multiplier(["f+"])
+    assert not cmp.report(loops_len=2, points_len=3)["pass"]

@@ -1,4 +1,5 @@
 """Degenerate elliptic frame: node letters, identities, monodromies."""
+import hashlib
 from fractions import Fraction as F
 
 from curvelog.constants import ConstantCombination as CC
@@ -75,3 +76,19 @@ def test_monodromies_grouplike():
     for w in range(1, 6):
         assert monodromy_around_zero(w).is_grouplike(), w
         assert a_to_b(w).is_grouplike(), w
+
+
+# sha256 of the weight-5 dumps: both substitute the associator over the
+# period constants, and the dump carries every numeric value too
+ELLIPTIC_SHA256 = {
+    monodromy_around_zero:
+        "0d93d169f443da1a9efe9ab894ccca0321b16b6a69a3d413d78366f5de989f9e",
+    a_to_b:
+        "df93d6151ed38337f8091502cbf7ee3cdf4eda6ebbb8cb0c361fb2b38326da75",
+}
+
+
+def test_weight_five_elements_are_pinned():
+    for fn, digest in ELLIPTIC_SHA256.items():
+        text = fn(5).dumps()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fn

@@ -4,7 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvelog.constants import CONSTANTS, ConstantCombination as CC
+from curvelog.logpoly import LogPoly, logpoly_ring
 from curvelog.ncseries import COMPLEX, NCSeries, RATIONAL, shuffle_words
+from curvelog.sewing import ZONE, ZONE_VARS
 
 AB = ("a", "b")
 
@@ -167,3 +170,72 @@ def test_product_associative_distributive(x, y, z):
 @given(small_series(), small_series())
 def test_shuffle_commutative_property(x, y):
     assert (x.shuffle_mul(y) - y.shuffle_mul(x)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the product of each coefficient ring against a pairwise reference
+
+def _pairwise(x, y):
+    """The product by its definition: every pair of terms, the pairs that
+    fit summed in the order of ``x``'s terms."""
+    out = {}
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            if len(w1) + len(w2) <= x.trunc:
+                w = w1 + w2
+                out[w] = out[w] + c1 * c2 if w in out else c1 * c2
+    return NCSeries(x.alphabet, x.trunc, x.ring, out)
+
+
+# zeta multisets whose concatenations need re-sorting and then collide,
+# e.g. zeta(3) * zeta(2) and zeta(2) * zeta(3)
+_ZETA_KEYS = ((), ((2,),), ((3,),), ((2,), (3,)), ((1, 2),))
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_CONSTANTS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.sampled_from(_ZETA_KEYS)), _FRACTIONS,
+    min_size=1, max_size=3).map(CC)
+
+
+def _logpolys(vars, low):
+    """Polynomials over ``vars`` with exponents in ``low[i]..2``."""
+    expo = st.tuples(*(st.integers(lo, 2) for lo in low))
+    return st.dictionaries(expo, _CONSTANTS, min_size=1, max_size=3).map(
+        lambda t: LogPoly(vars, t))
+
+
+_UV = ("u", "v")
+_RINGS = {
+    "rational": (RATIONAL, _FRACTIONS),
+    "constants": (CONSTANTS, _CONSTANTS),
+    "logpoly": (logpoly_ring(_UV), _logpolys(_UV, (0, 0))),
+    # Laurent in w: negative w exponents
+    "zone": (ZONE, _logpolys(ZONE_VARS, (0, 0, 0, -2, 0))),
+    "complex": (COMPLEX, st.builds(complex, st.integers(-3, 3),
+                                   st.integers(-3, 3)).map(
+                                       lambda z: z / 3)),
+}
+
+
+def _series(ring, coeffs, trunc=3):
+    words = st.lists(st.integers(0, 1), max_size=trunc).map(tuple)
+    return st.dictionaries(words, coeffs, max_size=6).map(
+        lambda t: NCSeries(AB, trunc, ring, t))
+
+
+@pytest.mark.parametrize("name", sorted(_RINGS))
+def test_product_matches_pairwise_reference(name):
+    ring, coeffs = _RINGS[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_series(ring, coeffs), _series(ring, coeffs))
+    def check(x, y):
+        got = x * y
+        assert got.terms == _pairwise(x, y).terms
+        for c in got.terms.values():
+            assert c and type(c) is type(ring.zero)
+            if isinstance(c, LogPoly):
+                assert all(type(q) is F and q for q in c.terms.values())
+                assert all(list(k[-1]) == sorted(k[-1]) for k in c.terms)
+
+    check()
+

@@ -9,6 +9,7 @@ from curvelog.catalog import stable_graphs
 from curvelog.constants import ConstantCombination as CC
 from curvelog.elliptic import monodromy_around_zero
 from curvelog.logpoly import LogPoly
+from curvelog.ncseries import NCSeries
 from curvelog.sheaf import (MonodromyCalculator, UnsupportedDressing,
                             build_sheaf, decompose_element,
                             reassemble_element, specialize_logs)
@@ -136,6 +137,60 @@ def test_farthest_tails_path_is_pinned(name):
                                graph.tails["t4"].vertex)) == 2
     text = calc.path(calc.tail_path_moves("t2", "t4")).dumps()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the words-4 fundamental loop of e1 (through the tree edge e0)
+# on the second graph of each type: a genus-1 cycle edge with two tails,
+# and a genus-2 graph without tails, whose words reduce modulo the
+# global relation
+CYCLE_LOOP_SHA256 = {
+    (1, 2): "9097ea254bf4d93b9bf151617143eed99feefb42313a56fb8a6b254d37bde774",
+    (2, 0): "278bff0ef242a8845735572d9c226d4d2898541817bd781ed8161670f1020e46",
+}
+
+
+@pytest.mark.parametrize("gn", sorted(CYCLE_LOOP_SHA256), ids=str)
+def test_cycle_edge_loop_is_pinned(gn):
+    graph = stable_graphs(*gn)[1]
+    calc = MonodromyCalculator(build_sheaf(graph, 4))
+    word = ["e1+"] + graph.tree_path(graph.terminus("e1+"),
+                                     graph.origin("e1+"),
+                                     list(calc.sheaf.tree_edges))
+    assert word == ["e1+", "e0-"]
+    text = calc.path(calc.loop_moves(word)).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == CYCLE_LOOP_SHA256[gn]
+
+
+def _lifted_local(calc, src, dst):
+    """The local move as it was built before: both residues lifted into
+    the log ring, then one product of images per word of the associator."""
+    phi = kz_associator(calc.trunc)
+    images = {"X0": calc.residues[src], "X1": calc.residues[dst]}
+    out = NCSeries.zero(calc.sheaf.alphabet, calc.trunc, calc.ring)
+    for w, c in phi.terms.items():
+        piece = calc.unit()
+        for i in w:
+            piece = piece * images[phi.alphabet[i]]
+        out = out + piece.scale(LogPoly.constant(calc.lvars, c))
+    return out
+
+
+def test_local_moves_match_the_lifted_substitution():
+    # the associator is substituted over the period constants at the
+    # rational residues and lifted once; every branch pair of the
+    # criterion-09 types at words 4 gives the lifted-image result
+    n_pairs = 0
+    for gn in GENUS_TAILS:
+        for graph in stable_graphs(*gn):
+            calc = MonodromyCalculator(build_sheaf(graph, 4))
+            for v in graph.vertices:
+                for src, dst in itertools.permutations(
+                        graph.branches_at(v), 2):
+                    got = calc.local(v, src, dst)
+                    assert got.ring is calc.ring
+                    assert got.terms == _lifted_local(calc, src, dst).terms
+                    n_pairs += 1
+    assert n_pairs == 192
 
 
 def test_path_validates_chart_states():
