@@ -13,6 +13,14 @@ against zeta-value identities, so ``==`` means equality of
 representations.  :meth:`numeric` sums the term values with
 ``math.fsum``, so it depends only on the exact combination.
 
+Three caches keyed by the period key make a decomposition-table entry
+cost one lookup per key in each step: :func:`_period_key`, the one
+checking parser of JSON terms (shared by :meth:`from_json` and
+:func:`curvelog.sheaf.reassemble_element`); :func:`_coordinates`, the
+key's lattice coordinates as integer numerators over one denominator,
+read by :func:`in_zeta_span`; and the key's float factors in
+:mod:`curvelog.logpoly`, read by :meth:`numeric`.
+
 Values compare by :meth:`normal_form`: zeta values modulo the
 regularized double shuffle relations (Ihara-Kaneko-Zagier, Compositio
 Math. 142 (2006)), products expanded by stuffle, ``(i*pi)**2 = -6
@@ -26,9 +34,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from typing import Mapping
 
-from .cpseries import _add_terms, _as_fraction, _echelon_insert, _exponent
+from .cpseries import (_add_terms, _as_fraction, _echelon_insert, _exponent,
+                       _ratio)
 from .logpoly import LogPoly
 from .ncseries import Ring, shuffle_words
 from .polylog import check_indices, indices_to_word, word_to_indices
@@ -115,13 +125,26 @@ class ConstantCombination(LogPoly):
 
     @classmethod
     def from_json(cls, data: dict) -> "ConstantCombination":
-        terms: dict[Key, Fraction] = {}
-        for t in data["terms"]:
-            (p,) = _exponent([t["ipi_pow"]], 1)
-            key = (p, tuple(sorted(check_indices(idx)
-                                   for idx in t["zeta_indices"])))
-            terms[key] = Fraction(t["coeff"]["num"], t["coeff"]["den"])
-        return cls(terms)
+        return cls(_json_terms(data))
+
+
+@lru_cache(maxsize=None)
+def _period_key(p, zetas: tuple) -> Key:
+    """The period key of a JSON term from its ``ipi_pow`` and its
+    ``zeta_indices`` (as tuples), checked and sorted."""
+    (p,) = _exponent([p], 1)
+    return p, tuple(sorted(check_indices(idx) for idx in zetas))
+
+
+def _json_terms(data: dict, scale: int = 1) -> dict[Key, Fraction]:
+    """The terms of a ``ConstantCombination`` JSON, each coefficient
+    divided by the integer ``scale``: the one reader of period keys."""
+    terms: dict[Key, Fraction] = {}
+    for t in data["terms"]:
+        c = t["coeff"]
+        key = _period_key(t["ipi_pow"], tuple(map(tuple, t["zeta_indices"])))
+        terms[key] = _ratio(c["num"], c["den"] * scale)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +223,10 @@ def _lattice(weight: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _coordinates(p: int, zetas: tuple) -> tuple:
-    """Integer coordinates, keyed ``(p % 2, column)``, of ``(i*pi)**p *
-    prod zeta(zetas)`` on the Hermite basis of its weight."""
+def _coordinates(p: int, zetas: tuple) -> tuple[int, tuple]:
+    """``(den, pairs)``: the coordinates of ``(i*pi)**p * prod
+    zeta(zetas)`` on the Hermite basis of its weight, as integer
+    numerators over ``den``, keyed ``(p % 2, column)``."""
     x = dict(_key_form(p, zetas))
     out = []
     for j, row in _lattice(p - p % 2 + sum(map(sum, zetas))):
@@ -210,17 +234,29 @@ def _coordinates(p: int, zetas: tuple) -> tuple:
             y /= row[j]
             _add_terms(x, ((k, -y * q) for k, q in row.items()))
             out.append(((p % 2, j), y))
-    return tuple(out)
+    den = lcm(*(y.denominator for _, y in out))
+    return den, tuple((i, y.numerator * (den // y.denominator))
+                      for i, y in out)
 
 
 def in_zeta_span(c: ConstantCombination) -> bool:
     """Whether ``c`` is a Z-combination of the products ``(i*pi)**p *
     zeta(idx_1) * ... * zeta(idx_r)``, exactly: True is a proof, False
-    one only under Zagier's conjecture (module docstring)."""
-    total: dict = {}
+    one only under Zagier's conjecture (module docstring).  The sum runs
+    on integers over one common denominator."""
+    parts = []
     for (p, zs), q in c.terms.items():
-        _add_terms(total, ((i, q * y) for i, y in _coordinates(p, zs)))
-    return all(v.denominator == 1 for v in total.values())
+        d, pairs = _coordinates(p, zs)
+        parts.append((q.numerator, q.denominator * d, pairs))
+    den = lcm(*(d for _, d, _ in parts))
+    if den == 1:
+        return True
+    total: dict = {}
+    for n, d, pairs in parts:
+        m = n * (den // d)
+        for i, y in pairs:
+            total[i] = total.get(i, 0) + m * y
+    return all(v % den == 0 for v in total.values())
 
 
 CONSTANTS = Ring(
@@ -231,4 +267,5 @@ CONSTANTS = Ring(
     lambda c: c.to_json(),
     ConstantCombination.from_json,
     close=lambda a, b, tol: not (a - b).normal_form(),
+    scaled_sum=lambda pairs: ConstantCombination.scaled_sum((), pairs),
 )

@@ -44,8 +44,19 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact scalar: {value!r}")
+
+
+def _ratio(num, den) -> Fraction:
+    """``num / den`` from the integer fields of a JSON coefficient; a zero
+    denominator raises ValueError, a non-integer field TypeError."""
+    if den == 0:
+        raise ValueError(f"zero denominator in {num}/{den}")
+    return Fraction(num, den)
 
 
 def _exponent(exp, arity: int) -> Exponent:
@@ -341,7 +352,8 @@ class TruncatedSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncatedSeries":
-        terms = {tuple(t["exp"]): Fraction(t["num"], t["den"]) for t in data["terms"]}
+        terms = {tuple(t["exp"]): _ratio(t["num"], t["den"])
+                 for t in data["terms"]}
         return cls(tuple(data["vars"]), _exponent([data["trunc"]], 1)[0],
                    terms)
 

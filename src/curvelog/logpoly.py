@@ -29,11 +29,15 @@ type over three symbol sets:
 
 Numeric values sum the term values with ``math.fsum`` (real and
 imaginary parts apart), so they depend only on the exact polynomial.
+The float factors of each period key, ``(i*pi)**p`` and then each zeta
+value, are computed once and cached; a term's value is its coefficient
+times these factors in that order, times the symbol values.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
@@ -47,6 +51,13 @@ Key = tuple
 
 _ONE = (0, ())      # period key of the rational unit
 _ZETAS = itemgetter(-1)     # zeta multiset of a key
+
+
+@lru_cache(maxsize=None)
+def _period_factors(p: int, zetas: tuple, prec: float) -> tuple:
+    """The float factors of the period key ``(p, zetas)``, in the order a
+    term's value multiplies them: ``(i*pi)**p``, then each zeta value."""
+    return ((1j * math.pi) ** p, *(mzv_numeric(idx, prec) for idx in zetas))
 
 
 def _constants():
@@ -81,6 +92,18 @@ class LogPoly:
         out.vars = vars
         out.terms = terms
         return out
+
+    @classmethod
+    def scaled_sum(cls, vars: tuple[str, ...], pairs) -> "LogPoly":
+        """``sum c * q`` over the ``(q, c)`` pairs, each ``q`` rational and
+        each ``c`` over ``vars``, accumulated in one flat term dict."""
+        acc: dict[Key, Fraction] = {}
+        for q, c in pairs:
+            if q == 1:
+                _add_terms(acc, c.terms.items())
+            elif q:
+                _add_terms(acc, ((k, x * q) for k, x in c.terms.items()))
+        return cls._raw(vars, acc)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -245,9 +268,9 @@ class LogPoly:
         n = len(self.vars)
         re, im = [], []
         for k, c in self.terms.items():
-            val = complex(c) * (1j * math.pi) ** k[n]
-            for idx in k[n + 1]:
-                val *= mzv_numeric(idx, prec)
+            val = complex(c)
+            for f in _period_factors(k[n], k[n + 1], prec):
+                val *= f
             for v, e in zip(self.vars, k):
                 if e:
                     val *= values[v] ** e
@@ -293,4 +316,5 @@ def logpoly_ring(vars: Sequence[str]) -> Ring:
         LogPoly.from_json,
         close=lambda a, b, tol: not any(
             c.normal_form() for c in (a - b).coefficients().values()),
+        scaled_sum=lambda pairs: LogPoly.scaled_sum(vars, pairs),
     )

@@ -11,10 +11,13 @@ pairs within the truncation are visited, and multiplies their
 coefficients pair by pair in every ring.
 
 ``substitute`` multiplies the images along each distinct prefix of the
-source words once.  Over rational images it sums ``c_w * q`` in the
-source series' own ring (the associator's period constants stay
-constants); over any other images it works in the images' ring, which
-the source coefficients enter through its ``embed``.
+source words once.  Over rational images each target word's coefficient
+is one rational linear combination ``sum_w q_w c_w`` in the source
+series' own ring (the associator's period constants stay constants),
+built by the ring's ``scaled_sum`` hook: ``*`` and ``+`` by default,
+one flat term accumulation for the ``LogPoly`` rings.  Over any other
+images it works in the images' ring, which the source coefficients
+enter through its ``embed``.
 
 Group-likeness is the shuffle-relation test: an element with constant
 term 1 is group-like iff ``c(u) c(v) = sum_w <u sh v, w> c(w)`` for all
@@ -25,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .cpseries import _add_terms, _as_fraction, _exponent
@@ -44,6 +48,8 @@ class Ring:
     encode: Callable         # element -> JSON-able
     decode: Callable         # JSON-able -> element
     close: Callable = lambda a, b, tol: a == b   # equal values (COMPLEX: tol)
+    # nonempty [(q, c)], q rational -> sum of c * q
+    scaled_sum: Callable = lambda pairs: reduce(add, (c * q for q, c in pairs))
 
 
 RATIONAL = Ring("rational", Fraction(0), Fraction(1), _as_fraction,
@@ -285,10 +291,14 @@ class NCSeries:
                 prefix[w[:i + 1]] = p
             pieces.append((c, p))
         if target.ring is RATIONAL:
-            terms: dict[Word, object] = {}
+            sums: dict[Word, list] = {}
             for c, p in pieces:
-                _add_terms(terms, ((u, c * q) for u, q in p.terms.items()))
-            return NCSeries(target.alphabet, target.trunc, self.ring, terms)
+                for u, q in p.terms.items():
+                    sums.setdefault(u, []).append((q, c))
+            scaled_sum = self.ring.scaled_sum
+            return NCSeries(target.alphabet, target.trunc, self.ring,
+                            {u: scaled_sum(pairs)
+                             for u, pairs in sums.items()})
         embed = target.ring.embed if target.ring.name != self.ring.name \
             else (lambda c: c)
         out = NCSeries.zero(target.alphabet, target.trunc, target.ring)

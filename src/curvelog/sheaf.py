@@ -29,7 +29,7 @@ from math import factorial
 from typing import Mapping, Sequence
 
 from .associator import kz_associator
-from .constants import ConstantCombination, in_zeta_span
+from .constants import ConstantCombination, _json_terms, in_zeta_span
 from .cpseries import _add_terms, _echelon_insert, _exponent
 from .elliptic import w_infinity, w_zero
 from .logpoly import LogPoly, logpoly_ring
@@ -390,6 +390,14 @@ class MonodromyCalculator:
 # tabular decomposition of monodromy elements
 
 
+def _factorials(e: tuple[int, ...]) -> int:
+    """The product of the factorials of the log exponents ``e``."""
+    scale = 1
+    for k in e:
+        scale *= factorial(k)
+    return scale
+
+
 def decompose_element(elem: NCSeries) -> dict:
     """Entry table of a monodromy element.
 
@@ -399,6 +407,12 @@ def decompose_element(elem: NCSeries) -> dict:
     also records whether its value lies in the Z-span of products of
     (i*pi)-powers and zeta values (:func:`curvelog.constants.in_zeta_span`):
     true is a proof, false one only under Zagier's conjecture.
+
+    Each word's terms are grouped by exponent in one pass and scaled by
+    the integer factorial product term by term.  Per period key, the
+    span test reads its cached lattice coordinates
+    (:mod:`curvelog.constants`) and the ``numeric`` field its cached
+    float factors (:mod:`curvelog.logpoly`).
     """
     entries = []
     violations = []
@@ -406,21 +420,20 @@ def decompose_element(elem: NCSeries) -> dict:
     for w in sorted(elem.terms, key=lambda w: (len(w), w)):
         coeffs = elem.terms[w].coefficients()
         for e in sorted(coeffs):
-            cc = coeffs[e]
-            scale = 1
-            for k in e:
-                scale *= factorial(k)
-            entry = cc * Fraction(scale) if scale > 1 else cc
+            entry = coeffs[e]
+            scale = _factorials(e)
+            if scale > 1:
+                entry = ConstantCombination._raw(
+                    (), {k: q * scale for k, q in entry.terms.items()})
             ok = in_zeta_span(entry)
-            idx = len(entries)
+            if not ok:
+                violations.append(len(entries))
             entries.append({
                 "word": [elem.alphabet[i] for i in w],
                 "log_exp": list(e),
                 "coeff": entry.to_json(),
                 "integral": ok,
             })
-            if not ok:
-                violations.append(idx)
             max_deg = max(max_deg, sum(e))
     return {
         "alphabet": list(elem.alphabet),
@@ -436,6 +449,8 @@ def decompose_element(elem: NCSeries) -> dict:
 
 
 def reassemble_element(report: dict, ring: Ring) -> NCSeries:
+    """The element of a decomposition table: each entry's period terms,
+    read by the one period-key reader, divided by its factorials."""
     alphabet = tuple(report["alphabet"])
     lvars = tuple(report["lvars"])
     idx = {a: i for i, a in enumerate(alphabet)}
@@ -443,13 +458,9 @@ def reassemble_element(report: dict, ring: Ring) -> NCSeries:
     for entry in report["entries"]:
         w = tuple(idx[l] for l in entry["word"])
         e = _exponent(entry["log_exp"], len(lvars))
-        scale = 1
-        for k in e:
-            scale *= factorial(k)
-        cc = ConstantCombination.from_json(entry["coeff"])
+        terms = _json_terms(entry["coeff"], _factorials(e))
         _add_terms(flat.setdefault(w, {}),
-                   ((e + per, q / scale if scale > 1 else q)
-                    for per, q in cc.terms.items()))
+                   ((e + per, q) for per, q in terms.items() if q))
     return NCSeries(alphabet, report["trunc"], ring,
                     {w: LogPoly._raw(lvars, t) for w, t in flat.items()})
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cpseries import _exponent
+from .cpseries import _as_fraction, _exponent
 from .jsonio import canonical_dumps, frac_to_str
 
 
@@ -551,7 +551,8 @@ class StableGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "StableGraph":
-        # slots and tail labels are integers; a non-integral value raises
+        # slots and tail labels are integers, chart values exact (an int
+        # or a "p/q" string); anything else, or a zero denominator, raises
         edges = [Edge(e["id"], e["from"]["vertex"],
                       _exponent([e["from"]["slot"]], 1)[0],
                       e["to"]["vertex"], _exponent([e["to"]["slot"]], 1)[0],
@@ -561,7 +562,8 @@ class StableGraph:
                  for t in data["tails"]]
         chart = None
         if "chart" in data:
-            chart = Chart({b: Fraction(x) for b, x in data["chart"]["finite"].items()},
+            chart = Chart({b: _as_fraction(x)
+                           for b, x in data["chart"]["finite"].items()},
                           list(data["chart"]["infinite"]))
         return cls(data["vertices"], edges, tails, chart)
 

@@ -299,7 +299,7 @@ def test_criterion_09_words_five_sweep():
     t0 = time.time()
     trunc = 5
     n_entries = n_flagged = 0
-    for gn in [(0, 4), (0, 5), (1, 1), (1, 2)]:
+    for gn in [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0)]:
         for graph in stable_graphs(*gn):
             calc = MonodromyCalculator(build_sheaf(graph, trunc))
             jobs = [calc.tail_path_moves(s, d) for s, d in
@@ -320,7 +320,7 @@ def test_criterion_09_words_five_sweep():
     dt = time.time() - t0
     assert dt < 60.0
     print(f"[criterion 09, words 5] PASS — {n_entries} table entries; "
-          f"genus-0 constants all in the Z-span; {n_flagged} genus-1 "
+          f"genus-0 constants all in the Z-span; {n_flagged} genus>=1 "
           f"entries flagged, each on a node letter ({dt:.1f}s < 60s)")
 
 

@@ -269,6 +269,29 @@ def test_decompose_flags_non_integral_input(tmp_path):
                                  expect=2).stderr
 
 
+def test_decompose_rejects_a_zero_denominator(four_tails, tmp_path):
+    # exit 1 means "not all integral"; a zero denominator is an input error
+    path = write_json(tmp_path / "path.json", {"tails": ["t1", "t3"]})
+    mono = json.loads(run_cli("monodromy", "--graph", four_tails,
+                              "--path", path, "--words", "2").stdout)
+    coeff = mono["element"]["terms"][-1]["coeff"]["terms"][0]["coeff"]
+    coeff["terms"][0]["coeff"]["den"] = 0
+    bad = write_json(tmp_path / "den0.json", mono)
+    assert "zero denominator" in run_cli("decompose", "--in", bad,
+                                         expect=2).stderr
+
+
+def test_graph_validate_rejects_a_zero_denominator_chart_value(
+        four_tails, tmp_path):
+    data = StableGraph.from_json(json.loads(Path(four_tails).read_text())) \
+        .specialize_chart(seed=3).to_json()
+    branch = sorted(data["chart"]["finite"])[0]
+    data["chart"]["finite"][branch] = "1/0"
+    path = write_json(tmp_path / "chart.json", data)
+    assert "zero denominator" in run_cli("graph", "validate", path,
+                                         expect=2).stderr
+
+
 def test_graph_validate_rejects_a_non_integral_tail_label(four_tails, tmp_path):
     data = json.loads(Path(four_tails).read_text())
     data["tails"][0]["nu"] = 1.9

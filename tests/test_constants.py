@@ -101,6 +101,13 @@ def test_json_roundtrip():
     assert back == x
 
 
+def test_from_json_rejects_a_zero_denominator():
+    data = (CC.zeta(3) + CC.rational(F(1, 6))).to_json()
+    data["terms"][-1]["coeff"]["den"] = 0
+    with pytest.raises(ValueError, match="zero denominator"):
+        CC.from_json(data)
+
+
 def test_ring_contract():
     assert CONSTANTS.zero == CC.zero()
     assert CONSTANTS.one == CC.one()

@@ -160,6 +160,13 @@ def test_from_json_rejects_bad_exponents():
     assert TS.from_json(good) == var("x") + var("y")
 
 
+def test_from_json_rejects_a_zero_denominator():
+    good = (var("x") + var("y")).to_json()
+    bad = dict(good, terms=[dict(good["terms"][0], den=0)])
+    with pytest.raises(ValueError, match="zero denominator"):
+        TS.from_json(bad)
+
+
 def test_json_round_trip_bit_exact():
     x, y = var("x"), var("y")
     s = F(3, 7) * x * y - y ** 2 + const(F(-2, 5))

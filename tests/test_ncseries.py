@@ -1,12 +1,15 @@
 """Truncated noncommutative series: ring laws, exp/log, substitution."""
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvelog.associator import kz_associator
 from curvelog.constants import CONSTANTS, ConstantCombination as CC
 from curvelog.logpoly import LogPoly, logpoly_ring
-from curvelog.ncseries import COMPLEX, NCSeries, RATIONAL, shuffle_words
+from curvelog.ncseries import (COMPLEX, NCSeries, RATIONAL, Ring,
+                               shuffle_words)
 from curvelog.sewing import ZONE, ZONE_VARS
 
 AB = ("a", "b")
@@ -101,6 +104,25 @@ def test_substitute_with_ring_change():
     out = (a * b).substitute({"a": za, "b": zb})
     assert out.ring is COMPLEX
     assert out.coefficient(("a", "b")) == complex(1)
+
+
+def test_scaled_sum_hook_matches_products_and_sums():
+    # over rational images each target coefficient is one scaled sum in
+    # the source ring; the LogPoly rings' hook must agree with the
+    # default `*` and `+` (the class attribute holds that default)
+    phi = kz_associator(4)
+    ring = logpoly_ring(("u",))
+    u = LogPoly.symbol(("u",), "u", F(2, 3))
+    lifted = phi.map_coefficients(
+        lambda c: LogPoly.constant(("u",), c) * u + c, ring)
+    a, b = letters(trunc=4)
+    images = {"X0": a.scale(F(-1, 2)) + b, "X1": a + b.scale(F(3))}
+    for elem in (phi, lifted):
+        plain = elem.map_coefficients(
+            lambda c: c, replace(elem.ring, scaled_sum=Ring.scaled_sum))
+        hooked = elem.substitute(images)
+        assert hooked.to_json() == plain.substitute(images).to_json()
+        assert hooked.ring is elem.ring and len(hooked.terms) > 20
 
 
 def test_grouplike_detection():

@@ -8,6 +8,7 @@ from curvelog.associator import kz_associator
 from curvelog.catalog import stable_graphs
 from curvelog.constants import ConstantCombination as CC
 from curvelog.elliptic import monodromy_around_zero
+from curvelog.jsonio import canonical_dumps
 from curvelog.logpoly import LogPoly
 from curvelog.ncseries import NCSeries
 from curvelog.sheaf import (MonodromyCalculator, UnsupportedDressing,
@@ -106,9 +107,10 @@ def _paths_and_loops(g, n, trunc):
 def test_monodromy_elements_are_exactly_grouplike():
     # the residues are primitive, so every transport is group-like; the
     # check compares normal forms, with the edge symbols left free
-    elems = [elem for gn in [(0, 4), (0, 5), (1, 1), (1, 2)]
+    elems = [elem for gn in [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2),
+                             (1, 3), (2, 0)]
              for elem in _paths_and_loops(*gn, 4)]
-    assert len(elems) == 21
+    assert len(elems) == 40
     for elem in elems:
         assert elem.is_grouplike()
     elem = elems[0]
@@ -117,6 +119,26 @@ def test_monodromy_elements_are_exactly_grouplike():
     terms[word] = terms[word] + 1
     bent = type(elem)(elem.alphabet, elem.trunc, elem.ring, terms)
     assert not bent.is_grouplike()
+
+
+# sha256 of the canonical decomposition tables of every tail path and
+# cycle loop of a type, one table per line.  The tables carry the
+# `numeric` bits of every entry and its `integral` verdict.
+DECOMPOSE_SHA256 = {
+    ((0, 4), 4): "4922387317812905a9cf70776a3ba9efd788ec1050791f068307165f6d5bdb23",
+    ((1, 1), 4): "284eccbddf2c6e2f77be00a592793f612695e9f6ba2311695f29e34f46c4162d",
+    ((1, 2), 4): "0b121cb3e2f0a86700ed9d9876a4f123e389b6e48978dc396a57e73cef08cd2b",
+    ((2, 0), 4): "07b1a980716a1f6867e136c795c6ded47a6a4d892735e203f28125d87d16cac7",
+    ((1, 1), 5): "5647a31f69e847b329868642eff5ceb19aba6ff0bd5f8673d9bf1483dbe530e0",
+}
+
+
+@pytest.mark.parametrize("gn,words", sorted(DECOMPOSE_SHA256), ids=str)
+def test_decomposition_tables_are_pinned(gn, words):
+    text = "\n".join(canonical_dumps(decompose_element(elem))
+                     for elem in _paths_and_loops(*gn, words))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        DECOMPOSE_SHA256[(gn, words)]
 
 
 FARTHEST_TAILS_SHA256 = {
