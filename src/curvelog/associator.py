@@ -10,10 +10,13 @@ endpoint 1), with a sign per occurrence of the second letter.
 same connection (any finite set of first-order poles with nilpotent
 residue series) along a straight segment with high-order local
 expansions at both endpoints to realize the regularized limits, and
-returns the transport as a complex-coefficient series.  It is the only
-code in the package that needs numpy and scipy; they are imported on
-its first call, so the exact layers and the CLI run on the standard
-library alone.  Conventions:
+returns the transport as a complex-coefficient series.  Between the
+endpoint frames a Taylor stepper on plain lists of ``complex`` does the
+integration: the connection raises word length, so on the truncation
+every coefficient is a finite iterated integral of the ``1/(z - p)``,
+analytic away from the poles (Chen, "Iterated path integrals", Bull.
+AMS 83, 1977).  The stepper uses no code of the exact layers, and the
+whole oracle needs only the standard library.  Conventions:
 
 * the local coordinate at the source is ``(z - src) / scale_src`` and
   the one at the destination is ``(dst - z) / scale_dst``;
@@ -30,6 +33,7 @@ from .ncseries import NCSeries
 from .regularize import reg_value
 
 _ASSOC_CACHE: dict[int, NCSeries] = {}
+_MAX_ORDER = 400
 
 
 def kz_associator(trunc: int) -> NCSeries:
@@ -96,20 +100,32 @@ def _eval_poly(hs: list[NCSeries], t: complex) -> NCSeries:
 def ode_transport(residues: dict[complex, NCSeries], src: complex,
                   dst: complex, *, scale_src: float = 1.0,
                   scale_dst: float = 1.0, delta: float = 0.05,
-                  local_order: int = 16, rtol: float = 1e-12,
-                  atol: float = 1e-14, src_tangential: bool = True,
+                  local_order: int = 16, tol: float = 1e-16,
+                  src_tangential: bool = True,
                   dst_tangential: bool = True) -> NCSeries:
     """Regularized transport of ``d - sum_p R_p/(z-p) dz`` from ``src``
     to ``dst`` along the straight segment, as a complex series.
 
     A tangential endpoint must be a pole; its regularized frame is the
-    local solution ``H(t) t^X`` in the scaled coordinate.  A plain
-    endpoint must not be a pole; the transport starts (or ends) with
-    the identity there.
-    """
-    import numpy as np
-    from scipy.integrate import solve_ivp
+    local solution ``H(t) t^X`` in the scaled coordinate, evaluated at
+    distance ``delta`` from the pole.  A plain endpoint must not be a
+    pole; the transport starts (or ends) with the identity there.
+    ``ValueError`` is raised when ``src == dst``, when ``delta <= 0``,
+    and when the frames leave no segment: ``delta`` at least the length
+    with one tangential end, at least half of it with two.
 
+    Between the frames a Taylor stepper integrates ``G' = sum_p f_p R_p
+    G``, ``f_p = direction / (z - p)``, in the arc length ``s``.  Each
+    step expands at the current point ``z0`` and goes ``h = min(rho/2,
+    s_end - s)``, where ``rho`` is the distance from ``z0`` to the
+    nearest pole, so the terms shrink roughly like ``2^-m``.  With
+    ``b_p = h * direction / (z0 - p)`` and ``G(s + h u) = sum_m g_m
+    u^m``, the order-``m`` partial convolutions ``S_{p,m} = b_p (g_m -
+    S_{p,m-1})`` give ``g_{m+1} = sum_p R_p S_{p,m} / (m + 1)``.  The
+    order grows until two consecutive terms ``g_m`` have every
+    coefficient below ``tol`` in absolute value; a step that needs more
+    than 400 orders raises ``RuntimeError``.
+    """
     points = {complex(p): r for p, r in residues.items()}
     src, dst = complex(src), complex(dst)
     if src_tangential and src not in points:
@@ -129,6 +145,13 @@ def ode_transport(residues: dict[complex, NCSeries], src: complex,
 
     seg = dst - src
     length = abs(seg)
+    if length == 0:
+        raise ValueError("src and dst coincide")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    ends = src_tangential + dst_tangential
+    if delta * ends >= length:
+        raise ValueError("delta leaves no segment to integrate")
     direction = seg / length
     for p in points:
         if p in (src, dst):
@@ -145,37 +168,54 @@ def ode_transport(residues: dict[complex, NCSeries], src: complex,
     index = {w: i for i, w in enumerate(words)}
     dim = len(words)
 
-    # left-multiplication tables per pole
+    # left-multiplication tables per pole: the words ``u`` it reads,
+    # and per residue term the pairs (position of u, index of rw + u)
     tables = {}
     for p, r in points.items():
+        reads = sorted({index[u] for rw in r.terms for u in words
+                        if len(rw) + len(u) <= trunc})
+        pos = {i: j for j, i in enumerate(reads)}
         ops = []
         for rw, c in r.terms.items():
-            pairs = [(index[u], index[rw + u])
+            pairs = [(pos[index[u]], index[rw + u])
                      for u in words if len(rw) + len(u) <= trunc]
             ops.append((complex(c), pairs))
-        tables[p] = ops
+        tables[p] = (reads, ops)
 
-    def vec_of(series: NCSeries) -> np.ndarray:
-        v = np.zeros(dim, dtype=complex)
+    def vec_of(series: NCSeries) -> list[complex]:
+        v = [0j] * dim
         for w, c in series.terms.items():
             v[index[w]] = c
         return v
 
-    def series_of(v: np.ndarray) -> NCSeries:
+    def series_of(v: list[complex]) -> NCSeries:
         return NCSeries(alphabet, trunc, ring,
-                        {w: complex(v[i]) for w, i in index.items()
-                         if abs(v[i]) > 0.0})
+                        {w: v[i] for w, i in index.items() if v[i]})
 
-    def rhs(s: float, v: np.ndarray) -> np.ndarray:
-        z = src + s * direction
-        out = np.zeros(dim, dtype=complex)
-        for p, ops in tables.items():
-            f = direction / (z - p)
-            for c, pairs in ops:
-                cf = c * f
-                for iu, iw in pairs:
-                    out[iw] += cf * v[iu]
-        return out
+    def step(g: list[complex], z0: complex, h: float) -> list[complex]:
+        # g(s + h) = sum_m g_m with g_0 = g; acc[p] holds S_{p,m}
+        bs = [(h * direction / (z0 - p), reads, ops)
+              for p, (reads, ops) in tables.items()]
+        accs = [[0j] * len(reads) for _, reads, _ in bs]
+        term, total = g, list(g)
+        small = 0
+        for m in range(1, _MAX_ORDER + 1):
+            nxt = [0j] * dim
+            for k, (b, reads, ops) in enumerate(bs):
+                acc = accs[k] = [b * (term[i] - a)
+                                 for i, a in zip(reads, accs[k])]
+                for c, pairs in ops:
+                    for iu, iw in pairs:
+                        nxt[iw] += c * acc[iu]
+            inv = 1.0 / m
+            term = [x * inv for x in nxt]
+            total = [x + t for x, t in zip(total, term)]
+            small = small + 1 if max(map(abs, term)) < tol else 0
+            if small == 2:
+                return total
+        raise RuntimeError(
+            f"transport integration failed: no convergence at z = {z0} "
+            f"within {_MAX_ORDER} orders")
 
     def boundary(point: complex, scale: float) -> tuple[NCSeries, NCSeries]:
         x = points[point]
@@ -199,17 +239,23 @@ def ode_transport(residues: dict[complex, NCSeries], src: complex,
     if src_tangential:
         h_src, frame_src = boundary(src, scale_src)
         start = h_src * frame_src
-        s_lo = delta
+        s = delta
     else:
         start = NCSeries.unit(alphabet, trunc, ring)
-        s_lo = 0.0
+        s = 0.0
     s_hi = length - delta if dst_tangential else length
 
-    sol = solve_ivp(rhs, (s_lo, s_hi), vec_of(start),
-                    method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"transport integration failed: {sol.message}")
-    g_end = series_of(sol.y[:, -1])
+    g = vec_of(start)
+    last = False
+    while not last:
+        z0 = src + s * direction
+        h = min(abs(z0 - p) for p in points) / 2
+        last = h >= s_hi - s
+        if last:
+            h = s_hi - s
+        g = step(g, z0, h)
+        s += h
+    g_end = series_of(g)
 
     if not dst_tangential:
         return g_end

@@ -268,7 +268,8 @@ class LogPoly:
         n = len(self.vars)
         re, im = [], []
         for k, c in self.terms.items():
-            val = complex(c)
+            # bit-identical to complex(c), without the numbers ABCs
+            val = complex(c.numerator / c.denominator)
             for f in _period_factors(k[n], k[n + 1], prec):
                 val *= f
             for v, e in zip(self.vars, k):

@@ -95,6 +95,12 @@ def test_ode_oracle_matches_symbolic(kz_transport):
     assert _worst_gap(kz_associator(4), kz_transport) < 1e-6
 
 
+def test_ode_oracle_meets_the_associator_to_double_precision(kz_transport):
+    # the Taylor stepper measures 3.7e-14 here; the 1e-6 bound above
+    # stays as the historical check
+    assert _worst_gap(kz_associator(4), kz_transport) < 1e-12
+
+
 def test_ode_oracle_catches_a_bent_coefficient(kz_transport):
     phi = kz_associator(4)
     terms = dict(phi.terms)
@@ -179,3 +185,91 @@ def test_scale_conjugates_the_frame():
                 for n in range(trunc + 1)
                 for w in itertools.product(alpha, repeat=n))
     assert worst < 1e-9
+
+
+def _dop853_transport(residues, src, dst):
+    """Plain-endpoint transport by scipy's DOP853, the integrator the
+    oracle used before its Taylor stepper, kept as an independent
+    reference.  The oracle ran it at rtol 1e-12; on the neck segment
+    that leaves 9.7e-11 (coefficients up to 77), and the gap to the
+    stepper shrinks with rtol (1.1e-11 at 1e-13), so the reference
+    runs at 1e-13."""
+    import numpy as np
+    from scipy.integrate import solve_ivp
+
+    any_r = next(iter(residues.values()))
+    words = [w for n in range(any_r.trunc + 1)
+             for w in itertools.product(range(len(any_r.alphabet)),
+                                        repeat=n)]
+    index = {w: i for i, w in enumerate(words)}
+    mats = []
+    for p, r in residues.items():
+        m = np.zeros((len(words), len(words)), dtype=complex)
+        for rw, c in r.terms.items():
+            for u in words:
+                if len(rw) + len(u) <= any_r.trunc:
+                    m[index[rw + u], index[u]] += c
+        mats.append((p, m))
+    direction = (dst - src) / abs(dst - src)
+
+    def rhs(s, v):
+        z = src + s * direction
+        return sum(direction / (z - p) * (m @ v) for p, m in mats)
+
+    start = np.zeros(len(words), dtype=complex)
+    start[0] = 1.0
+    sol = solve_ivp(rhs, (0.0, abs(dst - src)), start, method="DOP853",
+                    rtol=1e-13, atol=1e-15)
+    assert sol.success, sol.message
+    return {w: complex(sol.y[i, -1]) for w, i in index.items()}
+
+
+def test_taylor_stepper_matches_dop853_on_plain_segments():
+    _, three_letter = _three_letter_setup(3)
+    y = 1 / 64
+    a, b, c = (NCSeries.letter(x, ("A", "B", "C"), 3, COMPLEX)
+               for x in ("A", "B", "C"))
+    neck = {0.0: a, y: b, 1.0: c}
+    for res, src, dst in [(three_letter, -0.4 - 0.3j, 1.3 - 0.2j),
+                          (neck, y + y / 4, 1 - y / 4)]:
+        got = ode_transport(res, src, dst,
+                            src_tangential=False, dst_tangential=False)
+        ref = _dop853_transport(res, src, dst)
+        gap = max(abs(got.terms.get(w, 0) - v) for w, v in ref.items())
+        assert gap < 1e-10, (src, dst, gap)
+
+
+def test_coincident_endpoints_raise_value_error():
+    _, res = _three_letter_setup(2)
+    with pytest.raises(ValueError, match="coincide"):
+        ode_transport(res, 0.5, 0.5,
+                      src_tangential=False, dst_tangential=False)
+
+
+def test_nonpositive_delta_raises_value_error():
+    _, res = _three_letter_setup(2)
+    for delta in (0.0, -0.1):
+        with pytest.raises(ValueError, match="positive"):
+            ode_transport(res, 0.0, 1.0, delta=delta)
+
+
+def test_delta_past_the_midpoint_between_two_tangential_ends():
+    # delta = 0.6 used to integrate backwards from 0.6 to 0.4
+    _, res = _three_letter_setup(2)
+    for delta in (0.5, 0.6):
+        with pytest.raises(ValueError, match="no segment"):
+            ode_transport(res, 0.0, 1.0, delta=delta)
+
+
+def test_delta_past_the_plain_end_of_a_segment():
+    _, res = _three_letter_setup(2)
+    with pytest.raises(ValueError, match="no segment"):
+        ode_transport(res, 0.0, 0.55, delta=0.55, dst_tangential=False)
+    with pytest.raises(ValueError, match="no segment"):
+        ode_transport(res, 0.55, 1.0, delta=0.6, src_tangential=False)
+
+
+def test_order_cap_raises_runtime_error():
+    _, res = _three_letter_setup(2)
+    with pytest.raises(RuntimeError, match="no convergence"):
+        ode_transport(res, 0.0, 1.0, tol=0.0)

@@ -326,12 +326,17 @@ def test_determinism_and_text_format(four_tails):
 
 
 def test_runtime_imports_only_the_standard_library():
-    """numpy and scipy belong to the ODE oracle alone."""
+    """No module of the package, the ODE oracle included, loads numpy
+    or scipy."""
     code = ("import sys\n"
             "import curvelog.cli, curvelog.elliptic, curvelog.sewing, "
             "curvelog.sheaf\n"
-            "from curvelog.associator import kz_associator\n"
+            "from curvelog.associator import kz_associator, ode_transport\n"
+            "from curvelog.ncseries import COMPLEX, NCSeries\n"
             "kz_associator(3)\n"
+            "x0, x1 = (NCSeries.letter(a, ('X0', 'X1'), 2, COMPLEX)\n"
+            "          for a in ('X0', 'X1'))\n"
+            "ode_transport({0.0: x0, 1.0: x1}, 0.0, 1.0)\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.partition('.')[0] in ('numpy', 'scipy')))\n")
     env = dict(os.environ,
