@@ -22,24 +22,17 @@ test the transport independently of the gauge bookkeeping:
   there by the crossing gauge, so equality is exact, not up to a
   Moebius map, and it implies every cross-ratio equality of the points.
 
-Fixed-point seeds collide exactly when both end branches of a word were
-moved onto the bubble; the roots then separate at first order in the
-new edge parameter and are found by solving the blown-up quadratic.
-A proper power M^n = U M + V I of a collapsing loop has a common factor
-U in all coefficients of its fixed-point quadratic, and U vanishes with
-the new edge parameter; its order in that parameter is divided out
-before the blow-up.  What stays degenerate after that raises
-:class:`DegenerateWord`.
+Fixed-point seeds meet when both end branches of a word moved onto the
+bubble; :func:`schottky.fixed_points` separates them along ``s0``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .cpseries import TruncatedSeries as TS
-from .schottky import (DegenerateWord, Moebius, edge_moebius, fixed_points,
-                       phi_matrix, simple_root, word_matrix)
+from .schottky import (Moebius, chart_seeds, edge_moebius, fixed_points,
+                       phi_matrix, require_cyclically_reduced, word_matrix)
 from .stable_graph import StableGraph, edge_of, flip
 
 
@@ -169,71 +162,12 @@ class ChartComparison:
     def fixed_points1(self, word: Sequence[str]) -> tuple[TS, TS]:
         """Attractive and repulsive fixed points of an original closed
         word, as series in the refined parameters, solved from the
-        extracted-parameter matrix only.
-
-        Raises :class:`DegenerateWord` when the fixed points are not
-        simple roots that this solve can separate."""
-        self.delta1.check_path(word, closed=True, reduced=True)
-        if len(word) >= 2 and word[0] == flip(word[-1]):
-            raise DegenerateWord("word is not cyclically reduced")
-        a2, a1, a0 = self._fixed_point_quadratic(word)
-        pos, _ = self._params(self._tr_full)
-        sa = pos[word[-1]]
-        sr = pos[flip(word[0])]
-        if sa.constant_term() != sr.constant_term():
-            alpha = simple_root(a2, a1, a0, sa.constant_term())
-            alpha_p = simple_root(a2, a1, a0, sr.constant_term())
-            return alpha.truncate(self.trunc), alpha_p.truncate(self.trunc)
-        # collapsed seeds: both end branches sit on the bubble and meet at
-        # the same point at s0 = 0.  With any common factor s0^k already
-        # divided out, blow up z = r + s0 Z and solve for Z.
-        r = sa.constant_term()
-        pivot = tuple(1 if v == self.edge0 else 0 for v in self.vars)
-        zr = TS.constant(r, self.vars, self._tr_full)
-        f_r = (a2 * zr + a1) * zr + a0
-        fp_r = 2 * (a2 * zr) + a1
-        b2 = a2.truncate(self._tr_full - 2)
-        b1 = fp_r.divide_monomial(pivot).truncate(self._tr_full - 2)
-        b0 = f_r.divide_monomial(pivot).divide_monomial(pivot)
-        seed_a = sa.coefficient(pivot)
-        seed_r = sr.coefficient(pivot)
-        if seed_a == seed_r:
-            raise DegenerateWord("fixed-point seeds collide beyond first order")
-        s0 = TS.variable(self.edge0, self.vars, self._tr_full - 2)
-        za = simple_root(b2, b1, b0, seed_a)
-        zp = simple_root(b2, b1, b0, seed_r)
-        alpha = zr.truncate(self._tr_full - 2) + s0 * za
-        alpha_p = zr.truncate(self._tr_full - 2) + s0 * zp
-        return alpha.truncate(self.trunc), alpha_p.truncate(self.trunc)
-
-    def _fixed_point_quadratic(self, word: Sequence[str]
-                               ) -> tuple[TS, TS, TS]:
-        """Coefficients of ``c z^2 + (d - a) z - b = 0`` for the word
-        matrix, exact to degree ``_tr_full``, with their common order ``k``
-        in the new edge parameter divided out.
-
-        A proper power M^n = U M + V I shares the factor U between ``c``,
-        ``d - a`` and ``b``; for a collapsing loop U vanishes at s0 = 0.
-        The quadratic is homogeneous in its coefficients, so dividing by
-        s0^k keeps its roots; the matrix is rebuilt k degrees higher so
-        the quotient stays exact.  Words with k = 0 pay nothing extra."""
-        tr = self._tr_full
-        k = 0
-        while True:
-            m = self._word_matrix_at(word, tr + k)
-            coeffs = (m.c, m.d - m.a, -m.b)
-            order = min(q.ideal_order((self.edge0,)) for q in coeffs)
-            if order == math.inf:
-                raise DegenerateWord("word matrix is scalar to this order")
-            # orders read at a higher truncation can only drop, so this
-            # stops at the first rebuild
-            if order <= k:
-                break
-            k = order
-        if k == 0:
-            return coeffs
-        common = tuple(order if v == self.edge0 else 0 for v in self.vars)
-        return tuple(q.divide_monomial(common).truncate(tr) for q in coeffs)
+        extracted-parameter matrix only, seeded at the extracted ends."""
+        require_cyclically_reduced(self.delta1, word)
+        return fixed_points(lambda tr: self._word_matrix_at(word, tr),
+                            (self.positions[word[-1]],
+                             self.positions[flip(word[0])]),
+                            self.trunc, s=self.edge0)
 
     # ------------------------------------------------------------------
     # residual checks
@@ -291,8 +225,10 @@ class ChartComparison:
         demands it."""
         lifted = self.lift_word(word)
         core, pre = StableGraph.cyclic_reduce(lifted)
-        m = word_matrix(self.delta2, core, self.vars, self._tr_full)
-        alpha, alpha_p = fixed_points(self.delta2, core, m)
+        alpha, alpha_p = fixed_points(
+            lambda tr: word_matrix(self.delta2, core, self.vars, tr),
+            chart_seeds(self.delta2, core, self.vars, self._tr_full),
+            self._tr_full)
         if pre:
             c = word_matrix(self.delta2, inverse_word(pre),
                             self.vars, self._tr_full)

@@ -298,9 +298,13 @@ class TruncatedSeries:
         """Exact division by ``coeff * x^exp``; every term must be divisible.
 
         A series exact to degree D determines the quotient only up to
-        degree D - deg(exp), so the truncation drops accordingly.
+        degree D - deg(exp), so the truncation drops accordingly; a
+        monomial of degree above D raises ``ValueError``.
         """
         exp = tuple(exp)
+        if sum(exp) > self.trunc:
+            raise ValueError(f"monomial degree {sum(exp)} exceeds the "
+                             f"truncation degree {self.trunc}")
         c = _as_fraction(coeff)
         if c == 0:
             raise ZeroDivisionError("zero monomial")

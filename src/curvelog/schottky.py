@@ -20,9 +20,10 @@ word is (cyclically) reduced.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cpseries import TruncatedSeries as TS, solve_quadratic
 from .stable_graph import StableGraph, edge_of, flip
@@ -30,6 +31,10 @@ from .stable_graph import StableGraph, edge_of, flip
 
 class DegenerateWord(ValueError):
     """The word has no loxodromic normal form in this chart."""
+
+
+class FractionalRoot(DegenerateWord):
+    """A fixed point has a fractional exponent in the blow-up variable."""
 
 
 @dataclass
@@ -170,7 +175,9 @@ class FixedPointData:
         return self.det * (self.trace * self.trace).invert()
 
 
-def _require_cyclically_reduced(graph: StableGraph, word: Sequence[str]) -> None:
+def require_cyclically_reduced(graph: StableGraph,
+                               word: Sequence[str]) -> None:
+    """Raise unless ``word`` is a closed, cyclically reduced path."""
     graph.check_path(word, closed=True, reduced=True)
     if len(word) >= 2 and word[0] == flip(word[-1]):
         raise DegenerateWord("word is not cyclically reduced")
@@ -184,7 +191,7 @@ def multiplier_data(graph: StableGraph, word: Sequence[str],
     and the chart is generic; the two eigenvalues are separated by their
     orders (unit vs. positive order) and the multiplier is their ratio.
     """
-    _require_cyclically_reduced(graph, word)
+    require_cyclically_reduced(graph, word)
     vars = word_vars(word)
     m = word_matrix(graph, word, vars, trunc)
     tr = m.trace()
@@ -201,31 +208,87 @@ def multiplier_data(graph: StableGraph, word: Sequence[str],
 
 def fixed_points_multiplier(graph: StableGraph, word: Sequence[str],
                             trunc: int = 6) -> FixedPointData:
-    """Multiplier plus attractive/repulsive fixed points as series.
-
-    The fixed points are the roots of ``c z^2 + (d - a) z - b``; their
-    zeroth-order seeds are the chart coordinates of the incoming branch
-    ``x_{h_last}`` and the outgoing branch ``x_{-h_first}``, which must
-    be finite (re-chart the graph otherwise).
-    """
+    """Multiplier plus attractive/repulsive fixed points as series, seeded
+    at the chart coordinates of ``x_{h_last}`` and ``x_{-h_first}``."""
     data = multiplier_data(graph, word, trunc)
-    data.alpha, data.alpha_prime = fixed_points(graph, word, data.matrix)
+    vars = data.x.vars
+    data.alpha, data.alpha_prime = fixed_points(
+        lambda tr: data.matrix if tr == trunc else
+        word_matrix(graph, word, vars, tr),
+        chart_seeds(graph, word, vars, trunc), trunc)
     return data
 
 
-def fixed_points(graph: StableGraph, word: Sequence[str],
-                 m: Moebius) -> tuple[TS, TS]:
-    """Attractive and repulsive fixed points of the closed word with
-    matrix ``m``: the roots of ``c z^2 + (d - a) z - b`` seeded at the
-    chart coordinates of ``x_{h_last}`` and ``x_{-h_first}``."""
-    seed_a = graph.chart.x(word[-1])
-    seed_r = graph.chart.x(flip(word[0]))
-    if seed_a is None or seed_r is None:
+def chart_seeds(graph: StableGraph, word: Sequence[str],
+                vars: tuple[str, ...], trunc: int) -> tuple[TS, TS]:
+    """Chart coordinates of ``x_{h_last}`` and ``x_{-h_first}``, which
+    must be finite (re-chart the graph otherwise)."""
+    seeds = graph.chart.x(word[-1]), graph.chart.x(flip(word[0]))
+    if None in seeds:
         raise DegenerateWord("fixed point at infinity in this chart")
-    a1 = m.d - m.a
-    a0 = -m.b
-    return (simple_root(m.c, a1, a0, seed_a),
-            simple_root(m.c, a1, a0, seed_r))
+    return tuple(TS.constant(x, vars, trunc) for x in seeds)
+
+
+def fixed_points(matrix: Callable[[int], Moebius], seeds: tuple[TS, TS],
+                 trunc: int, s: str | None = None) -> tuple[TS, TS]:
+    """Attractive and repulsive fixed points, exact to degree ``trunc``:
+    the roots of ``c z^2 + (d - a) z - b`` for ``matrix(tr)``, the word
+    matrix exact to degree ``tr``, with the constant terms of ``seeds``.
+
+    With ``s``, one Newton–Puiseux loop in ``s`` (Walker, *Algebraic
+    Curves*, 1950, ch. IV; Duval, Compositio Math. 70, 1989) divides out
+    the common ``s``-order k of the coefficients (a proper power M^n =
+    U M + V I shares U, which may vanish with ``s``), then, while the
+    seeds' coefficients of ``s^0, s^1, ...`` meet at ``r``, blows up
+    ``z = r + s Z`` and moves them to ``(seed - r) / s``.  That costs k
+    and two degrees per blow-up: the matrix is rebuilt as much higher.
+    A Newton-polygon edge of half-integer slope raises
+    :class:`FractionalRoot`.
+    """
+    pivot = tuple(int(v == s) for v in seeds[0].vars)
+
+    def coeff(seed: TS, j: int) -> Fraction:
+        return seed.coefficient(tuple(j * e for e in pivot))
+
+    meets, last = 0, min(q.trunc for q in seeds)  # blow-ups to come
+    while s is not None and meets <= last and \
+            coeff(seeds[0], meets) == coeff(seeds[1], meets):
+        meets += 1
+    tr = trunc + 2 * meets
+    while True:
+        m = matrix(tr)
+        quad = (m.c, m.d - m.a, -m.b)
+        k = 0 if s is None else min(q.ideal_order((s,)) for q in quad)
+        if k == math.inf:
+            raise DegenerateWord("word matrix is scalar to this order")
+        # orders at a higher truncation only drop: one rebuild at most
+        if tr - k - 2 * meets >= trunc:
+            break
+        tr = trunc + k + 2 * meets
+    if k:
+        quad = tuple(q.divide_monomial(tuple(k * e for e in pivot))
+                     for q in quad)
+    shifts = [coeff(seeds[0], j) for j in range(meets)]
+    for r in shifts:
+        a2, a1, a0 = quad
+        f1, f0 = 2 * (a2 * r) + a1, (a2 * r + a1) * r + a0
+        v2, v1, v0 = (q.ideal_order((s,)) for q in (a2, f1, f0))
+        if max(v2, v0) < math.inf and 2 * v1 > v0 + v2 and (v0 - v2) % 2:
+            raise FractionalRoot(f"a fixed point is a series in {s}^(1/2)")
+        if v1 < 1 or v0 < 2:
+            raise DegenerateWord(f"fixed points do not separate along {s}")
+        deg = a2.trunc - 2
+        quad = (a2.truncate(deg), f1.divide_monomial(pivot).truncate(deg),
+                f0.divide_monomial(tuple(2 * e for e in pivot)))
+    if meets > last:
+        raise DegenerateWord("fixed-point seeds agree to their degree")
+    roots = []
+    for seed in seeds:
+        z = simple_root(*quad, coeff(seed, meets))
+        for r in reversed(shifts):
+            z = TS.variable(s, z.vars, z.trunc) * z + r
+        roots.append(z.truncate(trunc))
+    return roots[0], roots[1]
 
 
 def simple_root(a2: TS, a1: TS, a0: TS, root0: Fraction) -> TS:

@@ -134,6 +134,16 @@ def test_divide_monomial():
         (x + y).divide_monomial((2, 0))
 
 
+def test_divide_monomial_above_the_truncation_raises():
+    # the quotient would carry a negative truncation, which from_json
+    # refuses; the constructor's ValueError is raised instead
+    s = TS(("s",), 1)
+    with pytest.raises(ValueError, match="exceeds the truncation"):
+        s.divide_monomial((3,))
+    q = TS.variable("s", ("s",), 1).divide_monomial((1,))
+    assert q.trunc == 0 and TS.from_json(q.to_json()) == q
+
+
 def test_invert_requires_unit():
     with pytest.raises(ValueError):
         var("x").invert()

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvelog.cpseries import TruncatedSeries as TS
-from curvelog.schottky import (DegenerateWord, cross_ratio,
+from curvelog.schottky import (DegenerateWord, FractionalRoot, Moebius,
+                               cross_ratio, fixed_points,
                                fixed_points_multiplier, multiplier_data,
                                phi_matrix, random_closed_word, verify_graph,
                                verify_word, word_matrix)
@@ -122,6 +123,94 @@ def test_inverse_word_swaps_fixed_points():
     di = fixed_points_multiplier(g, wi, trunc=5)
     assert (d.alpha - di.alpha_prime).is_zero()
     assert (d.alpha_prime - di.alpha).is_zero()
+
+
+ST = ("s", "t")
+
+
+def quadratic(a2, a1, a0):
+    """A matrix callable whose fixed-point quadratic is ``a2 z^2 + a1 z +
+    a0``, each coefficient a function of (s, t, trunc) giving a series;
+    it records the truncations it was built at."""
+    built = []
+
+    def matrix(tr):
+        built.append(tr)
+        s, t = (TS.variable(v, ST, tr) for v in ST)
+        zero = TS(ST, tr)
+        return Moebius(zero, -a0(s, t), a2(s, t), a1(s, t))
+    matrix.built = built
+    return matrix
+
+
+def seed(terms, trunc=4):
+    return TS(ST, trunc, terms)
+
+
+def test_solver_separates_seeds_after_one_blow_up():
+    # (z - s)(z - 2s): both roots vanish at s = 0, apart at order s
+    m = quadratic(lambda s, t: 1 + 0 * s, lambda s, t: -3 * s,
+                  lambda s, t: 2 * s * s)
+    alpha, alpha_p = fixed_points(m, (seed({(1, 0): 1}),
+                                      seed({(1, 0): 2})), 4, s="s")
+    assert alpha == 1 * TS.variable("s", ST, 4)
+    assert alpha_p == 2 * TS.variable("s", ST, 4)
+    assert m.built == [6]  # one blow-up costs two degrees
+
+
+def test_solver_separates_seeds_after_two_blow_ups():
+    # (z - s^2 - s^2 t)(z + s^2): the seeds agree to first order in s
+    root = lambda s, t: s * s + s * s * t
+    m = quadratic(lambda s, t: 1 + 0 * s,
+                  lambda s, t: s * s - root(s, t),
+                  lambda s, t: -root(s, t) * s * s)
+    alpha, alpha_p = fixed_points(m, (seed({(2, 0): 1, (2, 1): 1}),
+                                      seed({(2, 0): -1})), 4, s="s")
+    s, t = (TS.variable(v, ST, 4) for v in ST)
+    assert alpha == root(s, t) and alpha_p == -(s * s)
+    assert m.built == [8]
+    for z in (alpha, alpha_p):
+        assert (z - root(s, t)) * (z + s * s) == TS(ST, 4)
+
+
+def test_solver_divides_out_a_common_order_and_rebuilds():
+    # s (z - 1)(z - 2 - t): the common factor s costs one degree
+    m = quadratic(lambda s, t: s, lambda s, t: -s * (3 + t),
+                  lambda s, t: s * (2 + t))
+    alpha, alpha_p = fixed_points(m, (seed({(0, 0): 1}),
+                                      seed({(0, 0): 2})), 4, s="s")
+    assert alpha == TS.constant(1, ST, 4)
+    assert alpha_p == 2 + TS.variable("t", ST, 4)
+    assert m.built == [4, 5]
+
+
+@pytest.mark.parametrize("power", [1, 3])
+def test_solver_raises_fractional_root(power):
+    # z^2 - s^power: the roots are +-s^(power/2)
+    m = quadratic(lambda s, t: 1 + 0 * s, lambda s, t: 0 * s,
+                  lambda s, t: -(s ** power))
+    with pytest.raises(FractionalRoot):
+        fixed_points(m, (seed({}), seed({})), 4, s="s")
+
+
+def test_solver_raises_on_a_scalar_matrix():
+    zero = lambda s, t: 0 * s
+    m = quadratic(zero, zero, zero)
+    with pytest.raises(DegenerateWord, match="scalar"):
+        fixed_points(m, (seed({(0, 0): 1}), seed({(0, 0): 2})), 4, s="s")
+
+
+@pytest.mark.parametrize("a1, a0, seeds, match", [
+    # z^2: a double root, so the seeds never separate
+    (lambda s, t: 0 * s, lambda s, t: 0 * s, ({}, {}), "agree"),
+    # (z - s)(z - 2s) with seeds that agree at order s
+    (lambda s, t: -3 * s, lambda s, t: 2 * s * s,
+     ({(1, 0): 1}, {(1, 0): 1}), "do not separate"),
+])
+def test_solver_raises_when_seeds_do_not_separate(a1, a0, seeds, match):
+    m = quadratic(lambda s, t: 1 + 0 * s, a1, a0)
+    with pytest.raises(DegenerateWord, match=match):
+        fixed_points(m, tuple(seed(q) for q in seeds), 4, s="s")
 
 
 def test_cross_ratio_matches_rationals():
