@@ -4,6 +4,10 @@ Subcommands wrap the library modules one-to-one and never compute
 anything themselves.  Exit codes: 0 success, 1 a verification suite
 reported a failure, 2 input error (bad files, bad flags, unsupported
 layouts).  Identical inputs and seeds produce byte-identical output.
+
+Each subcommand imports its library modules on first use, inside its
+``cmd_*`` function, so a call loads only what it runs and ``--help``
+loads no module of the package beyond :mod:`curvelog.jsonio`.
 """
 from __future__ import annotations
 
@@ -11,17 +15,7 @@ import argparse
 import json
 import sys
 
-from .associator import kz_associator
-from .catalog import stable_graphs
-from .chart_compare import expand_and_compare
-from .elliptic import a_to_b, monodromy_around_zero
 from .jsonio import write_output
-from .logpoly import LogPoly, logpoly_ring
-from .ncseries import NCSeries
-from .polylog import Divergent, mzv_numeric
-from .schottky import fixed_points_multiplier, verify_graph
-from .sheaf import MonodromyCalculator, build_sheaf, decompose_element
-from .stable_graph import StableGraph
 
 
 class InputError(ValueError):
@@ -38,7 +32,9 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_graph(path: str) -> StableGraph:
+def _load_graph(path: str):
+    from .stable_graph import StableGraph
+
     try:
         graph = StableGraph.from_json(_load_json(path))
         graph.validate()
@@ -49,7 +45,7 @@ def _load_graph(path: str) -> StableGraph:
         raise InputError(f"{path} is not a stable graph: {exc}") from exc
 
 
-def _charted(graph: StableGraph, seed: int) -> StableGraph:
+def _charted(graph, seed: int):
     return graph if graph.chart is not None else \
         graph.specialize_chart(seed=seed)
 
@@ -101,6 +97,8 @@ def cmd_graph_subtree(args) -> int:
 
 
 def cmd_schottky_fixed_points(args) -> int:
+    from .schottky import fixed_points_multiplier
+
     graph = _charted(_load_graph(args.graph), args.seed)
     data = fixed_points_multiplier(graph, _split_word(args.word),
                                    trunc=args.deg)
@@ -111,26 +109,34 @@ def cmd_schottky_fixed_points(args) -> int:
 
 
 def cmd_schottky_verify_prop21(args) -> int:
+    from .catalog import stable_graphs
+    from .schottky import verify_graph
+
+    types = [(g, n) for g in range(args.gmax + 1)
+             for n in range(args.nmax + 1) if 2 * g - 2 + n > 0]
+    if not types:
+        raise InputError(f"no stable type with g <= {args.gmax} and "
+                         f"n <= {args.nmax}")
+    if args.len < 1:
+        raise InputError("--len must be at least 1")
     cases = []
     ok = True
-    for g in range(args.gmax + 1):
-        for n in range(args.nmax + 1):
-            if 2 * g - 2 + n <= 0:
-                continue
-            for i, graph in enumerate(stable_graphs(g, n)):
-                charted = graph.specialize_chart(seed=args.seed + i)
-                report = verify_graph(charted, max_len=args.len,
-                                      trunc=args.deg)
-                cases.append({"id": f"g{g}n{n}#{i}",
-                              "type": report["type"],
-                              "n_words": report["n_words"],
-                              "pass": report["pass"]})
-                ok = ok and report["pass"]
+    for g, n in types:
+        for i, graph in enumerate(stable_graphs(g, n)):
+            charted = graph.specialize_chart(seed=args.seed + i)
+            report = verify_graph(charted, max_len=args.len, trunc=args.deg)
+            cases.append({"id": f"g{g}n{n}#{i}",
+                          "type": report["type"],
+                          "n_words": report["n_words"],
+                          "pass": report["pass"]})
+            ok = ok and report["pass"]
     _emit({"cases": cases, "pass": ok}, args)
     return 0 if ok else 1
 
 
 def cmd_schottky_compare_thm31(args) -> int:
+    from .chart_compare import expand_and_compare
+
     graph = _load_graph(args.graph)
     comp = expand_and_compare(graph, args.v, args.h1, args.h2,
                               trunc=args.deg, seed=args.seed)
@@ -144,6 +150,8 @@ def cmd_schottky_compare_thm31(args) -> int:
 
 
 def cmd_mzv_eval(args) -> int:
+    from .polylog import Divergent, mzv_numeric
+
     try:
         value = mzv_numeric(args.indices, prec=args.prec)
     except (Divergent, ValueError) as exc:
@@ -153,10 +161,14 @@ def cmd_mzv_eval(args) -> int:
 
 
 def cmd_assoc_kz(args) -> int:
+    from .associator import kz_associator
+
     return _emit(kz_associator(args.weight).to_json(), args)
 
 
 def cmd_assoc_elliptic(args) -> int:
+    from .elliptic import a_to_b, monodromy_around_zero
+
     series = monodromy_around_zero(args.weight) if args.which == "around0" \
         else a_to_b(args.weight)
     return _emit(series.to_json(), args)
@@ -166,7 +178,7 @@ def cmd_assoc_elliptic(args) -> int:
 # monodromy
 
 
-def _path_moves(calc: MonodromyCalculator, spec: dict) -> list:
+def _path_moves(calc, spec: dict) -> list:
     if "tails" in spec:
         src, dst = spec["tails"]
         return calc.tail_path_moves(src, dst)
@@ -177,12 +189,14 @@ def _path_moves(calc: MonodromyCalculator, spec: dict) -> list:
     raise InputError("path file needs one of: tails, loop, moves")
 
 
-def _logdeg_filter(poly: LogPoly, logdeg: int) -> LogPoly:
+def _logdeg_filter(poly, logdeg: int):
     n = len(poly.vars)
     return poly.select(lambda k: sum(k[:n]) <= logdeg)
 
 
 def cmd_monodromy(args) -> int:
+    from .sheaf import MonodromyCalculator, build_sheaf
+
     graph = _load_graph(args.graph)
     path_spec = _load_json(args.path)
     logdeg = args.logdeg if args.logdeg is not None else args.words
@@ -217,6 +231,10 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .logpoly import logpoly_ring
+    from .ncseries import NCSeries
+    from .sheaf import decompose_element
+
     data = _load_json(args.infile)
     if data.get("kind") != "monodromy" or "element" not in data:
         raise InputError("input is not a monodromy artifact")
@@ -234,6 +252,28 @@ def cmd_decompose(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _count(text: str) -> int:
+    """argparse type of the count flags: a non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
+
+
+def _precision(text: str) -> float:
+    """argparse type of ``--prec``: a finite positive float."""
+    try:
+        if 0 < float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a finite positive number, got {text!r}")
 
 
 def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
@@ -279,14 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--word", required=True,
                    help="comma-separated half-edges, e.g. 'e0+,e1-'")
-    p.add_argument("--deg", type=int, default=6)
+    p.add_argument("--deg", type=_count, default=6)
     _add_common(p, seed=True)
     p.set_defaults(fn=cmd_schottky_fixed_points)
     p = ssub.add_parser("verify-prop21")
-    p.add_argument("--gmax", type=int, default=3)
-    p.add_argument("--nmax", type=int, default=2)
-    p.add_argument("--len", type=int, default=4)
-    p.add_argument("--deg", type=int, default=6)
+    p.add_argument("--gmax", type=_count, default=3)
+    p.add_argument("--nmax", type=_count, default=2)
+    p.add_argument("--len", type=_count, default=4)
+    p.add_argument("--deg", type=_count, default=6)
     _add_common(p, seed=True)
     p.set_defaults(fn=cmd_schottky_verify_prop21)
     p = ssub.add_parser("compare-thm31")
@@ -294,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True)
     p.add_argument("--h1", required=True)
     p.add_argument("--h2", required=True)
-    p.add_argument("--deg", type=int, default=4)
+    p.add_argument("--deg", type=_count, default=4)
     _add_common(p, seed=True)
     p.set_defaults(fn=cmd_schottky_compare_thm31)
 
@@ -303,19 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = msub.add_parser("eval")
     p.add_argument("indices", type=int, nargs="+",
                    help="exponents, inner-to-outer; the last must be >= 2")
-    p.add_argument("--prec", type=float, default=1e-9)
+    p.add_argument("--prec", type=_precision, default=1e-9)
     _add_common(p)
     p.set_defaults(fn=cmd_mzv_eval)
 
     assoc = sub.add_parser("assoc", help="associator series")
     asub = assoc.add_subparsers(dest="sub", required=True)
     p = asub.add_parser("kz")
-    p.add_argument("--weight", type=int, default=4)
+    p.add_argument("--weight", type=_count, default=4)
     _add_common(p)
     p.set_defaults(fn=cmd_assoc_kz)
     p = asub.add_parser("elliptic")
     p.add_argument("--which", choices=("around0", "ab"), required=True)
-    p.add_argument("--weight", type=int, default=4)
+    p.add_argument("--weight", type=_count, default=4)
     _add_common(p)
     p.set_defaults(fn=cmd_assoc_elliptic)
 
@@ -324,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True,
                    help="JSON file: {tails: [s, d]} | {loop: [...]} "
                         "| {moves: [...]}")
-    p.add_argument("--words", type=int, default=4)
-    p.add_argument("--logdeg", type=int, default=None)
-    p.add_argument("--ydeg", type=int, default=0)
+    p.add_argument("--words", type=_count, default=4)
+    p.add_argument("--logdeg", type=_count, default=None)
+    p.add_argument("--ydeg", type=_count, default=0)
     _add_common(p)
     p.set_defaults(fn=cmd_monodromy)
 

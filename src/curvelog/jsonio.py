@@ -1,7 +1,8 @@
 """Canonical JSON helpers shared by all serializers.
 
 Every artifact the package writes is serialized with sorted keys and
-fixed separators so that equal objects produce byte-identical files.
+fixed separators so that equal objects produce byte-identical files,
+and never holds ``NaN`` or ``Infinity``, which are not JSON.
 """
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from fractions import Fraction
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -23,7 +25,7 @@ def write_output(obj, out: str | None, fmt: str = "json") -> str:
     if fmt == "json":
         text = canonical_dumps(obj)
     else:
-        text = json.dumps(obj, sort_keys=True, indent=2)
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from curvelog.catalog import stable_graphs
-from curvelog.jsonio import canonical_dumps
+from curvelog.jsonio import canonical_dumps, write_output
 from curvelog.logpoly import logpoly_ring
 from curvelog.ncseries import NCSeries
 from curvelog.sewing import SEW
@@ -325,23 +325,99 @@ def test_determinism_and_text_format(four_tails):
     assert txt != a  # text form is indented
 
 
+def run_python(code, *argv):
+    """Run ``code`` in a fresh interpreter that finds ``curvelog`` in
+    ``src``; returns the last line of its standard output."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_runtime_imports_only_the_standard_library():
     """No module of the package, the ODE oracle included, loads numpy
     or scipy."""
-    code = ("import sys\n"
-            "import curvelog.cli, curvelog.elliptic, curvelog.sewing, "
-            "curvelog.sheaf\n"
+    code = ("import importlib, pkgutil, sys\n"
+            "import curvelog\n"
+            "for info in pkgutil.iter_modules(curvelog.__path__):\n"
+            "    importlib.import_module('curvelog.' + info.name)\n"
             "from curvelog.associator import kz_associator, ode_transport\n"
             "from curvelog.ncseries import COMPLEX, NCSeries\n"
             "kz_associator(3)\n"
             "x0, x1 = (NCSeries.letter(a, ('X0', 'X1'), 2, COMPLEX)\n"
             "          for a in ('X0', 'X1'))\n"
             "ode_transport({0.0: x0, 1.0: x1}, 0.0, 1.0)\n"
+            "assert 'curvelog.sewing' in sys.modules\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.partition('.')[0] in ('numpy', 'scipy')))\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_python(code) == "[]"
+
+
+# the modules that hold the algebra of the heavier subcommands
+HEAVY = {"curvelog.sheaf", "curvelog.associator", "curvelog.constants",
+         "curvelog.ncseries", "curvelog.logpoly", "curvelog.schottky",
+         "curvelog.chart_compare"}
+
+
+def _modules_after(*argv):
+    """The ``curvelog`` modules a fresh interpreter holds after importing
+    ``curvelog.cli`` and, given ``argv``, running that command."""
+    code = ("import json, sys\n"
+            "import curvelog.cli\n"
+            "if sys.argv[1:]:\n"
+            "    assert curvelog.cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.partition('.')[0] == 'curvelog')))\n")
+    return set(json.loads(run_python(code, *argv)))
+
+
+def test_subcommands_import_only_what_they_run(four_tails):
+    assert _modules_after() == {"curvelog", "curvelog.cli",
+                                "curvelog.jsonio"}
+    validate = _modules_after("graph", "validate", four_tails)
+    assert "curvelog.stable_graph" in validate
+    assert not validate & HEAVY, sorted(validate & HEAVY)
+    mzv = _modules_after("mzv", "eval", "2")
+    assert "curvelog.polylog" in mzv
+    assert not mzv & HEAVY, sorted(mzv & HEAVY)
+
+
+def test_count_flags_reject_negative_values(four_tails, tmp_path):
+    path = write_json(tmp_path / "path.json", {"tails": ["t1", "t3"]})
+    mono = ["monodromy", "--graph", four_tails, "--path", path]
+    prop21 = ["schottky", "verify-prop21"]
+    fixed = ["schottky", "fixed-points", "--graph", four_tails,
+             "--word", "e0+"]
+    for argv in (["assoc", "kz", "--weight", "-1"],
+                 ["assoc", "elliptic", "--which", "ab", "--weight", "-1"],
+                 [*mono, "--words", "-1"], [*mono, "--ydeg", "-1"],
+                 [*mono, "--logdeg", "-1"], [*prop21, "--gmax", "-1"],
+                 [*prop21, "--nmax", "-1"], [*prop21, "--len", "-1"],
+                 [*prop21, "--deg", "-1"], [*fixed, "--deg", "-1"],
+                 ["assoc", "kz", "--weight", "1.5"]):
+        proc = run_cli(*argv, expect=2)
+        assert "non-negative integer" in proc.stderr, argv
+        assert proc.stdout == "", argv
+
+
+def test_mzv_eval_rejects_a_non_finite_precision():
+    for prec in ("nan", "inf", "0", "x"):
+        proc = run_cli("mzv", "eval", "2", "--prec", prec, expect=2)
+        assert "finite positive" in proc.stderr and proc.stdout == ""
+    for fmt in ("json", "text"):
+        with pytest.raises(ValueError):
+            write_output({"prec": float("nan")}, None, fmt)
+        with pytest.raises(ValueError):
+            write_output([float("inf")], None, fmt)
+
+
+def test_schottky_verify_prop21_rejects_a_check_of_nothing():
+    for argv in (["--gmax", "0", "--nmax", "2"],
+                 ["--gmax", "0", "--nmax", "0"],
+                 ["--gmax", "1", "--nmax", "1", "--len", "0"]):
+        proc = run_cli("schottky", "verify-prop21", *argv, expect=2)
+        assert proc.stdout == "", argv
+    assert "no stable type" in run_cli(
+        "schottky", "verify-prop21", "--gmax", "0", expect=2).stderr
