@@ -35,7 +35,8 @@ def _multigraphs(deg: list[int], start: int = 0) -> Iterator[list[EdgePair]]:
     later = list(range(i + 1, len(deg)))
     for loops in range(deg[i] // 2 + 1):
         rest = deg[i] - 2 * loops
-        for combo in _distribute(rest, [deg[j] for j in later]):
+        for combo in _compositions(rest, [0] * len(later),
+                                   [deg[j] for j in later]):
             nd = list(deg)
             nd[i] = 0
             for j, m in zip(later, combo):
@@ -46,13 +47,16 @@ def _multigraphs(deg: list[int], start: int = 0) -> Iterator[list[EdgePair]]:
                 yield head + tail_part
 
 
-def _distribute(total: int, caps: list[int]) -> Iterator[tuple[int, ...]]:
-    if not caps:
+def _compositions(total: int, lower: Sequence[int],
+                  upper: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Vectors summing to ``total`` whose part ``i`` lies in
+    ``[lower[i], upper[i]]``, in lexicographic order."""
+    if not lower:
         if total == 0:
             yield ()
         return
-    for m in range(min(total, caps[0]) + 1):
-        for rest in _distribute(total - m, caps[1:]):
+    for m in range(lower[0], min(total, upper[0]) + 1):
+        for rest in _compositions(total - m, lower[1:], upper[1:]):
             yield (m,) + rest
 
 
@@ -145,14 +149,16 @@ def stable_graphs(g: int, n: int, trivalent_only: bool = True) -> list[StableGra
     v_range = [max_v] if trivalent_only else range(1, max_v + 1)
     for nv in v_range:
         ne = g + nv - 1
-        for tails in _tail_vectors(n, nv):
+        for tails in _compositions(n, [0] * nv, [n] * nv):
             if trivalent_only:
                 deg = [3 - c for c in tails]
                 if any(d < 0 for d in deg) or sum(deg) != 2 * ne:
                     continue
                 deg_choices = [deg]
             else:
-                deg_choices = list(_degree_vectors(2 * ne, nv, tails))
+                # valence >= 3 once the tails are added
+                deg_choices = list(_compositions(
+                    2 * ne, [max(0, 3 - c) for c in tails], [2 * ne] * nv))
             for deg in deg_choices:
                 pairs = list(zip(tails, deg))
                 if pairs != sorted(pairs, reverse=True):
@@ -166,29 +172,6 @@ def stable_graphs(g: int, n: int, trivalent_only: bool = True) -> list[StableGra
                         gr.validate(expect=(g, n))
                         out[key] = gr
     return [out[k] for k in sorted(out)]
-
-
-def _tail_vectors(n: int, nv: int) -> Iterator[tuple[int, ...]]:
-    if nv == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _tail_vectors(n - head, nv - 1):
-            yield (head,) + rest
-
-
-def _degree_vectors(total: int, nv: int,
-                    tails: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Edge-stub degree vectors with valence >= 3 after adding tails."""
-    if nv == 1:
-        need = max(0, 3 - tails[0])
-        if total >= need:
-            yield (total,)
-        return
-    need = max(0, 3 - tails[0])
-    for d in range(need, total + 1):
-        for rest in _degree_vectors(total - d, nv - 1, tails[1:]):
-            yield (d,) + rest
 
 
 def canonical_key(graph: StableGraph) -> Encoding:

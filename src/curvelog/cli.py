@@ -197,6 +197,8 @@ def _logdeg_filter(poly, logdeg: int):
 def cmd_monodromy(args) -> int:
     from .sheaf import MonodromyCalculator, build_sheaf
 
+    if args.logdeg is not None and args.ydeg > 0:
+        raise InputError("--logdeg applies to the ydeg = 0 element only")
     graph = _load_graph(args.graph)
     path_spec = _load_json(args.path)
     logdeg = args.logdeg if args.logdeg is not None else args.words

@@ -10,14 +10,14 @@ A product groups the right operand's words by length, so that only the
 pairs within the truncation are visited, and multiplies their
 coefficients pair by pair in every ring.
 
-``substitute`` multiplies the images along each distinct prefix of the
-source words once.  Over rational images each target word's coefficient
-is one rational linear combination ``sum_w q_w c_w`` in the source
-series' own ring (the associator's period constants stay constants),
-built by the ring's ``scaled_sum`` hook: ``*`` and ``+`` by default,
-one flat term accumulation for the ``LogPoly`` rings.  Over any other
-images it works in the images' ring, which the source coefficients
-enter through its ``embed``.
+``substitute`` takes rational images only.  It multiplies them along
+each distinct prefix of the source words once, and each target word's
+coefficient is one rational linear combination ``sum_w q_w c_w`` in the
+source series' own ring (the associator's period constants stay
+constants), built by the ring's ``scaled_sum`` hook: ``*`` and ``+`` by
+default, one flat term accumulation for the ``LogPoly`` rings.  A
+caller that needs the result in a larger ring lifts it once with
+:meth:`NCSeries.map_coefficients`.
 
 Group-likeness is the shuffle-relation test: an element with constant
 term 1 is group-like iff ``c(u) c(v) = sum_w <u sh v, w> c(w)`` for all
@@ -260,13 +260,13 @@ class NCSeries:
         return out
 
     def substitute(self, images: Mapping[str, "NCSeries"]) -> "NCSeries":
-        """Ring homomorphism sending each letter to a series of positive
-        order.  Over rational images the result keeps this series' ring;
-        otherwise it lives in the images' ring, which the coefficients
-        here enter through its ``embed``."""
+        """Ring homomorphism sending each letter to a rational series of
+        positive order; the result keeps this series' ring."""
         if not images:
             raise ValueError("no images")
         target = next(iter(images.values()))
+        if target.ring.name != RATIONAL.name:
+            raise ValueError("images must be rational series")
         for name in self.alphabet:
             if name not in images:
                 raise ValueError(f"letter {name} has no image")
@@ -278,9 +278,8 @@ class NCSeries:
                 raise ValueError("images live in different rings")
         imgs = [images[name] for name in self.alphabet]
         # the product of the images along each prefix, built once
-        prefix = {(): NCSeries.unit(target.alphabet, target.trunc,
-                                    target.ring)}
-        pieces = []
+        prefix = {(): NCSeries.unit(target.alphabet, target.trunc)}
+        sums: dict[Word, list] = {}
         for w, c in self.terms.items():
             n = len(w)
             while w[:n] not in prefix:
@@ -289,22 +288,11 @@ class NCSeries:
             for i in range(n, len(w)):
                 p = p * imgs[w[i]]
                 prefix[w[:i + 1]] = p
-            pieces.append((c, p))
-        if target.ring is RATIONAL:
-            sums: dict[Word, list] = {}
-            for c, p in pieces:
-                for u, q in p.terms.items():
-                    sums.setdefault(u, []).append((q, c))
-            scaled_sum = self.ring.scaled_sum
-            return NCSeries(target.alphabet, target.trunc, self.ring,
-                            {u: scaled_sum(pairs)
-                             for u, pairs in sums.items()})
-        embed = target.ring.embed if target.ring.name != self.ring.name \
-            else (lambda c: c)
-        out = NCSeries.zero(target.alphabet, target.trunc, target.ring)
-        for c, p in pieces:
-            out = out + p.scale(embed(c))
-        return out
+            for u, q in p.terms.items():
+                sums.setdefault(u, []).append((q, c))
+        scaled_sum = self.ring.scaled_sum
+        return NCSeries(target.alphabet, target.trunc, self.ring,
+                        {u: scaled_sum(pairs) for u, pairs in sums.items()})
 
     def rename(self, mapping: Mapping[str, str]) -> "NCSeries":
         new_alpha = tuple(mapping.get(a, a) for a in self.alphabet)

@@ -319,7 +319,13 @@ def verify_word(graph: StableGraph, word: Sequence[str],
     * ``beta``: the multiplier's lowest part is a single monomial whose
       exponent vector is the edge multiplicity of the word;
     * ``residual``: both fixed points are exactly fixed by the word map.
+
+    The multiplier of a word of length L starts in degree L, so a
+    truncation below L raises ValueError.
     """
+    if trunc < len(word):
+        raise ValueError(f"truncation {trunc} is below the word length "
+                         f"{len(word)}, where the multiplier starts")
     data = fixed_points_multiplier(graph, word, trunc)
     vars = data.x.vars
     last_edge = edge_of(word[-1])

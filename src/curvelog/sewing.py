@@ -22,14 +22,17 @@ higher ``y``-degree it recombines with the rational values of the zone
 frames at the cut, so there the check is numeric agreement with the
 direct integrator.
 
-Coefficients live in the sew ring :data:`SEW`: the same
-:class:`~curvelog.logpoly.LogPoly` type that carries monodromy
-coefficients, here over the fixed symbols ``("y", "l", "kappa")``, that
-is the deformation parameter ``y``, the normalized logarithm ``l =
-log(y) / (2 pi i)`` and the cut symbol ``kappa = log(cut)``.  Exponent
-tuples are ``(dy, dl, dk)`` in that order.  The assembled transport is
-valid for ``0 < y < a * c`` and matches the numeric oracle to
-``O(y^(ydeg+1))``.
+The residues are rational series.  The model frames are computed over
+Q, and the associator is substituted at the rational residues, as
+:meth:`~curvelog.sheaf.MonodromyCalculator.local` does; a residue
+enters the sew ring only where it meets a sew or zone symbol.  The sew
+ring :data:`SEW` is the same :class:`~curvelog.logpoly.LogPoly` type
+that carries monodromy coefficients, here over the fixed symbols
+``("y", "l", "kappa")``, that is the deformation parameter ``y``, the
+normalized logarithm ``l = log(y) / (2 pi i)`` and the cut symbol
+``kappa = log(cut)``.  Exponent tuples are ``(dy, dl, dk)`` in that
+order.  The assembled transport is valid for ``0 < y < a * c`` and
+matches the numeric oracle to ``O(y^(ydeg+1))``.
 
 Zone elements are plain :class:`~curvelog.ncseries.NCSeries` over
 :data:`ZONE`, the ``LogPoly`` ring over ``("y", "l", "kappa", "w",
@@ -56,7 +59,7 @@ from .associator import kz_associator
 from .constants import ConstantCombination
 from .cpseries import _add_terms
 from .logpoly import LogPoly, logpoly_ring
-from .ncseries import COMPLEX, NCSeries, Ring
+from .ncseries import COMPLEX, RATIONAL, NCSeries, Ring
 
 SEW_VARS = ("y", "l", "kappa")
 
@@ -103,8 +106,16 @@ def _termwise(s: NCSeries, term: Callable, ring: Ring) -> NCSeries:
     return s.map_coefficients(coeff, ring)
 
 
+def _sew(s: NCSeries) -> NCSeries:
+    """A rational series (a residue) as a sew series."""
+    return s.map_coefficients(SEW.embed, SEW)
+
+
 def _lift(s: NCSeries, p: int = 0, q: int = 0) -> NCSeries:
-    """The sew series ``s`` times ``w^p L^q``, as a zone element."""
+    """The sew or rational series ``s`` times ``w^p L^q``, as a zone
+    element."""
+    if s.ring.name == RATIONAL.name:
+        s = _sew(s)
     return _termwise(s, lambda k, c: ((k[:3] + (p, q) + k[3:], c),), ZONE)
 
 
@@ -172,7 +183,8 @@ def eval_y_over_cut(z: NCSeries) -> NCSeries:
 
 def log_conjugate(x: NCSeries, zone: NCSeries, sign: int) -> NCSeries:
     """Conjugation ``w^(sign * x) . zone . w^(-sign * x)`` of a zone
-    element by a sew series: ``exp(sign L ad_x)`` applied to ``zone``."""
+    element by a sew or rational series: ``exp(sign L ad_x)`` applied
+    to ``zone``."""
     coeffs = [LogPoly.monomial(ZONE_VARS, (0, 0, 0, 0, j),
                                Fraction(sign ** j, factorial(j)))
               for j in range(x.trunc + 1)]
@@ -200,24 +212,24 @@ def ordered_exp(kernel: NCSeries, eval_lower: Callable[[NCSeries], NCSeries],
 # model solution series
 
 
-def frame_series(x: NCSeries, tails: list[NCSeries],
+def frame_series(x: NCSeries, other: NCSeries,
                  order: int) -> list[NCSeries]:
     """Coefficients ``H_m`` of the regular factor of ``H(w) w^x`` for
-    ``H' = [x, H]/w + B(w) H`` with ``B = sum tails[j] w^j``; exact
-    ring-generic version of the numeric boundary expansion."""
+    ``H' = [x, H]/w + B(w) H`` with ``B = -other sum_j w^j``, the pole
+    of residue ``other`` at ``w = 1``; exact version of the numeric
+    boundary expansion.
+
+    Order ``m`` solves ``(m - ad_x) H_m = -other (H_0 + ... + H_(m-1))``;
+    ``ad_x`` raises the word length, so the inverse is the finite sum
+    ``sum_k ad_x^k / m^(k+1)``."""
+    neg = -other
     hs = [NCSeries.unit(x.alphabet, x.trunc, x.ring)]
+    running = hs[0]
     for m in range(1, order + 1):
-        rhs = NCSeries.zero(x.alphabet, x.trunc, x.ring)
-        for j in range(min(m, len(tails))):
-            rhs = rhs + tails[j] * hs[m - 1 - j]
-        h_m = NCSeries.zero(x.alphabet, x.trunc, x.ring)
-        cur = rhs
-        power = Fraction(1, m)
-        while not cur.is_zero():
-            h_m = h_m + cur.scale(power)
-            cur = x.bracket(cur)
-            power /= m
+        h_m = x.ad_series([Fraction(1, m ** (k + 1))
+                           for k in range(x.trunc + 1)], neg * running)
         hs.append(h_m)
+        running = running + h_m
     return hs
 
 
@@ -233,7 +245,8 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
                            c_res: NCSeries, *, ydeg: int,
                            xorder: int = 36, kmax: int = 26) -> NCSeries:
     """Transport from the source tail to the destination tail of a
-    two-vertex tree, as a series over the sew ring.
+    two-vertex tree, as a series over the sew ring; the residues are
+    rational series.
 
     In the destination chart the punctures sit at 0 (residue ``a_res``,
     the source chart's third marked point), ``y`` (``b_res``, the
@@ -250,8 +263,8 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
     ``2^-kmax``, from that tail alone.
     """
     alphabet, trunc = a_res.alphabet, a_res.trunc
-    if a_res.ring.name != "sew":
-        raise ValueError("residues must live in the sew ring")
+    if any(r.ring.name != RATIONAL.name for r in (a_res, b_res, c_res)):
+        raise ValueError("residues must be rational")
     r_hole = a_res + b_res          # total residue of the neck at 0
     r_child = -r_hole
 
@@ -259,10 +272,9 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
         return LogPoly(ZONE_VARS, dict(terms))
 
     def frame_zone(x: NCSeries, other: NCSeries) -> NCSeries:
-        """``sum_m H_m w^m`` of :func:`frame_series` with tails
-        ``-other``."""
+        """``sum_m H_m w^m`` of :func:`frame_series`."""
         out = NCSeries.zero(alphabet, trunc, ZONE)
-        for m, h in enumerate(frame_series(x, [-other] * xorder, xorder)):
+        for m, h in enumerate(frame_series(x, other, xorder)):
             out = out + _lift(h, m)
         return out
 
@@ -302,24 +314,25 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
     h_par_a = eval_cut(frame_zone(r_hole, c_res))
     h_child_c = eval_cut(frame_zone(r_child, b_res))
 
-    # ---- associator factors
+    # ---- associator factors, substituted at the rational residues
+    # and lifted once
     phi = kz_associator(trunc)
-    phi_par = phi.substitute({"X0": r_hole, "X1": c_res})
-    phi_child = phi.substitute({"X0": r_child, "X1": b_res})
+    phi_par = _sew(phi.substitute({"X0": r_hole, "X1": c_res}))
+    phi_child = _sew(phi.substitute({"X0": r_child, "X1": b_res}))
 
     kappa = LogPoly.monomial(SEW_VARS, (0, 0, 1))
-    neg_kappa = -kappa
+    hole = _sew(r_hole)
 
     factors = [
         q_dst.invert(),
         phi_par,
-        r_hole.scale(neg_kappa).exp(),
+        hole.scale(-kappa).exp(),
         h_par_a.invert(),
-        r_hole.scale(kappa).exp(),
+        hole.scale(kappa).exp(),
         oe_ann,
-        r_hole.scale(-_LOG_Y_OVER_CUT).exp(),   # annulus lower frame
+        hole.scale(-_LOG_Y_OVER_CUT).exp(),   # annulus lower frame
         h_child_c,
-        r_hole.scale(neg_kappa).exp(),
+        hole.scale(-kappa).exp(),
         phi_child.invert(),
         q_src,
     ]

@@ -107,8 +107,6 @@ class ResidueSheaf:
     residues: dict[str, NCSeries]
     tree_edges: tuple[str, ...]
     cycle_edges: tuple[str, ...]
-    dropped_tail: str | None
-    relation: NCSeries | None = None
     reducer: IdealReducer | None = field(default=None, repr=False)
 
     def reduce(self, series: NCSeries) -> NCSeries:
@@ -179,7 +177,6 @@ def build_sheaf(graph: StableGraph, trunc: int) -> ResidueSheaf:
         residues[up] = -total
         residues[flip(up)] = total
 
-    relation = None
     reducer = None
     if cycle and not tails:
         relation = NCSeries.zero(alphabet, trunc, RATIONAL)
@@ -202,8 +199,7 @@ def build_sheaf(graph: StableGraph, trunc: int) -> ResidueSheaf:
             raise GlueInconsistent("global residue relation fails")
 
     sheaf = ResidueSheaf(graph, trunc, alphabet, residues,
-                         tuple(tree), tuple(cycle), dropped,
-                         relation, reducer)
+                         tuple(tree), tuple(cycle), reducer)
     sheaf.check_invariants()
     return sheaf
 
@@ -359,7 +355,7 @@ class MonodromyCalculator:
         ``y``-constant layer agrees with :meth:`path` over the moves of
         :meth:`tail_path_moves` on the same tails.
         """
-        from .sewing import SEW, dressed_neck_transport
+        from .sewing import dressed_neck_transport
 
         g = self.graph
         if len(g.edges) != 1 or self.sheaf.cycle_edges:
@@ -376,13 +372,9 @@ class MonodromyCalculator:
             raise UnsupportedDressing(
                 "the path tails must occupy the middle chart slot")
 
-        def embed(branch: str) -> NCSeries:
-            return self.sheaf.residues[branch].map_coefficients(
-                SEW.embed, SEW)
-
-        spectator = embed(src_branches[2])
+        res = self.sheaf.residues
         return dressed_neck_transport(
-            spectator, embed(src_tail), embed(dst_tail),
+            res[src_branches[2]], res[src_tail], res[dst_tail],
             ydeg=ydeg, xorder=xorder, kmax=kmax)
 
 

@@ -161,6 +161,16 @@ def test_schottky_verify_prop21_small():
     assert [c["id"] for c in out["cases"]] == ["g1n1#0"]
 
 
+def test_schottky_verify_prop21_rejects_a_truncation_below_the_word_length():
+    # the multiplier of a word of length L starts in degree L, so at
+    # --deg 2 the words of length 3 would fail as an artifact
+    argv = ("schottky", "verify-prop21", "--gmax", "1", "--nmax", "1",
+            "--len", "3")
+    proc = run_cli(*argv, "--deg", "2", expect=2)
+    assert proc.stdout == "" and "word length" in proc.stderr
+    assert json.loads(run_cli(*argv, "--deg", "3").stdout)["pass"] is True
+
+
 def test_schottky_compare_thm31(tmp_path):
     graph = StableGraph(["v0"], [Edge("f", "v0", 0, "v0", 1)],
                         [Tail("t1", "v0", 1), Tail("t2", "v0", 2)])
@@ -220,6 +230,18 @@ def test_monodromy_ydeg1_sew_artifact(four_tails, tmp_path):
     elem = NCSeries.from_json(mono["element"], SEW)
     assert canonical_dumps(elem.to_json()) == canonical_dumps(mono["element"])
     assert hashlib.sha256(stdout.encode()).hexdigest() == SEW_ARTIFACT_SHA256
+
+
+def test_monodromy_logdeg_only_at_ydeg0(four_tails, tmp_path):
+    path = write_json(tmp_path / "path.json", {"tails": ["t1", "t3"]})
+    argv = ("monodromy", "--graph", four_tails, "--path", path,
+            "--words", "2")
+    proc = run_cli(*argv, "--ydeg", "1", "--logdeg", "0", expect=2)
+    assert proc.stdout == "" and "--logdeg" in proc.stderr
+    cut = json.loads(run_cli(*argv, "--logdeg", "0").stdout)
+    full = json.loads(run_cli(*argv).stdout)
+    assert (cut["logdeg"], full["logdeg"]) == (0, 2)
+    assert cut["element"] != full["element"]
 
 
 def test_monodromy_loop_path(one_loop, tmp_path):

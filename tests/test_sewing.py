@@ -133,9 +133,12 @@ def test_frame_series_satisfies_its_recursion():
     x = NCSeries.letter("x", alpha, 3, RATIONAL)
     u = NCSeries.letter("u", alpha, 3, RATIONAL)
     v = NCSeries.letter("v", alpha, 3, RATIONAL)
-    tails = [u + v, v.scale(Fraction(2)), u * v]
-    hs = frame_series(x, tails, 5)
+    other = u + v.scale(Fraction(2)) + u * v
+    hs = frame_series(x, other, 5)
     assert (hs[0] - NCSeries.unit(alpha, 3, RATIONAL)).is_zero()
+    assert not hs[5].is_zero()
+    # B(w) = -other sum_j w^j: the tail of every order is -other
+    tails = [-other] * 5
     for m in range(1, 6):
         rhs = NCSeries.zero(alpha, 3, RATIONAL)
         for j in range(min(m, len(tails))):
@@ -168,7 +171,7 @@ def _letters(ring):
 
 
 def test_dressed_transport_matches_direct_integration():
-    alpha, (A, B, C) = _letters(SEW)
+    alpha, (A, B, C) = _letters(RATIONAL)
     _, (An, Bn, Cn) = _letters(COMPLEX)
     y = 1 / 64
     oracle = ode_transport({0.0: An, y: Bn, 1.0: Cn}, y, 1.0,
@@ -203,11 +206,14 @@ def test_dressed_transport_matches_direct_integration():
 
 
 def test_constant_layer_is_the_undeformed_product():
-    alpha, (A, B, C) = _letters(SEW)
+    alpha, (A, B, C) = _letters(RATIONAL)
     d0 = dressed_neck_transport(A, B, C, ydeg=0, xorder=24, kmax=18)
     # y-constant layer at y -> specialization must be grouplike
     y = 1 / 64
     assert sew_specialize(d0, y, 1e-12).is_grouplike(tol=1e-5)
+    # the residues are rational; sew-ring residues are refused
+    with pytest.raises(ValueError, match="rational"):
+        dressed_neck_transport(*_letters(SEW)[1], ydeg=0, xorder=4, kmax=2)
 
 
 def _tail_transport_digest(ydeg: int) -> str:
