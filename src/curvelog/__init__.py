@@ -14,7 +14,7 @@ The package is organized around three layers and a front end:
   (:mod:`curvelog.catalog`), Moebius normal forms over deformation rings
   (:mod:`curvelog.schottky`), and the chart comparison for vertex
   expansion (:mod:`curvelog.chart_compare`);
-* flat connections: polylogarithm series and numerics
+* flat connections: polylogarithm and zeta-value numerics
   (:mod:`curvelog.polylog`), shuffle regularization of divergent words
   (:mod:`curvelog.regularize`), the Drinfeld associator and its ODE
   oracle (:mod:`curvelog.associator`), the degenerate elliptic frame

@@ -172,52 +172,3 @@ def stable_graphs(g: int, n: int, trivalent_only: bool = True) -> list[StableGra
                         gr.validate(expect=(g, n))
                         out[key] = gr
     return [out[k] for k in sorted(out)]
-
-
-def canonical_key(graph: StableGraph) -> Encoding:
-    """Isomorphism invariant (tail numbering ignored)."""
-    idx = {v: i for i, v in enumerate(graph.vertices)}
-    edges = [(idx[e.from_vertex], idx[e.to_vertex]) for e in graph.edges.values()]
-    tails = [0] * len(graph.vertices)
-    for t in graph.tails.values():
-        tails[idx[t.vertex]] += 1
-    return _canonical(len(graph.vertices), edges, tails)
-
-
-def isomorphic(g1: StableGraph, g2: StableGraph) -> bool:
-    return canonical_key(g1) == canonical_key(g2)
-
-
-def whitehead_neighbors(graph: StableGraph) -> set[Encoding]:
-    """Canonical keys of all trivalent graphs reachable by contracting a
-    non-loop edge and re-expanding the merged vertex."""
-    out: set[Encoding] = set()
-    for eid, e in graph.edges.items():
-        if e.from_vertex == e.to_vertex:
-            continue
-        merged = graph.contract_edge(eid)
-        v = e.from_vertex
-        branches = merged.branches_at(v)
-        for b1, b2 in itertools.combinations(branches, 2):
-            expanded = merged.expand_vertex(v, b1, b2)
-            if expanded.is_trivalent():
-                out.add(canonical_key(expanded))
-    return out
-
-
-def moves_connected(graphs: Sequence[StableGraph]) -> bool:
-    """True when contract/expand moves connect the whole catalog."""
-    if len(graphs) <= 1:
-        return True
-    keys = [canonical_key(g) for g in graphs]
-    index = {k: i for i, k in enumerate(keys)}
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for k in whitehead_neighbors(graphs[i]):
-            j = index.get(k)
-            if j is not None and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(graphs)

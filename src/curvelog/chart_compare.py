@@ -263,13 +263,6 @@ class ChartComparison:
         }
 
 
-def compare_parameters(delta2: StableGraph, edge0: str,
-                       trunc: int = 6) -> ChartComparison:
-    """Compare original and refined parameters across expansion edge
-    ``edge0`` of the charted refined graph ``delta2``."""
-    return ChartComparison(delta2, edge0, trunc)
-
-
 def expand_and_compare(delta1: StableGraph, v0: str, b1: str, b2: str,
                        trunc: int = 6, seed: int = 0) -> ChartComparison:
     """Expand ``v0`` moving branches ``b1``, ``b2`` to a bubble, chart the

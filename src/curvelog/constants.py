@@ -86,22 +86,6 @@ class ConstantCombination(LogPoly):
         return cls({(0, (ks,)): coeff})
 
     # ------------------------------------------------------------------
-    def is_rational(self) -> bool:
-        return all(key == _ONE_KEY for key in self.terms)
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational combination")
-        return self.terms.get(_ONE_KEY, Fraction(0))
-
-    def is_integral(self) -> bool:
-        """All basis coefficients are integers."""
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def weights(self) -> set[int]:
-        """Weights present: ipi power plus total zeta weight per term."""
-        return {p + sum(sum(idx) for idx in zs) for (p, zs) in self.terms}
-
     def numeric(self, prec: float = 1e-12) -> complex:
         return self.evaluate({}, prec)
 

@@ -294,8 +294,8 @@ class TruncatedSeries:
         return _graded_root(self.vars, self.trunc, {}, _grade(self.terms), {},
                             inv0, inv0)
 
-    def divide_monomial(self, exp: Exponent, coeff=1) -> "TruncatedSeries":
-        """Exact division by ``coeff * x^exp``; every term must be divisible.
+    def divide_monomial(self, exp: Exponent) -> "TruncatedSeries":
+        """Exact division by ``x^exp``; every term must be divisible.
 
         A series exact to degree D determines the quotient only up to
         degree D - deg(exp), so the truncation drops accordingly; a
@@ -305,15 +305,12 @@ class TruncatedSeries:
         if sum(exp) > self.trunc:
             raise ValueError(f"monomial degree {sum(exp)} exceeds the "
                              f"truncation degree {self.trunc}")
-        c = _as_fraction(coeff)
-        if c == 0:
-            raise ZeroDivisionError("zero monomial")
         terms: dict[Exponent, Fraction] = {}
         for e, k in self.terms.items():
             ne = tuple(a - b for a, b in zip(e, exp))
             if any(x < 0 for x in ne):
                 raise ValueError(f"term {e} not divisible by {exp}")
-            terms[ne] = k / c
+            terms[ne] = k
         return self._raw(self.vars, self.trunc - sum(exp), terms)
 
     # ------------------------------------------------------------------

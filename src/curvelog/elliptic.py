@@ -98,8 +98,3 @@ def a_to_b(trunc: int) -> NCSeries:
     phi_inf = _assoc_at(trunc, w_infinity(trunc), w_one(trunc))
     phi = _assoc_at(trunc, w_zero(trunc), w_one(trunc))
     return half_twist * phi_inf * t.exp() * phi.invert()
-
-
-def tate_transition(trunc: int) -> NCSeries:
-    """Gluing factor across the node: exponential of the node letter."""
-    return _to_constants(_letters(trunc)[0]).exp()

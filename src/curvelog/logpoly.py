@@ -24,8 +24,7 @@ type over three symbol sets:
   (:data:`curvelog.sewing.SEW`);
 * the sewing symbols followed by ``("w", "L")``, a zone variable and its
   logarithm (:data:`curvelog.sewing.ZONE`).  These polynomials are
-  Laurent in ``w``: exponents may be negative, and only :meth:`shift`
-  insists on non-negative powers.
+  Laurent in ``w``: exponents may be negative.
 
 Numeric values sum the term values with ``math.fsum`` (real and
 imaginary parts apart), so they depend only on the exact polynomial.
@@ -211,17 +210,6 @@ class LogPoly:
         return hash(frozenset(periods))
 
     # ------------------------------------------------------------------
-    def shift(self, name: str, d: int) -> "LogPoly":
-        """Multiply by ``name**d``; a negative power raises ValueError."""
-        i = self.vars.index(name)
-        terms = {}
-        for k, c in self.terms.items():
-            e = k[i] + d
-            if e < 0:
-                raise ValueError(f"negative power of {name}")
-            terms[k[:i] + (e,) + k[i + 1:]] = c
-        return self._raw(self.vars, terms)
-
     def truncate(self, name: str, m: int) -> "LogPoly":
         """Drop the terms of degree above ``m`` in ``name``."""
         i = self.vars.index(name)
@@ -254,13 +242,6 @@ class LogPoly:
     def degree(self) -> int:
         n = len(self.vars)
         return max((sum(k[:n]) for k in self.terms), default=0)
-
-    def is_constant(self) -> bool:
-        n = len(self.vars)
-        return all(sum(k[:n]) == 0 for k in self.terms)
-
-    def constant_part(self):
-        return self.coefficient((0,) * len(self.vars))
 
     def evaluate(self, values: Mapping[str, complex],
                  prec: float = 1e-12) -> complex:

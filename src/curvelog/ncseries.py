@@ -86,6 +86,8 @@ class NCSeries:
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate letters")
+        if trunc < 0:
+            raise ValueError("truncation order must be >= 0")
         self.trunc = int(trunc)
         self.ring = ring
         self.terms: dict[Word, object] = {}
@@ -195,18 +197,6 @@ class NCSeries:
 
     def bracket(self, other: "NCSeries") -> "NCSeries":
         return self * other - other * self
-
-    def shuffle_mul(self, other: "NCSeries") -> "NCSeries":
-        self._compat(other)
-        terms: dict[Word, object] = {}
-        embed = self.ring.embed
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                if len(w1) + len(w2) <= self.trunc:
-                    p = c1 * c2
-                    _add_terms(terms, ((w, p * embed(m))
-                                       for w, m in shuffle_words(w1, w2)))
-        return NCSeries(self.alphabet, self.trunc, self.ring, terms)
 
     def exp(self) -> "NCSeries":
         if self.order() < 1:
@@ -353,9 +343,12 @@ class NCSeries:
             raise ValueError("ring mismatch")
         alphabet = tuple(data["alphabet"])
         idx = {a: i for i, a in enumerate(alphabet)}
+        trunc = _exponent([data["trunc"]], 1)[0]
         terms = {tuple(idx[l] for l in t["word"]): ring.decode(t["coeff"])
                  for t in data["terms"]}
-        return cls(alphabet, _exponent([data["trunc"]], 1)[0], ring, terms)
+        if any(len(w) > trunc for w in terms):
+            raise ValueError(f"a word is longer than the truncation {trunc}")
+        return cls(alphabet, trunc, ring, terms)
 
     def dumps(self) -> str:
         return canonical_dumps(self.to_json())

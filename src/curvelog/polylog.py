@@ -1,4 +1,4 @@
-"""Multiple polylogarithms: exact series, certified numerics, zeta values.
+"""Multiple polylogarithms: certified numerics and zeta values.
 
 Conventions
 -----------
@@ -21,10 +21,9 @@ tolerances below ~1e-13 are not meaningful.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
-from .cpseries import TruncatedSeries, _exponent
+from .cpseries import _exponent
 
 Indices = tuple[int, ...]
 Word = tuple[int, ...]
@@ -68,36 +67,6 @@ def word_to_indices(word: Sequence[int]) -> Indices:
             ks.append(run + 1)
             run = 0
     return tuple(reversed(ks))
-
-
-def is_convergent(indices: Sequence[int]) -> bool:
-    ks = check_indices(indices)
-    return ks[-1] >= 2
-
-
-# ---------------------------------------------------------------------------
-# exact series
-
-
-def li_series(indices: Sequence[int], n_terms: int) -> TruncatedSeries:
-    """Exact power series in ``z`` through degree ``n_terms``."""
-    ks = check_indices(indices)
-    # prefix[t] = sum over n1<...<n_{i} <= t of the partial products
-    prefix = [Fraction(1)] * (n_terms + 1)
-    for k in ks[:-1]:
-        new = [Fraction(0)] * (n_terms + 1)
-        acc = Fraction(0)
-        for n in range(1, n_terms + 1):
-            acc += prefix[n - 1] / Fraction(n) ** k
-            new[n] = acc
-        prefix = new
-    coeffs = {}
-    k_last = ks[-1]
-    for n in range(1, n_terms + 1):
-        c = prefix[n - 1] / Fraction(n) ** k_last
-        if c:
-            coeffs[(n,)] = c
-    return TruncatedSeries(("z",), n_terms, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,6 @@ from .polylog import word_to_indices
 Word = tuple[int, ...]
 
 
-def is_convergent_word(w: Word) -> bool:
-    return not w or (w[0] == 0 and w[-1] == 1)
-
-
 def _leading(w: Word, letter: int) -> int:
     """Number of copies of ``letter`` at the start of ``w``."""
     n = 0

@@ -149,11 +149,6 @@ def word_matrix(graph: StableGraph, word: Sequence[str],
     return m
 
 
-def cross_ratio(a: TS, b: TS, c: TS, d: TS) -> TS:
-    """[a, b; c, d] = (a-c)(b-d) / ((a-d)(b-c)); denominator must be a unit."""
-    return (a - c) * (b - d) * ((a - d) * (b - c)).invert()
-
-
 @dataclass
 class FixedPointData:
     word: list[str]
@@ -165,14 +160,6 @@ class FixedPointData:
     beta: TS       # multiplier x_prime / x
     alpha: TS | None = None        # attractive fixed point
     alpha_prime: TS | None = None  # repulsive fixed point
-
-    @property
-    def u(self) -> TS:  # x / trace, computed when read
-        return self.x * self.trace.invert()
-
-    @property
-    def nu(self) -> TS:  # det / trace^2, computed when read
-        return self.det * (self.trace * self.trace).invert()
 
 
 def require_cyclically_reduced(graph: StableGraph,
@@ -362,33 +349,6 @@ def verify_word(graph: StableGraph, word: Sequence[str],
         "checks": checks,
         "pass": all(checks.values()),
     }
-
-
-def random_closed_word(graph: StableGraph, rng, length: int) -> list[str]:
-    """Random cyclically reduced closed word of exactly this length."""
-    halves = graph.half_edges()
-    terminus = {h: graph.terminus(h) for h in halves}
-    origin = {h: terminus[flip(h)] for h in halves}
-    # outgoing half-edges per vertex, in half_edges() order
-    leaving: dict[str, list[str]] = {}
-    for h in halves:
-        leaving.setdefault(origin[h], []).append(h)
-    for _ in range(20000):
-        word = [rng.choice(halves)]
-        while len(word) < length:
-            back = flip(word[-1])
-            opts = [h for h in leaving[terminus[word[-1]]] if h != back]
-            if not opts:
-                break
-            word.append(rng.choice(opts))
-        if len(word) != length:
-            continue
-        if origin[word[0]] != terminus[word[-1]]:
-            continue
-        if length >= 2 and word[0] == flip(word[-1]):
-            continue
-        return word
-    raise ValueError(f"no closed word of length {length} found")
 
 
 def verify_graph(graph: StableGraph, max_len: int = 4,

@@ -346,7 +346,7 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
 # kappa bookkeeping and numeric specialization
 
 
-def kappa_residual(series: NCSeries, prec: float = 1e-9) -> float:
+def kappa_residual(series: NCSeries) -> float:
     """Largest numeric magnitude among cut-symbol terms of the
     ``y``-constant layer.  That layer of the assembled transport is
     cut-independent termwise, so this measures the internal truncation
@@ -356,13 +356,8 @@ def kappa_residual(series: NCSeries, prec: float = 1e-9) -> float:
     for c in series.terms.values():
         for (dy, dl, dk), cc in c.coefficients().items():
             if dk > 0 and dy == 0:
-                worst = max(worst, abs(cc.numeric(prec)))
+                worst = max(worst, abs(cc.numeric()))
     return worst
-
-
-def strip_kappa(series: NCSeries) -> NCSeries:
-    return series.map_coefficients(lambda c: c.truncate("kappa", 0),
-                                   series.ring)
 
 
 def sew_specialize(series: NCSeries, yval: complex,

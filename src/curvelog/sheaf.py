@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .associator import kz_associator
 from .constants import ConstantCombination, _json_terms, in_zeta_span
@@ -41,10 +41,6 @@ Word = tuple[int, ...]
 
 class GlueInconsistent(ValueError):
     """The residue constraints admit no solution."""
-
-
-class NonIntegralCoefficient(ValueError):
-    """A decomposition entry leaves the integral span of the basis."""
 
 
 class UnsupportedDressing(ValueError):
@@ -455,23 +451,3 @@ def reassemble_element(report: dict, ring: Ring) -> NCSeries:
                    ((e + per, q) for per, q in terms.items() if q))
     return NCSeries(alphabet, report["trunc"], ring,
                     {w: LogPoly._raw(lvars, t) for w, t in flat.items()})
-
-
-def assert_integral(report: dict) -> None:
-    if not report["all_integral"]:
-        bad = [report["entries"][i] for i in report["violations"][:3]]
-        raise NonIntegralCoefficient(
-            f"{len(report['violations'])} entries leave the integral span; "
-            f"first: {bad}")
-
-
-def specialize_logs(elem: NCSeries, edge_values: Mapping[str, complex],
-                    prec: float = 1e-12) -> NCSeries:
-    """Numeric specialization: every edge symbol becomes
-    ``log(y_edge) / (2 i pi)`` for the supplied gluing values."""
-    import cmath
-    from .ncseries import COMPLEX
-    values = {log_symbol(e): cmath.log(complex(y)) / (2j * cmath.pi)
-              for e, y in edge_values.items()}
-    return elem.map_coefficients(
-        lambda p: p.evaluate(values, prec), COMPLEX)

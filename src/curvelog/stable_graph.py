@@ -147,9 +147,6 @@ class StableGraph:
     def valence(self, v: str) -> int:
         return len(self.branches_at(v))
 
-    def positive_half(self, eid: str) -> str:
-        return half(eid, self.edges[eid].oriented)
-
     def genus(self) -> int:
         return len(self.edges) - len(self.vertices) + 1
 
@@ -372,31 +369,10 @@ class StableGraph:
             extend([h])
         return [found[k] for k in sorted(found)]
 
-    def pi1_loops(self, base: str | None = None) -> list[list[str]]:
-        """Loop generators of the fundamental group, one per cycle edge.
-
-        Each loop runs from the base vertex through the spanning tree,
-        across the cycle edge in its positive orientation, and back; the
-        word is freely reduced.
-        """
-        tree, cycle = self.maximal_subtree()
-        if base is None:
-            base = self.vertices[0]
-        loops = []
-        for eid in cycle:
-            h = self.positive_half(eid)
-            word = (self.tree_path(base, self.origin(h), tree) + [h]
-                    + self.tree_path(self.terminus(h), base, tree))
-            word = self.free_reduce(word)
-            self.check_path(word, closed=True, reduced=True)
-            loops.append(word)
-        return loops
-
     # ------------------------------------------------------------------
     # alterations
 
     def expand_vertex(self, v0: str, b1: str, b2: str,
-                      new_vertex: str | None = None,
                       new_edge: str | None = None,
                       seed: int = 0) -> "StableGraph":
         """Split ``v0``: a new vertex takes branches ``b1``, ``b2`` and is
@@ -415,7 +391,7 @@ class StableGraph:
                 raise GraphInvalid(f"branch {b} is not at {v0}")
         if self.valence(v0) < 4:
             raise GraphInvalid("vertex must have at least 4 branches")
-        w = new_vertex or self._fresh_vertex_name()
+        w = self._fresh_vertex_name()
         eid = new_edge or self._fresh_edge_name()
         if w in self.vertices:
             raise GraphInvalid(f"vertex {w} already exists")

@@ -246,6 +246,11 @@ def test_coincident_endpoints_raise_value_error():
                       src_tangential=False, dst_tangential=False)
 
 
+def test_no_residues_raise_value_error():
+    with pytest.raises(ValueError, match="no residues"):
+        ode_transport({}, 0, 1, src_tangential=False, dst_tangential=False)
+
+
 def test_nonpositive_delta_raises_value_error():
     _, res = _three_letter_setup(2)
     for delta in (0.0, -0.1):

@@ -10,11 +10,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from curvelog.chart_compare import (NoWitnessLoops, compare_parameters,
+from curvelog.chart_compare import (ChartComparison, NoWitnessLoops,
                                     expand_and_compare)
 from curvelog.cpseries import TruncatedSeries as TS
-from curvelog.schottky import DegenerateWord, Moebius, cross_ratio
+from curvelog.schottky import DegenerateWord, Moebius
 from curvelog.stable_graph import Chart, Edge, StableGraph, Tail
+
+from test_schottky import cross_ratio
 
 
 def four_point_refinement():
@@ -41,7 +43,7 @@ def loop_refinement():
 
 
 def test_four_point_positions_and_frozen_cross_ratio():
-    cmp = compare_parameters(four_point_refinement(), "e0", trunc=6)
+    cmp = ChartComparison(four_point_refinement(), "e0", trunc=6)
     s = TS.variable("e0", ("e0",), 6)
     # moved tails: r + s/(a-m) with (a, m) = (1, 3) and (2, 3)
     assert (cmp.positions["t1"] - s * F(-1, 2)).is_zero()
@@ -61,7 +63,7 @@ def test_four_point_positions_and_frozen_cross_ratio():
 
 
 def test_four_point_report_passes_and_no_loops():
-    cmp = compare_parameters(four_point_refinement(), "e0", trunc=5)
+    cmp = ChartComparison(four_point_refinement(), "e0", trunc=5)
     rep = cmp.check_multipliers(3)
     assert rep["n_words"] == 0 and rep["pass"]
     points = cmp.check_points()
@@ -70,7 +72,7 @@ def test_four_point_report_passes_and_no_loops():
 
 
 def test_loop_case_extracted_parameters():
-    cmp = compare_parameters(loop_refinement(), "e0", trunc=5)
+    cmp = ChartComparison(loop_refinement(), "e0", trunc=5)
     vars = cmp.vars  # ("e0", "f")
     a, b, m = F(1), F(2), F(3)
     # loop-edge parameter gains two orders in s0: s0^2 yf / ((a-m)(b-m))^2
@@ -89,7 +91,7 @@ def test_loop_case_extracted_parameters():
 
 
 def test_loop_case_multiplier_and_fixed_points():
-    cmp = compare_parameters(loop_refinement(), "e0", trunc=5)
+    cmp = ChartComparison(loop_refinement(), "e0", trunc=5)
     assert cmp.check_multiplier(["f+"])
     alpha, alpha_p = cmp.fixed_points1(["f+"])
     m = cmp.word_matrix1(["f+"])
@@ -109,7 +111,7 @@ def test_loop_case_proper_powers(n):
     # M^n = U M + V I, and at the loop corner U vanishes with s0: the
     # power's quadratic carries a common factor of s0 that must be divided
     # out before the blow-up (points_len=1 above never forms a power)
-    cmp = compare_parameters(loop_refinement(), "e0", trunc=5)
+    cmp = ChartComparison(loop_refinement(), "e0", trunc=5)
     power = ["f+"] * n
     m = cmp.word_matrix1(power)
     assert min(q.ideal_order(["e0"]) for q in (m.c, m.d - m.a, m.b)) >= 1
@@ -121,7 +123,7 @@ def test_loop_case_proper_powers(n):
 
 
 def test_loop_case_report_with_powers():
-    cmp = compare_parameters(loop_refinement(), "e0", trunc=5)
+    cmp = ChartComparison(loop_refinement(), "e0", trunc=5)
     rep = cmp.report(loops_len=3, points_len=2)
     assert rep["pass"], rep
     assert rep["points"]["n_checked"] > 0
@@ -130,7 +132,7 @@ def test_loop_case_report_with_powers():
 def test_loop_case_degenerate_after_common_factor(monkeypatch):
     # a common factor e0*f is not a power of e0 times a unit: dividing
     # out e0 leaves every constant term zero, a double root at s0 = 0
-    cmp = compare_parameters(loop_refinement(), "e0", trunc=5)
+    cmp = ChartComparison(loop_refinement(), "e0", trunc=5)
     plain = cmp._word_matrix_at
 
     def scaled(word, tr):
@@ -192,7 +194,7 @@ def test_point_check_fails_on_a_perturbed_position():
 
 
 def test_multiplier_check_fails_on_a_perturbed_refined_chart_value():
-    cmp = compare_parameters(loop_refinement(), "e0", trunc=5)
+    cmp = ChartComparison(loop_refinement(), "e0", trunc=5)
     # this also extracts the original parameters at the padded degrees
     # the proper powers need, so they come from the chart before the move
     assert cmp.check_points(3)["pass"]
@@ -214,7 +216,7 @@ def test_chart_moved_before_any_power_is_checked():
     # every truncation, so the proper powers (which need a higher one)
     # do not mix the moved chart into it: the report fails, it does not
     # raise
-    cmp = compare_parameters(loop_refinement(), "e0", trunc=5)
+    cmp = ChartComparison(loop_refinement(), "e0", trunc=5)
     cmp.delta2.chart.finite["f+"] = F(11, 10)
     points = cmp.check_points(3)
     assert not points["pass"]

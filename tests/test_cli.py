@@ -337,6 +337,20 @@ def test_decompose_rejects_a_non_integral_truncation(four_tails, tmp_path):
     run_cli("decompose", "--in", bad, expect=2)
 
 
+@pytest.mark.parametrize("trunc", [-1, 0])
+def test_decompose_rejects_a_truncation_below_the_words(four_tails, tmp_path,
+                                                        trunc):
+    # a lowered truncation must not drop the longer words and report the
+    # rest as integral
+    path = write_json(tmp_path / "path.json", {"tails": ["t1", "t3"]})
+    mono = json.loads(run_cli("monodromy", "--graph", four_tails,
+                              "--path", path, "--words", "3").stdout)
+    mono["element"]["trunc"] = trunc
+    bad = write_json(tmp_path / "trunc.json", mono)
+    proc = run_cli("decompose", "--in", bad, expect=2)
+    assert proc.stdout == "" and "truncation" in proc.stderr
+
+
 def test_determinism_and_text_format(four_tails):
     a = run_cli("assoc", "kz", "--weight", "3").stdout
     b = run_cli("assoc", "kz", "--weight", "3").stdout

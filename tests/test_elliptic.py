@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 from curvelog.constants import ConstantCombination as CC
 from curvelog.elliptic import (a_to_b, bernoulli_numbers,
-                               monodromy_around_zero, tate_transition,
-                               w_infinity, w_one, w_zero)
+                               monodromy_around_zero, w_infinity, w_one,
+                               w_zero)
 from curvelog.ncseries import NCSeries
 
 
@@ -46,14 +46,6 @@ def test_low_weight_parts():
     assert w1.coefficient(("T", "A")) == F(1)
     assert w1.coefficient(("A", "T")) == F(-1)
     assert w1.coefficient(("A",)) == F(0)
-
-
-def test_tate_transition_is_exponential_of_t():
-    w = 5
-    from curvelog.constants import CONSTANTS
-    t = NCSeries.letter("T", ("T", "A"), w).map_coefficients(
-        CC.rational, CONSTANTS)
-    assert (tate_transition(w) - t.exp()).is_zero()
 
 
 def test_monodromy_around_zero_frozen_coefficients():

@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,3 +48,67 @@ def test_ring_operators_are_defined_in_their_own_class_body():
                       types.FunctionType)
     assert isinstance(vars(cpseries).get("solve_quadratic"),
                       types.FunctionType)
+
+
+# public names that only tests may call: the exact group-likeness check
+# is itself a verdict the tests ask of the library
+_TEST_ONLY_API = {"is_grouplike"}
+
+
+def _public_defs(tree: ast.Module):
+    """Module-level and class-level function definitions."""
+    bodies = [tree.body]
+    while bodies:
+        for node in bodies.pop():
+            if isinstance(node, ast.ClassDef):
+                bodies.append(node.body)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node
+
+
+def _names_read(node: ast.AST) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _unreferenced_defs(package: Path, users: list[Path]) -> list[str]:
+    """Public functions and methods defined under ``package`` whose name
+    no file of ``users`` reads outside the definition itself."""
+    read = Counter()
+    for path in users:
+        read += _names_read(ast.parse(path.read_text(), filename=str(path)))
+    out = []
+    for path in sorted(package.rglob("*.py")):
+        for fn in _public_defs(ast.parse(path.read_text(),
+                                         filename=str(path))):
+            name = fn.name
+            if name.startswith("_") or name in _TEST_ONLY_API:
+                continue
+            if read[name] <= _names_read(fn)[name]:
+                out.append(f"{path.relative_to(package.parent)}:{fn.lineno}: "
+                           f"{name}")
+    return out
+
+
+def test_unreferenced_defs_finds_a_planted_function(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def planted(n):\n    return planted(n - 1) if n else 0\n\n\n"
+        "class K:\n    def method(self):\n        return used()\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def is_grouplike(self):\n        return True\n")
+    (tmp_path / "user.py").write_text("from pkg.mod import K\nK().method()\n")
+    hits = _unreferenced_defs(pkg, [pkg / "mod.py", tmp_path / "user.py"])
+    # its own recursive call does not count; the allowlist does
+    assert [h.rsplit(": ", 1)[1] for h in hits] == ["planted"]
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    users = [path for top in ("src", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    unused = _unreferenced_defs(ROOT / "src" / "curvelog", users)
+    assert not unused, "called only from tests, or not at all:\n" + \
+        "\n".join(unused)

@@ -17,8 +17,7 @@ SEW_VARS = ("y", "l", "kappa")
 def test_constructors_and_access():
     c = LogPoly.constant(VARS, CC.zeta(2))
     u = LogPoly.symbol(VARS, "u")
-    assert c.is_constant() and c.constant_part() == CC.zeta(2)
-    assert not u.is_constant()
+    assert c.coefficient((0, 0)) == CC.zeta(2) and c.degree() == 0
     assert u.coefficient((1, 0)) == CC.one()
     assert u.degree() == 1
 
@@ -170,8 +169,6 @@ def test_sew_symbols_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
-    assert (a * b).shift("y", 1) == a.shift("y", 1) * b
-    assert (a * b).shift("kappa", 2) == a * b.shift("kappa", 2)
     assert (a - a).terms == {} and a + b - b == a
     for x in (a + b, a - b, -a, a * b, (a + b) * c):
         assert all(type(q) is F and q for q in x.terms.values())

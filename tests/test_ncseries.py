@@ -1,4 +1,5 @@
 """Truncated noncommutative series: ring laws, exp/log, substitution."""
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -43,13 +44,6 @@ def test_shuffle_words_frozen():
     # (0,1) sh (0,) has the lead letter doubled on two interleavings
     assert dict(shuffle_words((0, 1), (0,))) == {
         (0, 0, 1): 2, (0, 1, 0): 1}
-
-
-def test_shuffle_product_is_commutative_and_matches_concat_on_letters():
-    a, b = letters()
-    s = a.shuffle_mul(b)
-    assert (s - b.shuffle_mul(a)).is_zero()
-    assert (s - (a * b + b * a)).is_zero()
 
 
 def test_exp_log_roundtrip_and_inverse():
@@ -154,6 +148,25 @@ def test_json_roundtrip():
     assert (back - s).is_zero()
 
 
+def test_negative_truncation_raises():
+    # refused, not read as the zero series
+    with pytest.raises(ValueError, match="truncation"):
+        NCSeries(AB, -1, RATIONAL)
+    with pytest.raises(ValueError, match="truncation"):
+        kz_associator(-1)
+
+
+def test_from_json_rejects_words_beyond_the_truncation():
+    # the constructor would drop them without a word
+    data = NCSeries.letter("a", AB, 2).exp().to_json()
+    for trunc in (1, 0, -1):
+        data["trunc"] = trunc
+        with pytest.raises(ValueError, match="truncation"):
+            NCSeries.from_json(data, RATIONAL)
+    data["trunc"] = 2
+    assert NCSeries.from_json(data, RATIONAL).trunc == 2
+
+
 def test_rational_ring_rejects_inexact_scalars():
     a = NCSeries.letter("a", AB, 2)
     data = a.to_json()
@@ -192,9 +205,15 @@ def test_product_associative_distributive(x, y, z):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_series(), small_series())
-def test_shuffle_commutative_property(x, y):
-    assert (x.shuffle_mul(y) - y.shuffle_mul(x)).is_zero()
+@given(st.lists(st.integers(0, 1), max_size=4).map(tuple),
+       st.lists(st.integers(0, 1), max_size=4).map(tuple))
+def test_shuffle_commutative_property(u, v):
+    # the kernel of is_grouplike and reg_value: commutative, and the
+    # binom(|u|+|v|, |u|) interleavings are all counted
+    uv = shuffle_words(u, v)
+    assert uv == shuffle_words(v, u)
+    assert all(len(w) == len(u) + len(v) for w, _ in uv)
+    assert sum(m for _, m in uv) == math.comb(len(u) + len(v), len(u))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from curvelog.catalog import stable_graphs
 from curvelog.jsonio import canonical_dumps
 from curvelog.stable_graph import (Chart, Edge, GraphInvalid, NotComposable,
-                                   NotReduced, StableGraph, Tail, flip)
+                                   NotReduced, StableGraph, Tail, flip, half)
 
 
 def one_loop_one_tail():
@@ -98,15 +98,32 @@ def test_specialize_chart_deterministic_and_generic():
     assert gi.chart.x("e0-") is None
 
 
+def pi1_loops(g, base=None):
+    """Loop generators of the fundamental group, one per cycle edge: from
+    the base vertex through the spanning tree, across the cycle edge in
+    its positive orientation, and back, freely reduced."""
+    tree, cycle = g.maximal_subtree()
+    if base is None:
+        base = g.vertices[0]
+    loops = []
+    for eid in cycle:
+        h = half(eid, g.edges[eid].oriented)
+        word = g.free_reduce(g.tree_path(base, g.origin(h), tree) + [h]
+                             + g.tree_path(g.terminus(h), base, tree))
+        g.check_path(word, closed=True, reduced=True)
+        loops.append(word)
+    return loops
+
+
 def test_maximal_subtree_and_loops():
     tree, cycle = theta().maximal_subtree()
     assert len(tree) == 1 and len(cycle) == 2
-    loops = theta().pi1_loops()
+    loops = pi1_loops(theta())
     assert len(loops) == 2
     g = dumbbell()
     tree, cycle = g.maximal_subtree()
     assert tree == ["e1"] and cycle == ["e0", "e2"]
-    loops = g.pi1_loops(base="v0")
+    loops = pi1_loops(g, base="v0")
     assert loops[0] == ["e0+"]
     assert loops[1] == ["e1+", "e2+", "e1-"]
     for w in loops:
@@ -125,7 +142,7 @@ WALK_PINS = {
 @pytest.mark.parametrize("gn", sorted(WALK_PINS),
                          ids=lambda gn: f"g{gn[0]}n{gn[1]}")
 def test_spanning_tree_walk_is_pinned(gn):
-    data = [{"tree": g.maximal_subtree(), "loops": g.pi1_loops(),
+    data = [{"tree": g.maximal_subtree(), "loops": pi1_loops(g),
              "paths": [g.tree_path(u, v)
                        for u in g.vertices for v in g.vertices]}
             for g in stable_graphs(*gn, trivalent_only=False)]
@@ -189,12 +206,13 @@ def test_expand_loop_branches():
     g = StableGraph(["v0"], [Edge("e0", "v0", 0, "v0", 1)],
                     [Tail("t1", "v0", 1), Tail("t2", "v0", 2)])
     assert g.validate() == (1, 2)
-    g2 = g.expand_vertex("v0", "e0+", "e0-", new_vertex="w", new_edge="b")
+    g2 = g.expand_vertex("v0", "e0+", "e0-", new_edge="b")
     assert g2.validate() == (1, 2)
     assert g2.is_trivalent()
+    (w,) = set(g2.vertices) - set(g.vertices)
     e0 = g2.edges["e0"]
-    assert e0.from_vertex == e0.to_vertex == "w"
-    assert g2.terminus("b+") == "w"
+    assert e0.from_vertex == e0.to_vertex == w
+    assert g2.terminus("b+") == w
 
 
 def test_expand_keeps_chart_away_from_site():
