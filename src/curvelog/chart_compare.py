@@ -21,6 +21,8 @@ test the transport independently of the gauge bookkeeping:
   coordinate, that of the original base line: the refined side is moved
   there by the crossing gauge, so equality is exact, not up to a
   Moebius map, and it implies every cross-ratio equality of the points.
+  A based loop lifts to a cyclically reduced word of the refined graph,
+  whose fixed points are solved directly, with no conjugation.
 
 Fixed-point seeds meet when both end branches of a word moved onto the
 bubble; :func:`schottky.fixed_points` separates them along ``s0``.
@@ -38,10 +40,6 @@ from .stable_graph import StableGraph, edge_of, flip
 
 class NoWitnessLoops(ValueError):
     """No marked point on the original base line to compare."""
-
-
-def inverse_word(word: Sequence[str]) -> list[str]:
-    return [flip(h) for h in reversed(word)]
 
 
 @dataclass
@@ -144,7 +142,11 @@ class ChartComparison:
 
     def lift_word(self, word: Sequence[str]) -> list[str]:
         """Closed word of the original graph as a closed path in the
-        refined graph, crossing the new edge where incidences differ."""
+        refined graph, crossing the new edge where incidences differ.
+
+        The lifted word begins with ``word[0]`` and ends with ``word[-1]``
+        or a half of the new edge, so a cyclically reduced ``word`` lifts
+        to a cyclically reduced path."""
         g2 = self.delta2
         out: list[str] = []
         n = len(word)
@@ -221,18 +223,14 @@ class ChartComparison:
 
     def _refined_fixed_points(self, word: Sequence[str]) -> tuple[TS, TS]:
         """Fixed points of the lifted word on the refined side, moved to
-        the original base line by the crossing gauge where conjugation
-        demands it."""
+        the original base line by the crossing gauge where the word
+        starts on the bubble.  The lifted word is cyclically reduced, as
+        ``word`` is (see :meth:`lift_word`), so it is solved as it is."""
         lifted = self.lift_word(word)
-        core, pre = StableGraph.cyclic_reduce(lifted)
         alpha, alpha_p = fixed_points(
-            lambda tr: word_matrix(self.delta2, core, self.vars, tr),
-            chart_seeds(self.delta2, core, self.vars, self._tr_full),
+            lambda tr: word_matrix(self.delta2, lifted, self.vars, tr),
+            chart_seeds(self.delta2, lifted, self.vars, self._tr_full),
             self._tr_full)
-        if pre:
-            c = word_matrix(self.delta2, inverse_word(pre),
-                            self.vars, self._tr_full)
-            alpha, alpha_p = c.apply(alpha), c.apply(alpha_p)
         if self.delta2.origin(word[0]) == self.bubble:
             # the original word starts on the bubble line; its base line
             # in original coordinates is reached through the crossing map

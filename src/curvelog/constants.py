@@ -6,8 +6,9 @@ each ``idx`` is a convergent increasing-convention index tuple (last
 entry >= 2).  It is the :class:`~curvelog.logpoly.LogPoly` over no
 symbols: its terms map the period key ``(p, zetas)`` (``zetas`` the
 sorted tuple of index tuples) to a nonzero ``Fraction``, and its
-arithmetic is the ``LogPoly`` arithmetic.  In an operation with a
-``LogPoly`` over symbols it lifts into that polynomial's symbol set.
+arithmetic is the ``LogPoly`` arithmetic.  It combines with rationals
+and with other polynomials over no symbols; a ``LogPoly`` over symbols
+takes it as a coefficient in its constructor.
 Products of zeta symbols are stored as multisets and are NOT reduced
 against zeta-value identities, so ``==`` means equality of
 representations.  :meth:`numeric` sums the term values with

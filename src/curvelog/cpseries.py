@@ -24,13 +24,10 @@ entrywise.  Here a product drops the terms above the total degree; a
 """
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
-
-from .jsonio import canonical_dumps
 
 Exponent = tuple[int, ...]
 
@@ -185,16 +182,11 @@ class TruncatedSeries:
             return math.inf
         return min(sum(e) for e in self.terms)
 
-    def ideal_order(self, ideal_vars: Iterable[str] | None = None) -> int | float:
-        """Minimal total degree counted on ``ideal_vars`` only.
-
-        With the default (all variables) this is :meth:`order`.  Returns
-        ``math.inf`` for the zero series.
-        """
+    def ideal_order(self, ideal_vars: Iterable[str]) -> int | float:
+        """Minimal total degree counted on ``ideal_vars`` only;
+        ``math.inf`` for the zero series."""
         if not self.terms:
             return math.inf
-        if ideal_vars is None:
-            return self.order()
         idx = [i for i, v in enumerate(self.vars) if v in set(ideal_vars)]
         return min(sum(e[i] for i in idx) for e in self.terms)
 
@@ -255,9 +247,6 @@ class TruncatedSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, value) -> "TruncatedSeries":
         c = _as_fraction(value)
         terms = {e: c * k for e, k in self.terms.items()} if c else {}
@@ -271,18 +260,6 @@ class TruncatedSeries:
                          _mul_terms(self.terms, other.terms, self.trunc))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("use invert() for negative powers")
-        result = TruncatedSeries.constant(1, self.vars, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be nonzero."""
@@ -324,23 +301,6 @@ class TruncatedSeries:
         terms = {e: c for e, c in self.terms.items() if sum(e) <= new_trunc}
         return TruncatedSeries(self.vars, new_trunc, terms)
 
-    def extend(self, vars: Iterable[str]) -> "TruncatedSeries":
-        """Reinterpret over a superset variable tuple."""
-        vars = tuple(vars)
-        pos = []
-        for v in self.vars:
-            if v not in vars:
-                raise ValueError(f"variable {v} missing from extension")
-            pos.append(vars.index(v))
-        nv = len(vars)
-        terms: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = [0] * nv
-            for p, x in zip(pos, e):
-                ne[p] = x
-            terms[tuple(ne)] = c
-        return TruncatedSeries(vars, self.trunc, terms)
-
     # ------------------------------------------------------------------
     # serialization
 
@@ -350,20 +310,6 @@ class TruncatedSeries:
             c = self.terms[e]
             items.append({"exp": list(e), "num": c.numerator, "den": c.denominator})
         return {"vars": list(self.vars), "trunc": self.trunc, "terms": items}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TruncatedSeries":
-        terms = {tuple(t["exp"]): _ratio(t["num"], t["den"])
-                 for t in data["terms"]}
-        return cls(tuple(data["vars"]), _exponent([data["trunc"]], 1)[0],
-                   terms)
-
-    def dumps(self) -> str:
-        return canonical_dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "TruncatedSeries":
-        return cls.from_json(json.loads(text))
 
 
 def _grade(terms: Mapping[Exponent, Fraction]) -> dict[int, dict[Exponent, Fraction]]:

@@ -12,8 +12,12 @@ coercion are the term kernel of :mod:`curvelog.cpseries`, shared with
 :meth:`truncate` caps the degree in one symbol, on request.  Over no
 symbols the key is the period key alone: that is
 :class:`~curvelog.constants.ConstantCombination`, the type
-:meth:`LogPoly.coefficients` gives per exponent.  The package uses one
-type over three symbol sets:
+:meth:`LogPoly.coefficients` gives per exponent.  The operands of a
+sum, a product or ``==`` share one symbol set: a rational lifts into
+any, but a polynomial over other symbols raises ``ValueError``, so a
+``ConstantCombination`` enters a polynomial over symbols only as a
+coefficient given to the constructor.  The package uses one type over
+three symbol sets:
 
 * one symbol per graph edge, standing for ``log(y_edge) / (2 i pi)``:
   the coefficients of monodromy elements (:func:`logpoly_ring`), where
@@ -131,35 +135,25 @@ class LogPoly:
 
     # ------------------------------------------------------------------
     def _align(self, other):
-        """``(result class, vars, own terms, other's terms)`` over one
-        symbol set, or None for an operand of another type.  A rational,
-        or a polynomial over no symbols, lifts into the other symbols."""
-        a, vars = self.terms, self.vars
-        if not isinstance(other, LogPoly):
-            if not isinstance(other, (int, Fraction)):
-                return None
-            q = _as_fraction(other)
-            b = {(0,) * len(vars) + _ONE: q} if q else {}
-            return type(self), vars, a, b
-        b = other.terms
-        if other.vars == vars:
+        """``(result class, other's terms)`` over this symbol set, or None
+        for an operand of another type.  A rational lifts into the
+        symbols; a polynomial over other symbols raises ValueError."""
+        if isinstance(other, LogPoly):
+            if other.vars != self.vars:
+                raise ValueError("symbol set mismatch")
             return (type(self) if type(other) is type(self) else LogPoly,
-                    vars, a, b)
-        if vars and other.vars:
-            raise ValueError("symbol set mismatch")
-        pad = (0,) * len(vars or other.vars)
-        if vars:
-            b = {pad + k: c for k, c in b.items()}
-        else:
-            vars, a = other.vars, {pad + k: c for k, c in a.items()}
-        return LogPoly, vars, a, b
+                    other.terms)
+        if not isinstance(other, (int, Fraction)):
+            return None
+        q = _as_fraction(other)
+        return type(self), {(0,) * len(self.vars) + _ONE: q} if q else {}
 
     def __add__(self, other):
         op = self._align(other)
         if op is None:
             return NotImplemented
-        cls, vars, a, b = op
-        return cls._raw(vars, _add_terms(dict(a), b.items()))
+        cls, b = op
+        return cls._raw(self.vars, _add_terms(dict(self.terms), b.items()))
 
     __radd__ = __add__
 
@@ -178,14 +172,15 @@ class LogPoly:
         op = self._align(other)
         if op is None:
             return NotImplemented
-        cls, vars, a, b = op
+        cls, b = op
+        a = self.terms
         terms = _mul_terms(a, b)
         if any(map(_ZETAS, a)) and any(map(_ZETAS, b)):
             # the kernel concatenated the zeta multisets: sort each, and
             # sum the terms whose keys then agree
             terms = _add_terms({}, (((*k[:-1], tuple(sorted(k[-1]))), c)
                                     for k, c in terms.items()))
-        return cls._raw(vars, terms)
+        return cls._raw(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -193,21 +188,10 @@ class LogPoly:
         op = self._align(other)
         if op is None:
             return NotImplemented
-        return op[2] == op[3]
+        return self.terms == op[1]
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __hash__(self):
-        # by value: == lifts a rational or a constant into any symbol set,
-        # and the values it finds equal must hash alike
-        n = len(self.vars)
-        if any(any(k[:n]) for k in self.terms):
-            return hash((self.vars, frozenset(self.terms)))
-        periods = {k[n:]: c for k, c in self.terms.items()}
-        if periods.keys() <= {_ONE}:
-            return hash(periods.get(_ONE, 0))
-        return hash(frozenset(periods))
 
     # ------------------------------------------------------------------
     def truncate(self, name: str, m: int) -> "LogPoly":
@@ -234,14 +218,6 @@ class LogPoly:
             g[k[n:]] = c
         cc = _constants()
         return {e: cc._raw((), g) for e, g in groups.items()}
-
-    def coefficient(self, expo: Sequence[int]):
-        """The coefficient of ``expo``, as a ``ConstantCombination``."""
-        return self.coefficients().get(tuple(expo)) or _constants()()
-
-    def degree(self) -> int:
-        n = len(self.vars)
-        return max((sum(k[:n]) for k in self.terms), default=0)
 
     def evaluate(self, values: Mapping[str, complex],
                  prec: float = 1e-12) -> complex:
@@ -288,14 +264,23 @@ class LogPoly:
 
 
 def logpoly_ring(vars: Sequence[str]) -> Ring:
+    """The ring of ``LogPoly`` over ``vars``; its decoder refuses a
+    polynomial over any other symbols."""
     vars = tuple(vars)
+
+    def decode(data: dict) -> LogPoly:
+        if tuple(data["vars"]) != vars:
+            raise ValueError(f"coefficient over {list(data['vars'])}, "
+                             f"not {list(vars)}")
+        return LogPoly.from_json(data)
+
     return Ring(
         "logpoly[" + ",".join(vars) + "]",
         LogPoly.zero(vars),
         LogPoly.constant(vars, 1),
         lambda q: LogPoly.constant(vars, q),
         lambda p: p.to_json(),
-        LogPoly.from_json,
+        decode,
         close=lambda a, b, tol: not any(
             c.normal_form() for c in (a - b).coefficients().values()),
         scaled_sum=lambda pairs: LogPoly.scaled_sum(vars, pairs),

@@ -34,7 +34,7 @@ from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .cpseries import _add_terms, _as_fraction, _exponent
-from .jsonio import canonical_dumps, frac_to_str
+from .jsonio import frac_to_str
 
 Word = tuple[int, ...]
 
@@ -130,13 +130,6 @@ class NCSeries:
             return self.trunc + 1
         return min(len(w) for w in self.terms)
 
-    def truncate(self, new_trunc: int) -> "NCSeries":
-        if new_trunc > self.trunc:
-            raise ValueError("cannot raise truncation")
-        return NCSeries(self.alphabet, new_trunc, self.ring,
-                        {w: c for w, c in self.terms.items()
-                         if len(w) <= new_trunc})
-
     def map_coefficients(self, fn: Callable, ring: Ring) -> "NCSeries":
         return NCSeries(self.alphabet, self.trunc, ring,
                         {w: fn(c) for w, c in self.terms.items()})
@@ -208,17 +201,6 @@ class NCSeries:
             power = power * self
             fact *= n
             out = out + power.scale(1 / fact)
-        return out
-
-    def log(self) -> "NCSeries":
-        y = self - NCSeries.unit(self.alphabet, self.trunc, self.ring)
-        if self.constant_term() != self.ring.one or y.order() < 1:
-            raise ValueError("log needs constant term one")
-        out = NCSeries.zero(self.alphabet, self.trunc, self.ring)
-        power = NCSeries.unit(self.alphabet, self.trunc, self.ring)
-        for n in range(1, self.trunc + 1):
-            power = power * y
-            out = out + power.scale(Fraction((-1) ** (n + 1), n))
         return out
 
     def invert(self) -> "NCSeries":
@@ -349,9 +331,6 @@ class NCSeries:
         if any(len(w) > trunc for w in terms):
             raise ValueError(f"a word is longer than the truncation {trunc}")
         return cls(alphabet, trunc, ring, terms)
-
-    def dumps(self) -> str:
-        return canonical_dumps(self.to_json())
 
     def __repr__(self) -> str:
         parts = [f"{self.terms[w]}*{self.word_name(w)}"

@@ -82,9 +82,6 @@ class Moebius:
             raise DegenerateWord("image of point is not a series")
         return num * den.invert()
 
-    def entries(self) -> tuple[TS, TS, TS, TS]:
-        return self.a, self.b, self.c, self.d
-
 
 def _as_series(x, vars: tuple[str, ...], trunc: int) -> TS:
     if isinstance(x, TS):
@@ -120,14 +117,13 @@ def word_vars(word: Sequence[str]) -> tuple[str, ...]:
     return tuple(sorted({edge_of(h) for h in word}))
 
 
-def phi_matrix(graph: StableGraph, h: str,
-               vars: tuple[str, ...] | None = None, trunc: int = 6) -> Moebius:
-    """Generator matrix for half-edge ``h`` in the graph's chart."""
+def phi_matrix(graph: StableGraph, h: str, vars: tuple[str, ...],
+               trunc: int = 6) -> Moebius:
+    """Generator matrix for half-edge ``h`` in the graph's chart, over
+    the edge-parameter variables ``vars``."""
     if graph.chart is None:
         raise ValueError("graph has no chart")
     e = edge_of(h)
-    if vars is None:
-        vars = tuple(sorted(graph.edges))
     if e not in vars:
         raise ValueError(f"variable ring misses edge {e}")
     y = TS.variable(e, vars, trunc)
@@ -135,14 +131,13 @@ def phi_matrix(graph: StableGraph, h: str,
 
 
 def word_matrix(graph: StableGraph, word: Sequence[str],
-                vars: tuple[str, ...] | None = None, trunc: int = 6) -> Moebius:
+                vars: tuple[str, ...], trunc: int = 6) -> Moebius:
     """Matrix of the composite map along a reduced path (applied left to
-    right, so the first step's matrix sits rightmost)."""
+    right, so the first step's matrix sits rightmost), over the
+    edge-parameter variables ``vars``."""
     if not word:
         raise ValueError("empty word")
     graph.check_path(word, closed=False, reduced=True)
-    if vars is None:
-        vars = word_vars(word)
     m = phi_matrix(graph, word[0], vars, trunc)
     for h in word[1:]:
         m = phi_matrix(graph, h, vars, trunc) @ m

@@ -15,12 +15,15 @@ true connection with its limit model in three zones:
 Each comparison is an ordered exponential of an explicit kernel whose
 terms are monomials ``w^p log(w)^q`` with series coefficients, so the
 iterated integrals close under antidifferentiation and evaluate at the
-cut points in closed form.  The cut constant ``log(cut)`` is carried
-as a formal symbol; in the assembled product it cancels termwise in
-the ``y``-constant layer (a built-in consistency check), while at
-higher ``y``-degree it recombines with the rational values of the zone
-frames at the cut, so there the check is numeric agreement with the
-direct integrator.
+cut points in closed form.  The two chart zones integrate from
+``w = 0``, where their kernels carry no negative power of ``w``: every
+antiderivative then carries ``w^p`` with ``p >= 1`` and vanishes there,
+so only the annulus subtracts a value at its lower bound.  The cut
+constant ``log(cut)`` is carried as a formal symbol; in the assembled
+product it cancels termwise in the ``y``-constant layer (a built-in
+consistency check), while at higher ``y``-degree it recombines with the
+rational values of the zone frames at the cut, so there the check is
+numeric agreement with the direct integrator.
 
 The residues are rational series.  The model frames are computed over
 Q, and the associator is substituted at the rational residues, as
@@ -41,8 +44,8 @@ term ``w^p log(w)^q`` times a series is a series whose coefficients
 carry ``w^p L^q``.  The ``w`` exponent may be negative (the annulus
 kernel has ``w^(-k-1)``).  Products, the frame inverse and the
 conjugation ``exp(L ad_x)`` are the ``NCSeries`` operations; only the
-antiderivative in ``w`` and the evaluations at the zone bounds are
-term maps of their own.
+antiderivative in ``w`` and the evaluations at the cut and at ``y/cut``
+are term maps of their own.
 
 Frames: unit tangential frames in each chart coordinate; in the global
 coordinate of the destination chart the source frame has scale ``y``.
@@ -111,12 +114,12 @@ def _sew(s: NCSeries) -> NCSeries:
     return s.map_coefficients(SEW.embed, SEW)
 
 
-def _lift(s: NCSeries, p: int = 0, q: int = 0) -> NCSeries:
-    """The sew or rational series ``s`` times ``w^p L^q``, as a zone
+def _lift(s: NCSeries, p: int = 0) -> NCSeries:
+    """The sew or rational series ``s`` times ``w^p``, as a zone
     element."""
     if s.ring.name == RATIONAL.name:
         s = _sew(s)
-    return _termwise(s, lambda k, c: ((k[:3] + (p, q) + k[3:], c),), ZONE)
+    return _termwise(s, lambda k, c: ((k[:3] + (p, 0) + k[3:], c),), ZONE)
 
 
 def clean(z: NCSeries, ymax: int) -> NCSeries:
@@ -143,18 +146,6 @@ def antiderivative(z: NCSeries) -> NCSeries:
             f = -f * Fraction(qq, p + 1)
 
     return _termwise(z, term, ZONE)
-
-
-def eval_zero(z: NCSeries) -> NCSeries:
-    """Value at ``w = 0``; a term singular there raises ValueError."""
-    def term(k, c):
-        if k[3] > 0:
-            return ()
-        if k[3] == 0 and k[4] == 0:
-            return ((k[:3] + k[5:], c),)
-        raise ValueError("zone element is singular at 0")
-
-    return _termwise(z, term, SEW)
 
 
 def eval_cut(z: NCSeries) -> NCSeries:
@@ -191,20 +182,29 @@ def log_conjugate(x: NCSeries, zone: NCSeries, sign: int) -> NCSeries:
     return _lift(x).ad_series(coeffs, zone)
 
 
-def ordered_exp(kernel: NCSeries, eval_lower: Callable[[NCSeries], NCSeries],
-                eval_upper: Callable[[NCSeries], NCSeries],
-                ymax: int) -> NCSeries:
-    """Ordered exponential ``I + sum_n int_{lower<t1<..<tn<upper}
+def ordered_exp(kernel: NCSeries, ymax: int,
+                eval_lower: Callable[[NCSeries], NCSeries] | None = None
+                ) -> NCSeries:
+    """Ordered exponential ``I + sum_n int_{lower<t1<..<tn<cut}
     K(tn)..K(t1)`` of a zone kernel whose terms all raise the word
-    weight, so that ``trunc`` integrations exhaust it."""
+    weight, so that ``trunc`` integrations exhaust it.
+
+    The lower bound is the one ``eval_lower`` evaluates at, or ``w = 0``
+    without it.  From 0 every term of each antiderivative must carry a
+    positive power of ``w``, so that it vanishes there; any other term
+    (an antiderivative has none in ``w^0`` alone) is singular at 0 and
+    raises ValueError."""
     total = NCSeries.unit(kernel.alphabet, kernel.trunc, SEW)
     current = NCSeries.unit(kernel.alphabet, kernel.trunc, ZONE)
     for _ in range(kernel.trunc):
         current = antiderivative(clean(kernel * current, ymax))
-        current = clean(current - _lift(eval_lower(current)), ymax)
+        if eval_lower is not None:
+            current = clean(current - _lift(eval_lower(current)), ymax)
+        elif any(k[3] <= 0 for c in current.terms.values() for k in c.terms):
+            raise ValueError("zone element is singular at 0")
         if current.is_zero():
             break
-        total = total + eval_upper(current)
+        total = total + eval_cut(current)
     return total
 
 
@@ -295,8 +295,7 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
         hz = frame_zone(x, hole)
         kern = log_conjugate(x, hz.invert() * _lift(tail).scale(deformation)
                              * hz, -1)
-        return ordered_exp(clean(-kern, ydeg),      # dw = -ds
-                           eval_zero, eval_cut, ydeg)
+        return ordered_exp(clean(-kern, ydeg), ydeg)      # dw = -ds
 
     q_dst = chart_comparison(c_res, r_hole, b_res)
     q_src = chart_comparison(b_res, r_child, c_res)   # child chart
@@ -308,7 +307,7 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
         + _lift(b_res).scale(scalar(((k, 0, 0, -k - 1, 0), 1)
                                     for k in range(1, kmax + 1))))
     kern_ann = clean(log_conjugate(r_hole, delta_ann, -1), ydeg)
-    oe_ann = ordered_exp(kern_ann, eval_y_over_cut, eval_cut, ydeg)
+    oe_ann = ordered_exp(kern_ann, ydeg, eval_y_over_cut)
 
     # ---- node-normalized model values at the cuts
     h_par_a = eval_cut(frame_zone(r_hole, c_res))

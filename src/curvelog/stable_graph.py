@@ -15,14 +15,13 @@ normal forms in :mod:`curvelog.schottky` well defined.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cpseries import _as_fraction, _exponent
-from .jsonio import canonical_dumps, frac_to_str
+from .jsonio import frac_to_str
 
 
 class GraphInvalid(ValueError):
@@ -282,10 +281,9 @@ class StableGraph:
         return sorted(tree), sorted(set(self.edges) - tree)
 
     def tree_path(self, u: str, v: str,
-                  tree_edges: Sequence[str] | None = None) -> list[str]:
-        """Half-edge walk from ``u`` to ``v`` inside the spanning tree."""
-        if tree_edges is None:
-            tree_edges, _ = self.maximal_subtree()
+                  tree_edges: Sequence[str]) -> list[str]:
+        """Half-edge walk from ``u`` to ``v`` inside the spanning tree
+        with edges ``tree_edges``."""
         if u == v:
             return []
         _, parent_half = self.walk(u, tree_edges)
@@ -317,27 +315,6 @@ class StableGraph:
             for a, b in zip(word, word[1:]):
                 if b == flip(a):
                     raise NotReduced(f"backtrack at {a},{b}")
-
-    @staticmethod
-    def free_reduce(word: Sequence[str]) -> list[str]:
-        out: list[str] = []
-        for h in word:
-            if out and out[-1] == flip(h):
-                out.pop()
-            else:
-                out.append(h)
-        return out
-
-    @staticmethod
-    def cyclic_reduce(word: Sequence[str]) -> tuple[list[str], list[str]]:
-        """Split ``word = pre . core . pre^{-1}`` with ``core`` cyclically
-        reduced; returns ``(core, pre)``."""
-        w = StableGraph.free_reduce(word)
-        pre: list[str] = []
-        while len(w) >= 2 and w[-1] == flip(w[0]):
-            pre.append(w[0])
-            w = w[1:-1]
-        return w, pre
 
     def closed_words(self, max_len: int) -> list[list[str]]:
         """All cyclically reduced closed half-edge words of length 1..max_len.
@@ -542,13 +519,6 @@ class StableGraph:
                            for b, x in data["chart"]["finite"].items()},
                           list(data["chart"]["infinite"]))
         return cls(data["vertices"], edges, tails, chart)
-
-    def dumps(self) -> str:
-        return canonical_dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "StableGraph":
-        return cls.from_json(json.loads(text))
 
 
 def _renumber_slots(edges: list[Edge]) -> list[Edge]:

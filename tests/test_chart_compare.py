@@ -6,14 +6,17 @@ line, the two moved points land at r + s/(a-m) and r + s/(b-m).  For
 the chart (a,b,m | r,p,q) = (1,2,3 | 0,5,7) the four-point cross-ratio
 is ((5+s/2)(7+s)) / ((7+s/2)(5+s)) = 1 - s/35 + 19 s^2/2450 - ...
 """
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
+from curvelog.catalog import stable_graphs
 from curvelog.chart_compare import (ChartComparison, NoWitnessLoops,
                                     expand_and_compare)
 from curvelog.cpseries import TruncatedSeries as TS
-from curvelog.schottky import DegenerateWord, Moebius
+from curvelog.schottky import (DegenerateWord, Moebius,
+                               require_cyclically_reduced)
 from curvelog.stable_graph import Chart, Edge, StableGraph, Tail
 
 from test_schottky import cross_ratio
@@ -225,3 +228,29 @@ def test_chart_moved_before_any_power_is_checked():
         assert points["points"][f"alpha':{word}"] is False
     assert not cmp.check_multiplier(["f+"])
     assert not cmp.report(loops_len=2, points_len=3)["pass"]
+
+
+@pytest.mark.parametrize("gn", [(0, 5), (1, 2), (1, 3), (2, 0)], ids=str)
+def test_closed_words_lift_to_cyclically_reduced_words(gn):
+    # the refined fixed points are solved from the lifted word itself: it
+    # begins with word[0] and ends with word[-1] or a half of the new
+    # edge, so it needs no conjugation.  Every rotation of every closed
+    # word covers the based loops of each comparison, at chart seeds 0-1
+    lifted = 0
+    for graph in stable_graphs(*gn, trivalent_only=False):
+        for v in graph.vertices:
+            branches = graph.branches_at(v)
+            if len(branches) < 4:
+                continue
+            for b1, b2 in itertools.combinations(branches, 2):
+                for seed in (0, 1):
+                    comp = expand_and_compare(graph, v, b1, b2, trunc=1,
+                                              seed=seed)
+                    for word in comp.delta1.closed_words(3):
+                        for i in range(len(word)):
+                            require_cyclically_reduced(
+                                comp.delta2,
+                                comp.lift_word(word[i:] + word[:i]))
+                            lifted += 1
+    # genus 0 has no closed word, so no refined fixed point to solve
+    assert (lifted > 0) == (gn[0] > 0)

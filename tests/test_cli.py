@@ -13,7 +13,8 @@ from curvelog.jsonio import canonical_dumps, write_output
 from curvelog.logpoly import logpoly_ring
 from curvelog.ncseries import NCSeries
 from curvelog.sewing import SEW
-from curvelog.sheaf import reassemble_element
+from curvelog.sheaf import (MonodromyCalculator, build_sheaf,
+                            reassemble_element)
 from curvelog.stable_graph import Edge, StableGraph, Tail
 
 
@@ -252,6 +253,20 @@ def test_monodromy_loop_path(one_loop, tmp_path):
     assert out["element"]["alphabet"] == ["T_e0", "A_e0"]
 
 
+def test_monodromy_moves_path_with_a_turn(one_loop, tmp_path):
+    # a path given as moves, a turn among them, is the calculator's path
+    # over the same moves
+    moves = [["local", "v0", "t1", "e0+"], ["turn", "v0", "e0+"],
+             ["local", "v0", "e0+", "t1"]]
+    path = write_json(tmp_path / "moves.json", {"moves": moves})
+    out = json.loads(run_cli("monodromy", "--graph", one_loop, "--path", path,
+                             "--words", "3").stdout)
+    calc = MonodromyCalculator(build_sheaf(stable_graphs(1, 1)[0], 3))
+    expect = calc.path([tuple(m) for m in moves])
+    assert out["path"] == {"moves": moves}
+    assert canonical_dumps(out["element"]) == canonical_dumps(expect.to_json())
+
+
 def test_monodromy_rejects_bad_paths(four_tails, one_loop, tmp_path):
     nonsense = write_json(tmp_path / "p1.json", {"tails": ["t1", "nope"]})
     run_cli("monodromy", "--graph", four_tails, "--path", nonsense, expect=2)
@@ -349,6 +364,20 @@ def test_decompose_rejects_a_truncation_below_the_words(four_tails, tmp_path,
     bad = write_json(tmp_path / "trunc.json", mono)
     proc = run_cli("decompose", "--in", bad, expect=2)
     assert proc.stdout == "" and "truncation" in proc.stderr
+
+
+def test_decompose_rejects_a_coefficient_over_other_symbols(four_tails,
+                                                            tmp_path):
+    # the header names the log symbols; a coefficient over other symbols
+    # must not be read as one over the header's
+    path = write_json(tmp_path / "path.json", {"tails": ["t1", "t3"]})
+    mono = json.loads(run_cli("monodromy", "--graph", four_tails,
+                              "--path", path, "--words", "3").stdout)
+    assert mono["lvars"] == ["l_e0"]
+    mono["element"]["terms"][-1]["coeff"]["vars"] = ["l_q"]
+    bad = write_json(tmp_path / "vars.json", mono)
+    proc = run_cli("decompose", "--in", bad, expect=2)
+    assert proc.stdout == "" and "l_q" in proc.stderr
 
 
 def test_determinism_and_text_format(four_tails):

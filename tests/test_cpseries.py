@@ -1,5 +1,6 @@
 """Exact truncated multivariate series: ring laws and solvers."""
 import hashlib
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,10 @@ def const(c, trunc=D):
 
 def var(name, trunc=D):
     return TS.variable(name, VARS, trunc)
+
+
+def power(s, n):
+    return math.prod([s] * n, start=const(1, s.trunc))
 
 
 @st.composite
@@ -55,22 +60,13 @@ def test_invert_is_inverse(a):
     assert (a * a.invert() - const(1)).is_zero()
 
 
-@settings(max_examples=30, deadline=None)
-@given(small_series(), st.integers(0, 4))
-def test_pow_matches_repeated_mul(a, n):
-    p = const(1)
-    for _ in range(n):
-        p = p * a
-    assert (a ** n).terms == p.terms
-
-
 def test_truncation_drops_high_degree():
     x, y = var("x"), var("y")
-    p = (x + y) ** 4
+    p = power(x + y, 4)
     assert p.coefficient((4, 0)) == 1
-    q = ((x + y) ** 3) * (x + y)
+    q = power(x + y, 3) * (x + y)
     assert p.terms == q.terms
-    r = (x ** 3) * (y ** 3)
+    r = power(x, 3) * power(y, 3)
     assert r.is_zero()
 
 
@@ -117,7 +113,7 @@ def test_solve_quadratic_nonzero_root0():
 
 def test_ideal_order():
     x, y = var("x"), var("y")
-    s = x * x * y + x ** 4
+    s = x * x * y + power(x, 4)
     assert s.order() == 3
     assert s.ideal_order(("x",)) == 2
     assert s.ideal_order(("y",)) == 0
@@ -126,7 +122,7 @@ def test_ideal_order():
 
 def test_divide_monomial():
     x, y = var("x"), var("y")
-    s = x * x * y + x ** 3
+    s = x * x * y + power(x, 3)
     q = s.divide_monomial((2, 0))
     assert q.terms == (y + x).terms
     assert q.trunc == D - 2
@@ -135,13 +131,13 @@ def test_divide_monomial():
 
 
 def test_divide_monomial_above_the_truncation_raises():
-    # the quotient would carry a negative truncation, which from_json
-    # refuses; the constructor's ValueError is raised instead
+    # the quotient would carry a negative truncation; a ValueError that
+    # names the cause is raised instead
     s = TS(("s",), 1)
     with pytest.raises(ValueError, match="exceeds the truncation"):
         s.divide_monomial((3,))
     q = TS.variable("s", ("s",), 1).divide_monomial((1,))
-    assert q.trunc == 0 and TS.from_json(q.to_json()) == q
+    assert q.trunc == 0 and q == TS.constant(1, ("s",), 0)
 
 
 def test_invert_requires_unit():
@@ -159,31 +155,11 @@ def test_inexact_scalars_are_rejected():
             make()
 
 
-def test_from_json_rejects_bad_exponents():
-    good = (var("x") + var("y")).to_json()
-    for exp in ([1.5, 0], [1], [1, 0, 0], ["x", 0], ["1", 0], [-1, 0]):
-        bad = dict(good, terms=[dict(good["terms"][0], exp=exp)])
+def test_constructor_rejects_bad_exponents():
+    for exp in ((1.5, 0), (1,), (1, 0, 0), ("x", 0), ("1", 0), (-1, 0)):
         with pytest.raises(ValueError):
-            TS.from_json(bad)
-    with pytest.raises(ValueError):
-        TS.from_json(dict(good, trunc=good["trunc"] + 0.7))
-    assert TS.from_json(good) == var("x") + var("y")
-
-
-def test_from_json_rejects_a_zero_denominator():
-    good = (var("x") + var("y")).to_json()
-    bad = dict(good, terms=[dict(good["terms"][0], den=0)])
-    with pytest.raises(ValueError, match="zero denominator"):
-        TS.from_json(bad)
-
-
-def test_json_round_trip_bit_exact():
-    x, y = var("x"), var("y")
-    s = F(3, 7) * x * y - y ** 2 + const(F(-2, 5))
-    text = s.dumps()
-    t = TS.loads(text)
-    assert t.dumps() == text
-    assert t.terms == s.terms and t.vars == s.vars and t.trunc == s.trunc
+            TS(VARS, D, {exp: 1})
+    assert TS(VARS, D, {(1, 0): 1, (0, 1): 1}) == var("x") + var("y")
 
 
 # the two largest primes below 2^b for b = 20, 24, ..., 40
@@ -304,13 +280,12 @@ def test_shared_product_matches_pairwise_reference(operands):
 
 
 def test_merged_zeta_multisets_cancel():
-    w = LogPoly.monomial(ZONE_VARS, (0, 0, 0, 1, 0))
-    w_inv = LogPoly.monomial(ZONE_VARS, (0, 0, 0, -1, 0))
     z2, z3 = CC.zeta(2), CC.zeta(3)
-    a, b = (z2 + z3) * w, (z3 - z2) * w_inv
+    a = LogPoly.monomial(ZONE_VARS, (0, 0, 0, 1, 0), z2 + z3)
+    b = LogPoly.monomial(ZONE_VARS, (0, 0, 0, -1, 0), z3 - z2)
     # zeta(2)*zeta(3) arises once from each operand order and cancels
     expect = CC({(0, ((3,), (3,))): 1, (0, ((2,), (2,))): -1})
-    assert a * b == expect and b * a == expect
+    assert a * b == LogPoly.constant(ZONE_VARS, expect) == b * a
     assert (a * b).terms == {(0, 0, 0, 0, 0) + k: c
                              for k, c in expect.terms.items()}
 

@@ -12,11 +12,11 @@ from curvelog.catalog import stable_graphs
 from curvelog.constants import ConstantCombination as CC
 from curvelog.logpoly import LogPoly
 from curvelog.ncseries import COMPLEX, RATIONAL, NCSeries
-from curvelog.sewing import (SEW, SEW_VARS, _lift, antiderivative, clean,
-                             dressed_neck_transport, eval_cut,
-                             eval_y_over_cut, eval_zero, frame_series,
-                             kappa_residual, log_conjugate, ordered_exp,
-                             sew_specialize)
+from curvelog.jsonio import canonical_dumps
+from curvelog.sewing import (SEW, SEW_VARS, ZONE_VARS, _lift, antiderivative,
+                             clean, dressed_neck_transport, eval_cut,
+                             eval_y_over_cut, frame_series, kappa_residual,
+                             log_conjugate, ordered_exp, sew_specialize)
 from curvelog.sheaf import MonodromyCalculator, build_sheaf
 
 
@@ -29,6 +29,12 @@ def strip_kappa(series):
 
 def sew(c, dy=0, dl=0, dk=0):
     return LogPoly.monomial(SEW_VARS, (dy, dl, dk), c)
+
+
+def zone(s, p=0, q=0):
+    """The sew or rational series ``s`` times ``w^p L^q``, as a zone
+    element."""
+    return _lift(s, p).scale(LogPoly.monomial(ZONE_VARS, (0, 0, 0, 0, q)))
 
 
 def test_sew_ring_algebra():
@@ -74,46 +80,41 @@ def _unit_series():
 def test_zone_antiderivative_frozen():
     s = _unit_series()
     # d/dw of w^(p+1)/(p+1) = w^p
-    z = antiderivative(_lift(s, 2, 0))
-    assert (z - _lift(s.scale(sew(Fraction(1, 3))), 3, 0)).is_zero()
+    z = antiderivative(zone(s, 2, 0))
+    assert (z - zone(s.scale(sew(Fraction(1, 3))), 3, 0)).is_zero()
     # d/dw of log(w)^(q+1)/(q+1) = log(w)^q / w
-    z = antiderivative(_lift(s, -1, 1))
-    assert (z - _lift(s.scale(sew(Fraction(1, 2))), 0, 2)).is_zero()
+    z = antiderivative(zone(s, -1, 1))
+    assert (z - zone(s.scale(sew(Fraction(1, 2))), 0, 2)).is_zero()
     # d/dw of (w log w - w) = log w
-    z = antiderivative(_lift(s, 0, 1))
-    assert (z - _lift(s, 1, 1) + _lift(s, 1, 0)).is_zero()
+    z = antiderivative(zone(s, 0, 1))
+    assert (z - zone(s, 1, 1) + zone(s, 1, 0)).is_zero()
     # d/dw of -w^(-2)/2 = w^(-3)
-    z = antiderivative(_lift(s, -3, 0))
-    assert (z - _lift(s.scale(sew(Fraction(-1, 2))), -2, 0)).is_zero()
+    z = antiderivative(zone(s, -3, 0))
+    assert (z - zone(s.scale(sew(Fraction(-1, 2))), -2, 0)).is_zero()
 
 
 def test_zone_bound_evaluations():
     s = _unit_series()
-    assert (eval_zero(_lift(s) + _lift(s, 3, 0)) - s).is_zero()
-    with pytest.raises(ValueError):
-        eval_zero(_lift(s, -1, 0))
-    with pytest.raises(ValueError):
-        eval_zero(_lift(s, 0, 2))
     # at the cut w = 1/2: w^p -> (1/2)^p, log w -> kappa
-    got = eval_cut(_lift(s, 1, 1))
+    got = eval_cut(zone(s, 1, 1))
     expect = s.scale(sew(Fraction(1, 2), dk=1))
     assert (got - expect).is_zero()
     # at w = y/(1/2): w^p -> 2^p y^p, log w -> 2 i pi l - kappa
-    got = eval_y_over_cut(_lift(s, 1, 0))
+    got = eval_y_over_cut(zone(s, 1, 0))
     assert (got - s.scale(sew(2, dy=1))).is_zero()
-    got = eval_y_over_cut(_lift(s, 0, 1))
+    got = eval_y_over_cut(zone(s, 0, 1))
     expect = s.scale(sew(CC.ipi(1, 2), dl=1) + sew(-1, dk=1))
     assert (got - expect).is_zero()
-    got = eval_y_over_cut(_lift(s.scale(sew(1, dy=1)), -1, 0))
+    got = eval_y_over_cut(zone(s.scale(sew(1, dy=1)), -1, 0))
     assert (got - s.scale(sew(Fraction(1, 2)))).is_zero()
     with pytest.raises(ValueError):
-        eval_y_over_cut(_lift(s, -1, 0))
+        eval_y_over_cut(zone(s, -1, 0))
 
 
 def test_zone_clean_bounds_the_reachable_y_degree():
     s = _unit_series()
-    kept = _lift(s.scale(sew(1, dy=3)), -2, 0)     # y^3 w^-2 reaches y^1
-    z = _lift(s.scale(sew(1, dy=2)), 1, 0) + kept
+    kept = zone(s.scale(sew(1, dy=3)), -2, 0)     # y^3 w^-2 reaches y^1
+    z = zone(s.scale(sew(1, dy=2)), 1, 0) + kept
     assert (clean(z, 2) - z).is_zero()
     assert (clean(z, 1) - kept).is_zero()
     assert clean(z, 0).is_zero()
@@ -125,11 +126,11 @@ def test_log_conjugate_expands_in_brackets():
     b = NCSeries.letter("b", alpha, 3, SEW)
     ab = a.bracket(b)
     aab = a.bracket(ab).scale(sew(Fraction(1, 2)))
-    conj = log_conjugate(a, _lift(b), +1)
-    assert (conj - _lift(b) - _lift(ab, 0, 1) - _lift(aab, 0, 2)).is_zero()
+    conj = log_conjugate(a, zone(b), +1)
+    assert (conj - zone(b) - zone(ab, 0, 1) - zone(aab, 0, 2)).is_zero()
     # opposite sign flips the odd layers
-    back = log_conjugate(a, _lift(b), -1)
-    assert (back - _lift(b) + _lift(ab, 0, 1) - _lift(aab, 0, 2)).is_zero()
+    back = log_conjugate(a, zone(b), -1)
+    assert (back - zone(b) + zone(ab, 0, 1) - zone(aab, 0, 2)).is_zero()
 
 
 def test_frame_series_satisfies_its_recursion():
@@ -153,20 +154,29 @@ def test_frame_series_satisfies_its_recursion():
 
 def test_ordered_exp_constant_kernel():
     x = NCSeries.letter("x", ("x",), 4, SEW)
-    got = ordered_exp(_lift(x), eval_zero, eval_cut, ymax=0)
+    got = ordered_exp(zone(x), ymax=0)
     expect = x.scale(sew(Fraction(1, 2))).exp()
     assert (got - expect).is_zero()
 
 
 def test_ordered_exp_log_kernel():
     x = NCSeries.letter("x", ("x",), 4, SEW)
-    got = ordered_exp(_lift(x, -1, 0), eval_cut, eval_y_over_cut, ymax=4)
-    # integral of dw/w from 1/2 to y/(1/2) is log y + 2 log 2,
-    # i.e. 2 i pi l - 2 kappa
-    expect = x.scale(sew(CC.ipi(1, 2), dl=1) + sew(-2, dk=1)).exp()
+    got = ordered_exp(zone(x, -1, 0), 4, eval_y_over_cut)
+    # integral of dw/w from y/(1/2) to 1/2 is -log y - 2 log 2,
+    # i.e. 2 kappa - 2 i pi l
+    expect = x.scale(sew(CC.ipi(1, -2), dl=1) + sew(2, dk=1)).exp()
     assert (got - expect).is_zero()
     # sanity: wrong lower bound does not collapse to the same element
-    assert not (got - x.scale(sew(CC.ipi(1, 2), dl=1)).exp()).is_zero()
+    assert not (got - x.scale(sew(CC.ipi(1, -2), dl=1)).exp()).is_zero()
+
+
+@pytest.mark.parametrize("p, q", [(-1, 0), (-1, 1), (-2, 0)],
+                         ids=["w^-1", "w^-1 L", "w^-2"])
+def test_ordered_exp_from_zero_rejects_a_singular_integral(p, q):
+    # the antiderivatives L, L^2 / 2 and -w^-1 have no limit at w = 0
+    x = NCSeries.letter("x", ("x",), 4, SEW)
+    with pytest.raises(ValueError, match="singular at 0"):
+        ordered_exp(zone(x, p, q), ymax=4)
 
 
 def _letters(ring):
@@ -225,8 +235,8 @@ def _tail_transport_digest(ydeg: int) -> str:
     (0,4) tree at words 3, xorder 12, kmax 8."""
     graph = next(g for g in stable_graphs(0, 4) if len(g.edges) == 1)
     calc = MonodromyCalculator(build_sheaf(graph, 3))
-    dumped = calc.dressed_tail_transport("t1", "t3", ydeg=ydeg, xorder=12,
-                                         kmax=8).dumps()
+    dumped = canonical_dumps(calc.dressed_tail_transport(
+        "t1", "t3", ydeg=ydeg, xorder=12, kmax=8).to_json())
     return hashlib.sha256(dumped.encode()).hexdigest()
 
 

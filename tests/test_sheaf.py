@@ -76,7 +76,7 @@ def test_one_loop_recipe_matches_elliptic_monodromy():
             for expo, comb in poly.coefficients().items():
                 if any(expo):  # the loop never crosses an edge: log-free
                     assert abs(comb.numeric(1e-12)) < 1e-12
-            diff = poly.coefficient(log_free).numeric(1e-12) \
+            diff = poly.coefficients().get(log_free, CC.zero()).numeric(1e-12) \
                 - ref.coefficient(word).numeric(1e-12)
             worst = max(worst, abs(diff))
     assert worst < 1e-9
@@ -95,8 +95,8 @@ def test_four_tails_path_decomposition_table():
     assert elem.is_grouplike()
     # the only letters with a linear term are the two on the starting
     # chart, carried by the edge-crossing factor
-    assert elem.coefficient(("X_t1",)).coefficient((1,)) == CC.ipi(1, -2)
-    assert elem.coefficient(("X_t2",)).coefficient((1,)) == CC.ipi(1, -2)
+    assert elem.coefficient(("X_t1",)).coefficients() == {(1,): CC.ipi(1, -2)}
+    assert elem.coefficient(("X_t2",)).coefficients() == {(1,): CC.ipi(1, -2)}
     assert not elem.coefficient(("X_t3",))
 
 
@@ -172,8 +172,10 @@ def test_farthest_tails_path_is_pinned(name):
     graph = stable_graphs(0, 5)[0]
     calc = MonodromyCalculator(build_sheaf(graph, words))
     assert len(graph.tree_path(graph.tails["t2"].vertex,
-                               graph.tails["t4"].vertex)) == 2
-    text = calc.path(calc.tail_path_moves("t2", "t4")).dumps()
+                               graph.tails["t4"].vertex,
+                               list(calc.sheaf.tree_edges))) == 2
+    text = canonical_dumps(
+        calc.path(calc.tail_path_moves("t2", "t4")).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -195,7 +197,7 @@ def test_cycle_edge_loop_is_pinned(gn):
                                      graph.origin("e1+"),
                                      list(calc.sheaf.tree_edges))
     assert word == ["e1+", "e0-"]
-    text = calc.path(calc.loop_moves(word)).dumps()
+    text = canonical_dumps(calc.path(calc.loop_moves(word)).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == CYCLE_LOOP_SHA256[gn]
 
 
