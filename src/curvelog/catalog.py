@@ -7,6 +7,11 @@ labels, so only one (tails, deg) vector per relabelling orbit is used:
 the one whose per-vertex pairs are non-increasing.  Tail numbering is
 not part of the isomorphism class: the catalog assigns ``nu`` in vertex
 order, so two graphs differing only by renumbered tails are listed once.
+
+Within one vector, isomorphic multigraphs form one orbit of the
+relabellings that keep each vertex's (tails, deg) pair, and all are
+generated.  The first of an orbit marks the whole orbit as seen, so the
+key search runs once per isomorphism class.
 """
 from __future__ import annotations
 
@@ -163,11 +168,21 @@ def stable_graphs(g: int, n: int, trivalent_only: bool = True) -> list[StableGra
                 pairs = list(zip(tails, deg))
                 if pairs != sorted(pairs, reverse=True):
                     continue
+                # the relabellings within runs of equal pairs; a multigraph
+                # packs into one int: a multiplicity field per vertex pair
+                group = [list(itertools.chain(*p)) for p in itertools.product(
+                    *[itertools.permutations(r) for _, r in
+                      itertools.groupby(range(nv), pairs.__getitem__)])]
+                bit = [[1 << ne.bit_length() * (nv * min(i, j) + max(i, j))
+                        for j in range(nv)] for i in range(nv)]
+                seen: set[int] = set()
                 for edges in _multigraphs(list(deg)):
-                    if not _connected(nv, edges):
+                    if sum(bit[i][j] for i, j in edges) in seen:
                         continue
-                    key = _canonical(nv, edges, tails)
-                    if key not in out:
+                    seen.update(sum(bit[p[i]][p[j]] for i, j in edges)
+                                for p in group)
+                    if _connected(nv, edges):
+                        key = _canonical(nv, edges, tails)
                         gr = _build(key)
                         gr.validate(expect=(g, n))
                         out[key] = gr

@@ -15,7 +15,8 @@ every argument and result.  Products and the graded roots behind
 :meth:`TruncatedSeries.invert` and :func:`solve_quadratic` work inside on
 integer numerators over one common denominator per operand, and build
 each result coefficient as a ``Fraction`` once, so they pay no gcd per
-pair of terms.
+pair of terms.  One sum-of-products kernel, :func:`_sum_products`, serves
+them and the fused ``a*b + c*d`` of :class:`curvelog.schottky.Moebius`.
 
 :class:`curvelog.logpoly.LogPoly` shares the term kernel below: the exact
 coercion, the exponent check, the sum and the product, whose keys add
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -109,9 +110,21 @@ def _mul_terms(a: Mapping[tuple, Fraction], b: Mapping[tuple, Fraction],
                 terms[tuple(map(add, ka, kb))] = ca * cb
         return terms
     (na, da), (nb, db) = _numerators(a), _numerators(b)
-    den = da * db
-    return {k: Fraction(n, den)
-            for k, n in _convolve({}, na, nb, 1, cap).items() if n}
+    acc, den = _sum_products([(na, nb, da * db)], cap)
+    return {k: Fraction(n, den) for k, n in acc.items() if n}
+
+
+def _sum_products(prods: Sequence[tuple[Mapping, Mapping, int]],
+                  cap: int | None = None) -> tuple[dict[tuple, int], int]:
+    """``Σ a * b / den`` over the ``(a, b, den)`` in ``prods`` (integer
+    numerator dicts, a nonzero ``den`` of either sign) as numerators over
+    the lcm of the ``den``s, and that lcm; ``cap`` as in :func:`_convolve`,
+    and sums that cancel stay in as zeros."""
+    den = math.lcm(*[c for _, _, c in prods])
+    acc: dict[tuple, int] = {}
+    for a, b, c in prods:
+        _convolve(acc, a, b, den // c, cap)
+    return acc, den
 
 
 class TruncatedSeries:
@@ -433,12 +446,8 @@ def _graded_root(vars: tuple[str, ...], trunc: int,
         if d in a0:
             nums, c = a0[d]
             prods.append((nums, one, c))
-        # a1_0 * z_d + 2 a2_0 z_0 z_d + acc = 0, with acc summed over the
-        # lcm of the products' denominators
-        den = math.lcm(*[c for _, _, c in prods])
-        acc: dict[Exponent, int] = {}
-        for a, b, c in prods:
-            _convolve(acc, a, b, den // c)
+        # a1_0 * z_d + 2 a2_0 z_0 z_d + acc / den = 0
+        acc, den = _sum_products(prods)
         part = {e: n * neg_num for e, n in acc.items() if n}
         if part:
             den *= div_den

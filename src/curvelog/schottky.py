@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cpseries import TruncatedSeries as TS, solve_quadratic
+from .cpseries import (TruncatedSeries as TS, _numerators, _sum_products,
+                       solve_quadratic)
 from .stable_graph import StableGraph, edge_of, flip
 
 
@@ -45,13 +46,27 @@ class Moebius:
     d: TS
 
     def __matmul__(self, o: "Moebius") -> "Moebius":
-        return Moebius(self.a * o.a + self.b * o.c,
-                       self.a * o.b + self.b * o.d,
-                       self.c * o.a + self.d * o.c,
-                       self.c * o.b + self.d * o.d)
+        (a, b, c, d), (p, q, r, s) = (m._entries(self.a) for m in (self, o))
+        return Moebius(self._dot(a, p, b, r), self._dot(a, q, b, s),
+                       self._dot(c, p, d, r), self._dot(c, q, d, s))
 
     def det(self) -> TS:
-        return self.a * self.d - self.b * self.c
+        a, b, c, d = self._entries(self.a)
+        return self._dot(a, d, b, c, -1)
+
+    def _entries(self, ring: TS) -> list[tuple[dict, int]]:
+        """Each entry's integer numerators and denominator, in ``ring``."""
+        for x in (self.a, self.b, self.c, self.d):
+            ring._check_compat(x)
+        return [_numerators(x.terms) for x in (self.a, self.b, self.c, self.d)]
+
+    def _dot(self, w, x, y, z, sign: int = 1) -> TS:
+        """``w*x + sign*y*z`` from entry numerators, as one capped sum that
+        builds each coefficient once."""
+        prods = [(w[0], x[0], w[1] * x[1]), (y[0], z[0], sign * y[1] * z[1])]
+        acc, den = _sum_products(prods, self.a.trunc)
+        return TS._raw(self.a.vars, self.a.trunc,
+                       {k: Fraction(n, den) for k, n in acc.items() if n})
 
     def trace(self) -> TS:
         return self.a + self.d
@@ -118,7 +133,7 @@ def word_vars(word: Sequence[str]) -> tuple[str, ...]:
 
 
 def phi_matrix(graph: StableGraph, h: str, vars: tuple[str, ...],
-               trunc: int = 6) -> Moebius:
+               trunc: int) -> Moebius:
     """Generator matrix for half-edge ``h`` in the graph's chart, over
     the edge-parameter variables ``vars``."""
     if graph.chart is None:
@@ -131,7 +146,7 @@ def phi_matrix(graph: StableGraph, h: str, vars: tuple[str, ...],
 
 
 def word_matrix(graph: StableGraph, word: Sequence[str],
-                vars: tuple[str, ...], trunc: int = 6) -> Moebius:
+                vars: tuple[str, ...], trunc: int) -> Moebius:
     """Matrix of the composite map along a reduced path (applied left to
     right, so the first step's matrix sits rightmost), over the
     edge-parameter variables ``vars``."""

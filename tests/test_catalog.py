@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
-from curvelog.catalog import _build, _canonical, _multigraphs, stable_graphs
+from curvelog import catalog
+from curvelog.catalog import (_build, _canonical, _compositions, _connected,
+                              _multigraphs, stable_graphs)
 from curvelog.jsonio import canonical_dumps
 from curvelog.stable_graph import Edge, GraphInvalid, StableGraph
 
@@ -69,8 +71,10 @@ def test_multigraph_enumeration_small():
 
 # Small counts verified by hand (see each type's listing); larger ones are
 # regression pins produced by the same enumerator.
+# (2,0), (3,0), (4,0) = 2, 5, 17 are the connected cubic multigraphs with
+# loops on 2, 4, 6 vertices (OEIS A005967).
 TRIVALENT_COUNTS = {(1, 1): 1, (1, 2): 2, (2, 0): 2, (2, 1): 3,
-                    (2, 2): 9, (3, 0): 5, (3, 1): 12, (3, 2): 49}
+                    (2, 2): 9, (3, 0): 5, (3, 1): 12, (3, 2): 49, (4, 0): 17}
 STABLE_COUNTS = {(0, 3): 1, (0, 4): 2, (0, 5): 3, (0, 6): 7,
                  (1, 1): 1, (1, 2): 3, (1, 3): 7, (2, 0): 3}
 
@@ -104,6 +108,8 @@ CATALOG_SHA256 = {
                  "56afbf820239755c7b0af3b739c5ab94f84f82f0d4463551b0d5991930bbe75f"),
     "g3n1-all": ((3, 1, False),
                  "f9e03f4b929eb747fa910696a321ea65ba4fcf7f8ce70e05d74cddc94aa96b9f"),
+    "g4n0": ((4, 0, True),
+             "4cf26519cdb97b30ea68216a22063d42e1b222517ef0aa35179d0ef06b335e30"),
 }
 
 
@@ -139,6 +145,54 @@ def _brute_force_keys(g, n, trivalent_only):
                         continue
                     keys.add(canonical_key(gr))
     return keys
+
+
+def _per_multigraph_keys(g, n, trivalent_only):
+    """The key of every connected multigraph of every (tails, deg) vector
+    that the catalog generates, one key search per multigraph: the
+    enumeration without the orbit skip."""
+    keys = set()
+    max_v = 2 * g - 2 + n
+    for nv in [max_v] if trivalent_only else range(1, max_v + 1):
+        stubs = 2 * (g + nv - 1)
+        for tails in _compositions(n, [0] * nv, [n] * nv):
+            for deg in _compositions(stubs, [max(0, 3 - c) for c in tails],
+                                     [stubs] * nv):
+                pairs = list(zip(tails, deg))
+                if pairs != sorted(pairs, reverse=True):
+                    continue
+                if trivalent_only and any(c + d != 3 for c, d in pairs):
+                    continue
+                keys.update(_canonical(nv, edges, tails)
+                            for edges in _multigraphs(list(deg))
+                            if _connected(nv, edges))
+    return keys
+
+
+# every type the schottky-catalog benchmark enumerates or compares
+ORBIT_SKIP_TYPES = ([(g, n, True) for g in range(1, 4) for n in range(3)
+                     if 2 * g - 2 + n > 0]
+                    + [(0, 4, False), (0, 5, False), (1, 2, False),
+                       (1, 3, False)])
+
+
+@pytest.mark.parametrize("gnt", ORBIT_SKIP_TYPES, ids=lambda t: "g{}n{}{}".format(
+    t[0], t[1], "" if t[2] else "-all"))
+def test_orbit_skip_keeps_every_key(gnt):
+    keys = [canonical_key(gr) for gr in stable_graphs(*gnt)]
+    assert set(keys) == _per_multigraph_keys(*gnt)
+
+
+@pytest.mark.parametrize("gn", [(3, 2), (4, 0)])
+def test_one_key_search_per_isomorphism_class(gn, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _canonical(*args)
+
+    monkeypatch.setattr(catalog, "_canonical", counted)
+    assert len(stable_graphs(*gn)) == len(calls) == TRIVALENT_COUNTS[gn]
 
 
 @pytest.mark.parametrize("gn", [(g, n) for g in range(4) for n in range(7)

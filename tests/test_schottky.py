@@ -99,9 +99,80 @@ def test_word_matrix_composition_and_errors():
     for p, q in zip((m.a, m.b, m.c, m.d), (comp.a, comp.b, comp.c, comp.d)):
         assert (p - q).is_zero()
     with pytest.raises(NotReduced):
-        word_matrix(g, ["e1+", "e1-"], vs)
+        word_matrix(g, ["e1+", "e1-"], vs, trunc=4)
     with pytest.raises(NotComposable):
-        word_matrix(g, ["e0+", "e2+"], vs)
+        word_matrix(g, ["e0+", "e2+"], vs, trunc=4)
+
+
+def random_series(rng, vars, trunc):
+    """A sparse series with mixed denominators, zero one time in four,
+    with terms up to degree trunc + 2 (the constructor drops those above
+    trunc)."""
+    if rng.random() < 0.25:
+        return TS(vars, trunc)
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exp = tuple(rng.randint(0, 3) for _ in vars)
+        if sum(exp) <= trunc + 2:
+            terms[exp] = F(rng.randint(-4, 4), rng.choice([1, 2, 3, 6, 35]))
+    return TS(vars, trunc, terms)
+
+
+def entrywise_product(m, n):
+    return (m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+            m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("trunc", [4, 6])
+def test_moebius_product_equals_entrywise_arithmetic(nvars, trunc,
+                                                     monkeypatch):
+    vars = ("y0", "y1", "y2")[:nvars]
+    rng = random.Random(100 * nvars + trunc)
+    pairs = [(Moebius(*(random_series(rng, vars, trunc) for _ in range(4))),
+              Moebius(*(random_series(rng, vars, trunc) for _ in range(4))))
+             for _ in range(40)]
+    expected = [(entrywise_product(m, n), m.a * m.d - m.b * m.c)
+                for m, n in pairs]
+
+    def forbidden(*args):
+        raise AssertionError("series arithmetic in a fused product")
+
+    monkeypatch.setattr(TS, "__mul__", forbidden)
+    monkeypatch.setattr(TS, "__add__", forbidden)
+    for (m, n), (prod, det) in zip(pairs, expected):
+        mn = m @ n
+        assert (mn.a, mn.b, mn.c, mn.d) == prod
+        assert m.det() == det
+        for s in (mn.a, mn.b, mn.c, mn.d, m.det()):
+            assert all(s.terms.values())
+            assert all(sum(e) <= trunc for e in s.terms)
+
+
+def test_moebius_product_drops_cancelled_and_truncated_terms():
+    vars = ("y0", "y1")
+    x, y = (TS.variable(v, vars, 4) for v in vars)
+    one = TS.constant(1, vars, 4)
+    zero = TS(vars, 4)
+    # (1 + x/2) * y + (-1) * (x*y/2) = y: the x*y coefficient cancels;
+    # x^3 * x^3 lies above the truncation degree
+    m = Moebius(one + x.scale(F(1, 2)), -one, x * x * x, zero)
+    n = Moebius(y, x * x * x, (x * y).scale(F(1, 2)), y * y)
+    mn = m @ n
+    assert mn.a.terms == {(0, 1): 1}
+    assert mn.b.terms == {(3, 0): 1, (4, 0): F(1, 2), (0, 2): -1}
+    assert mn.c.terms == {(3, 1): 1}
+    assert mn.d.is_zero()
+    # (1 + x/2) * 0 - (-1) * x^3 = x^3
+    assert m.det().terms == {(3, 0): 1}
+    assert Moebius(x, y, y, x).det().terms == {(2, 0): 1, (0, 2): -1}
+
+
+def test_moebius_product_rejects_mixed_rings():
+    m = Moebius(*(TS.constant(k, ("y0",), 4) for k in (1, 2, 3, 4)))
+    n = Moebius(*(TS.constant(k, ("y0",), 5) for k in (1, 2, 3, 4)))
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        m @ n
 
 
 def test_multiplier_requires_cyclically_reduced():
