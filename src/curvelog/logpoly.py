@@ -63,6 +63,7 @@ def _period_factors(p: int, zetas: tuple, prec: float) -> tuple:
     return ((1j * math.pi) ** p, *(mzv_numeric(idx, prec) for idx in zetas))
 
 
+@lru_cache(maxsize=None)
 def _constants():
     from .constants import ConstantCombination   # constants builds on this
     return ConstantCombination
@@ -161,12 +162,12 @@ class LogPoly:
         return self._raw(self.vars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, (LogPoly, int, Fraction)):
+        op = self._align(other)
+        if op is None:
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        cls, b = op
+        return cls._raw(self.vars, _add_terms(
+            dict(self.terms), ((k, -c) for k, c in b.items())))
 
     def __mul__(self, other):
         op = self._align(other)

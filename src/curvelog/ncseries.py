@@ -155,7 +155,18 @@ class NCSeries:
                         {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "NCSeries") -> "NCSeries":
-        return self + (-other)
+        """``self + (-other)`` in one pass; equal coefficients cancel."""
+        self._compat(other)
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            s = terms.get(w)
+            if s is None:
+                terms[w] = -c
+            elif s == c:
+                del terms[w]
+            else:
+                terms[w] = s - c
+        return NCSeries(self.alphabet, self.trunc, self.ring, terms)
 
     def scale(self, value) -> "NCSeries":
         """Multiply by a scalar: a rational (embedded) or ring element."""

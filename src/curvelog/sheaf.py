@@ -396,30 +396,37 @@ def decompose_element(elem: NCSeries) -> dict:
     (i*pi)-powers and zeta values (:func:`curvelog.constants.in_zeta_span`):
     true is a proof, false one only under Zagier's conjecture.
 
-    Each word's terms are grouped by exponent in one pass and scaled by
-    the integer factorial product term by term.  Per period key, the
-    span test reads its cached lattice coordinates
-    (:mod:`curvelog.constants`) and the ``numeric`` field its cached
-    float factors (:mod:`curvelog.logpoly`).
+    Each word's terms are grouped by exponent in one pass.  Each
+    distinct pair of factorial scale and coefficient terms (in their
+    order) is scaled, written as JSON and span-tested once per call;
+    the entries that repeat it share one ``coeff`` dict, which callers
+    treat as read-only.  Per period key, the span test reads its cached
+    lattice coordinates (:mod:`curvelog.constants`) and the ``numeric``
+    field its cached float factors (:mod:`curvelog.logpoly`).
     """
     entries = []
     violations = []
     max_deg = 0
+    done: dict = {}     # (scale, terms) -> (coeff JSON, integral)
     for w in sorted(elem.terms, key=lambda w: (len(w), w)):
         coeffs = elem.terms[w].coefficients()
         for e in sorted(coeffs):
             entry = coeffs[e]
             scale = _factorials(e)
-            if scale > 1:
-                entry = ConstantCombination._raw(
-                    (), {k: q * scale for k, q in entry.terms.items()})
-            ok = in_zeta_span(entry)
+            key = (scale, tuple(entry.terms.items()))
+            result = done.get(key)
+            if result is None:
+                if scale > 1:
+                    entry = ConstantCombination._raw(
+                        (), {k: q * scale for k, q in entry.terms.items()})
+                result = done[key] = (entry.to_json(), in_zeta_span(entry))
+            coeff, ok = result
             if not ok:
                 violations.append(len(entries))
             entries.append({
                 "word": [elem.alphabet[i] for i in w],
                 "log_exp": list(e),
-                "coeff": entry.to_json(),
+                "coeff": coeff,
                 "integral": ok,
             })
             max_deg = max(max_deg, sum(e))

@@ -196,6 +196,39 @@ def test_rational_ring_rejects_inexact_scalars():
     assert z.coefficient("a") == 0.5
 
 
+# four coefficients per ring, built afresh on each call so that equal
+# coefficients are equal values, not one object
+_SUB_VALUES = {
+    "rational": (RATIONAL, lambda: (F(1, 2), F(-3), F(2, 7), F(5))),
+    "logpoly": (logpoly_ring(("u", "v")), lambda: (
+        LogPoly(("u", "v"), {(1, 0): CC.zeta(3), (0, 2): F(-1, 4)}),
+        LogPoly(("u", "v"), {(0, 0): CC.ipi(2, F(1, 3))}),
+        LogPoly(("u", "v"), {(0, 1): CC.zeta(2), (2, 0): 3}),
+        LogPoly(("u", "v"), {(0, 1): CC.zeta(2), (1, 1): 1}))),
+    "complex": (COMPLEX, lambda: (0.5 + 1j, -2j, 1 / 3, 3 + 0.25j)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUB_VALUES))
+def test_subtraction_is_adding_the_negative(name):
+    ring, values = _SUB_VALUES[name]
+    p, q, r, _ = values()
+    a = NCSeries(AB, 3, ring, {(): p, (0,): q, (0, 1): r})
+    _, q2, r2, s = values()
+    b = NCSeries(AB, 3, ring, {(0, 1): s, (1,): r2, (0,): q2})
+    got = a - b
+    assert list(got.terms.items()) == list((a + (-b)).terms.items())
+    # the equal coefficient of (0,) leaves no key
+    assert list(got.terms) == [(), (0, 1), (1,)]
+    assert got.terms[()] == p and got.terms[(1,)] == -r
+    assert got.terms[(0, 1)] == r - s != 0
+    for other in (NCSeries(("a", "c"), 3, ring, b.terms),
+                  NCSeries(AB, 2, ring, b.terms),
+                  NCSeries(AB, 3, replace(ring, name="other"), b.terms)):
+        with pytest.raises(ValueError, match="mismatch"):
+            a - other
+
+
 @st.composite
 def small_series(draw, trunc=3):
     a, b = letters(trunc)
