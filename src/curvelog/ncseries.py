@@ -116,9 +116,6 @@ class NCSeries:
         idx = tuple(self.alphabet.index(l) for l in word)
         return self.terms.get(idx, self.ring.zero)
 
-    def word_name(self, w: Word) -> str:
-        return "".join(self.alphabet[i] for i in w) if w else "1"
-
     def constant_term(self):
         return self.terms.get((), self.ring.zero)
 
@@ -344,7 +341,7 @@ class NCSeries:
         return cls(alphabet, trunc, ring, terms)
 
     def __repr__(self) -> str:
-        parts = [f"{self.terms[w]}*{self.word_name(w)}"
+        parts = [f"{self.terms[w]}*{''.join(self.alphabet[i] for i in w) or 1}"
                  for w in sorted(self.terms, key=lambda w: (len(w), w))[:6]]
         more = "+..." if len(self.terms) > 6 else ""
         return f"<nc {' + '.join(parts) or '0'}{more} (W={self.trunc})>"

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cpseries import (TruncatedSeries as TS, _numerators, _sum_products,
-                       solve_quadratic)
+from .cpseries import TruncatedSeries as TS, _sum_products, solve_quadratic
 from .stable_graph import StableGraph, edge_of, flip
 
 
@@ -54,19 +53,18 @@ class Moebius:
         a, b, c, d = self._entries(self.a)
         return self._dot(a, d, b, c, -1)
 
-    def _entries(self, ring: TS) -> list[tuple[dict, int]]:
-        """Each entry's integer numerators and denominator, in ``ring``."""
+    def _entries(self, ring: TS) -> list[TS]:
+        """The four entries, each checked to lie in ``ring``."""
         for x in (self.a, self.b, self.c, self.d):
             ring._check_compat(x)
-        return [_numerators(x.terms) for x in (self.a, self.b, self.c, self.d)]
+        return [self.a, self.b, self.c, self.d]
 
-    def _dot(self, w, x, y, z, sign: int = 1) -> TS:
-        """``w*x + sign*y*z`` from entry numerators, as one capped sum that
-        builds each coefficient once."""
-        prods = [(w[0], x[0], w[1] * x[1]), (y[0], z[0], sign * y[1] * z[1])]
-        acc, den = _sum_products(prods, self.a.trunc)
-        return TS._raw(self.a.vars, self.a.trunc,
-                       {k: Fraction(n, den) for k, n in acc.items() if n})
+    def _dot(self, w: TS, x: TS, y: TS, z: TS, sign: int = 1) -> TS:
+        """``w*x + sign*y*z`` as one capped sum over the entries'
+        numerators."""
+        prods = [(w.nums, x.nums, w.den * x.den),
+                 (y.nums, z.nums, sign * y.den * z.den)]
+        return w._with(*_sum_products(prods, w._bound()))
 
     def trace(self) -> TS:
         return self.a + self.d

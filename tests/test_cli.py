@@ -183,6 +183,22 @@ def test_schottky_compare_thm31(tmp_path):
     assert out["multipliers"]["pass"] is True
 
 
+# sha256 of the stdout below: fixed points at a truncation whose
+# exponents need more than seven bits
+FIXED_POINTS_DEG130_SHA256 = \
+    "e8376281856176d74f6e9695db2c1f337e419d30f80876310fe9601632e0777e"
+
+
+def test_schottky_fixed_points_at_a_large_truncation(tmp_path):
+    graph = StableGraph(["v0"], [Edge("f", "v0", 0, "v0", 1)],
+                        [Tail("t1", "v0", 1), Tail("t2", "v0", 2)])
+    gpath = write_json(tmp_path / "g12.json", graph.to_json())
+    stdout = run_cli("schottky", "fixed-points", "--graph", gpath,
+                     "--word", "f+", "--deg", "130", "--seed", "9").stdout
+    assert hashlib.sha256(stdout.encode()).hexdigest() == \
+        FIXED_POINTS_DEG130_SHA256
+
+
 def test_schottky_compare_thm31_loop_corner(tmp_path):
     # both branches of the loop edge move onto the bubble; the proper
     # powers f+ f+ and f- f- then need their common factor divided out

@@ -290,6 +290,125 @@ def test_merged_zeta_multisets_cancel():
                              for k, c in expect.terms.items()}
 
 
+# truncations whose exponents need from 0 to 9 bits, two above 127
+TRUNCS = (0, 1, 2, 6, 130, 300)
+
+
+def ref_clean(terms, trunc):
+    return {e: c for e, c in terms.items() if c and sum(e) <= trunc}
+
+
+def ref_combine(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, F(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b, trunc):
+    return pairwise(a, b, add_exponents, lambda e: sum(e) <= trunc)
+
+
+def assert_canonical(s):
+    """The numerator form: positive ``den`` coprime to the numerators, no
+    zero stored, ``den == 1`` for zero, and keys that the coefficients
+    read back through."""
+    assert s.den > 0 and 0 not in s.nums.values()
+    assert math.gcd(s.den, *s.nums.values()) == 1
+    assert s.nums or s.den == 1
+    assert all(sum(e) <= s.trunc for e in s.terms)
+    assert_stored_clean(s)
+
+
+@st.composite
+def packed_operands(draw):
+    """Series over 1 to 5 variables at one truncation of ``TRUNCS``: terms
+    on a lattice of step ``trunc // 6`` (plus 0 or 1), so that products
+    and roots stay small while the exponents fill their bit fields."""
+    nv = draw(st.integers(1, 5))
+    trunc = draw(st.sampled_from(TRUNCS))
+    vars = tuple(f"v{i}" for i in range(nv))
+    step = max(1, trunc // 6)
+    # m = 2 * lattice index + offset, the lattice index from 0 to 3
+    exps = st.lists(st.integers(0, 7), min_size=nv, max_size=nv).map(
+        lambda ms: tuple(step * (m >> 1) + (m & 1) for m in ms))
+    coeff = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    return vars, trunc, [draw(st.dictionaries(exps, coeff, max_size=n))
+                         for n in (4, 4, 3, 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_operands(), st.data())
+def test_numerator_form_matches_fraction_reference(operands, data):
+    vars, trunc, raw = operands
+    a, b, u, v = (TS(vars, trunc, t) for t in raw)
+    ra, rb = (ref_clean(t, trunc) for t in raw[:2])
+    c = data.draw(st.builds(F, st.integers(-5, 5), st.integers(1, 6)))
+    zero = (0,) * len(vars)
+    got = {"a": (a, ra), "b": (b, rb),
+           "add": (a + b, ref_combine(ra, rb)),
+           "sub": (a - b, ref_combine(ra, rb, -1)),
+           "neg": (-a, {e: -x for e, x in ra.items()}),
+           "scale": (a.scale(c), {e: c * x for e, x in ra.items() if c}),
+           "mul": (a * b, ref_mul(ra, rb, trunc))}
+    # the widest exponent, x_i^trunc, as a product of two halves
+    i = data.draw(st.integers(0, len(vars) - 1))
+    mono = [tuple(n * (j == i) for j in range(len(vars)))
+            for n in (trunc // 2, trunc - trunc // 2, trunc)]
+    widest = TS(vars, trunc, {mono[0]: c or 1}) * TS(vars, trunc, {mono[1]: 1})
+    assert widest.terms == {mono[2]: c or 1}
+    # a unit and its inverse; a quadratic with a simple root r
+    unit = u - u.constant_term() + 1
+    got["invert"] = (unit.invert(), None)
+    assert ref_mul(unit.terms, got["invert"][0].terms, trunc) == {zero: F(1)}
+    r = data.draw(st.sampled_from([F(0), F(1), F(-2, 3)]))
+    a2, a1 = v, u - u.constant_term() + 2
+    a0 = b - b.constant_term() - (a2.constant_term() * r * r + 2 * r)
+    if 2 * a2.constant_term() * r + 2 != 0:
+        z = solve_quadratic(a2, a1, a0, r)
+        got["root"] = (z, None)
+        q2, q1, q0 = (x.terms for x in (a2, a1, a0))
+        lhs = ref_combine(ref_combine(
+            ref_mul(q2, ref_mul(z.terms, z.terms, trunc), trunc),
+            ref_mul(q1, z.terms, trunc)), q0)
+        assert lhs == {} and z.constant_term() == r
+    # the structural operations, on the product plus x_i^trunc / 97: a
+    # part that drops the term must also drop the 97 from ``den``
+    top = TS(vars, trunc, {mono[2]: F(1, 97)})
+    p, rp = got["mul"][0] + top, ref_combine(got["mul"][1], top.terms)
+    t = data.draw(st.integers(0, trunc))
+    got["truncate"] = (p.truncate(t), ref_clean(rp, t))
+    d = data.draw(st.integers(0, trunc))
+    got["homogeneous"] = (p.homogeneous_part(d),
+                          {e: x for e, x in rp.items() if sum(e) == d})
+    low = min(map(sum, rp), default=None)
+    got["lowest"] = (p.lowest_part(),
+                     {e: x for e, x in rp.items() if sum(e) == low})
+    assert p.order() == (math.inf if low is None else low)
+    ideal = data.draw(st.sets(st.sampled_from(vars)))
+    at = [j for j, x in enumerate(vars) if x in ideal]
+    assert p.ideal_order(ideal) == min(
+        (sum(e[j] for j in at) for e in rp), default=math.inf)
+    if rp:
+        exp = tuple(map(min, zip(*rp)))
+        got["divide"] = (p.divide_monomial(exp), {
+            tuple(x - y for x, y in zip(e, exp)): q for e, q in rp.items()})
+        assert got["divide"][0].trunc == trunc - sum(exp)
+    for name, (s, ref) in got.items():
+        assert_canonical(s)
+        if ref is not None:
+            assert s.terms == ref, name
+            for e, x in ref.items():
+                assert s.coefficient(e) == x
+    # == is equality of the coefficients
+    results = [s for s, _ in got.values()]
+    for x in results:
+        for y in results:
+            if (x.vars, x.trunc) == (y.vars, y.trunc):
+                assert (x == y) == (x.terms == y.terms)
+    assert a + b == b + a and a * b == b * a and a - a == TS(vars, trunc)
+
+
 # sha256 of the verify_graph reports and of the fixed-point and
 # multiplier series over every trivalent graph with g <= 2, n <= 2 (the
 # charts of the acceptance suite), words up to length 3, degree 6
