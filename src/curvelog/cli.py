@@ -189,11 +189,6 @@ def _path_moves(calc, spec: dict) -> list:
     raise InputError("path file needs one of: tails, loop, moves")
 
 
-def _logdeg_filter(poly, logdeg: int):
-    n = len(poly.vars)
-    return poly.select(lambda k: sum(k[:n]) <= logdeg)
-
-
 def cmd_monodromy(args) -> int:
     from .sheaf import MonodromyCalculator, build_sheaf
 
@@ -217,8 +212,8 @@ def cmd_monodromy(args) -> int:
             elem = calc.path(_path_moves(calc, path_spec))
         except (KeyError, ValueError) as exc:
             raise InputError(f"path not admissible: {exc}") from exc
-        elem = elem.map_coefficients(
-            lambda p: _logdeg_filter(p, logdeg), calc.ring)
+        n = len(calc.lvars)
+        elem = elem.select(lambda k: sum(k[:n]) <= logdeg)
         header["lvars"] = list(calc.lvars)
         header["element"] = elem.to_json()
         return _emit(header, args)

@@ -40,7 +40,7 @@ from typing import Mapping
 
 from .cpseries import (_add_terms, _as_fraction, _echelon_insert, _exponent,
                        _ratio)
-from .logpoly import LogPoly
+from .logpoly import LogPoly, _codec
 from .ncseries import Ring, shuffle_words
 from .polylog import check_indices, indices_to_word, word_to_indices
 
@@ -251,6 +251,6 @@ CONSTANTS = Ring(
     lambda q: ConstantCombination.rational(q),
     lambda c: c.to_json(),
     ConstantCombination.from_json,
+    *_codec(ConstantCombination, ()),
     close=lambda a, b, tol: not (a - b).normal_form(),
-    scaled_sum=lambda pairs: ConstantCombination.scaled_sum((), pairs),
 )

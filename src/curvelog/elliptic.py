@@ -72,7 +72,7 @@ def w_infinity(trunc: int) -> NCSeries:
 
 
 def _to_constants(series: NCSeries) -> NCSeries:
-    return series.map_coefficients(ConstantCombination.rational, CONSTANTS)
+    return series.map_coefficients(CONSTANTS.embed, CONSTANTS)
 
 
 def _assoc_at(trunc: int, first: NCSeries, second: NCSeries) -> NCSeries:

@@ -6,18 +6,24 @@ zeta(idx_1) * ... * zeta(idx_r)``.  Its terms are one flat dict from the
 key ``(e_1, ..., e_n, ipi_pow, zetas)`` (symbol exponents, then the
 period key, ``zetas`` a sorted tuple of zeta index tuples) to a nonzero
 ``Fraction``.  In a product the exponents and ``ipi_pow`` add and the
-zeta multisets merge, unreduced.  The sum, the product and the exact
-coercion are the term kernel of :mod:`curvelog.cpseries`, shared with
-``TruncatedSeries``, but a product here truncates nothing: only
-:meth:`truncate` caps the degree in one symbol, on request.  Over no
+zeta multisets merge, unreduced.  The sum and the exact coercion are
+the term helpers of :mod:`curvelog.cpseries`, and the product its
+tuple-key ``_mul_terms``; a product here truncates nothing, and
+:meth:`truncate` caps the degree in one symbol on request.  Over no
 symbols the key is the period key alone: that is
 :class:`~curvelog.constants.ConstantCombination`, the type
 :meth:`LogPoly.coefficients` gives per exponent.  The operands of a
 sum, a product or ``==`` share one symbol set: a rational lifts into
 any, but a polynomial over other symbols raises ``ValueError``, so a
 ``ConstantCombination`` enters a polynomial over symbols only as a
-coefficient given to the constructor.  The package uses one type over
-three symbol sets:
+coefficient given to the constructor.
+
+A ``LogPoly`` is the boundary type of the series rings
+(:func:`logpoly_ring`, ``CONSTANTS``): inside an
+:class:`~curvelog.ncseries.NCSeries` a coefficient is integer
+numerators on interned keys over the series' one denominator, and
+:func:`_codec` converts between the two.  The package uses one type
+over three symbol sets:
 
 * one symbol per graph edge, standing for ``log(y_edge) / (2 i pi)``:
   the coefficients of monodromy elements (:func:`logpoly_ring`), where
@@ -44,8 +50,9 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
-from .cpseries import _add_terms, _as_fraction, _exponent, _mul_terms
-from .ncseries import Ring
+from .cpseries import (_add_terms, _as_fraction, _exponent, _mul_terms,
+                       _numerators)
+from .ncseries import Ring, _monomials
 from .polylog import mzv_numeric
 
 Expo = tuple[int, ...]
@@ -96,18 +103,6 @@ class LogPoly:
         out.vars = vars
         out.terms = terms
         return out
-
-    @classmethod
-    def scaled_sum(cls, vars: tuple[str, ...], pairs) -> "LogPoly":
-        """``sum c * q`` over the ``(q, c)`` pairs, each ``q`` rational and
-        each ``c`` over ``vars``, accumulated in one flat term dict."""
-        acc: dict[Key, Fraction] = {}
-        for q, c in pairs:
-            if q == 1:
-                _add_terms(acc, c.terms.items())
-            elif q:
-                _add_terms(acc, ((k, x * q) for k, x in c.terms.items()))
-        return cls._raw(vars, acc)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -201,11 +196,6 @@ class LogPoly:
         return self._raw(self.vars, {k: c for k, c in self.terms.items()
                                      if k[i] <= m})
 
-    def select(self, keep: Callable[[Key], bool]) -> "LogPoly":
-        """The terms whose key passes ``keep``."""
-        return self._raw(self.vars, {k: c for k, c in self.terms.items()
-                                     if keep(k)})
-
     def coefficients(self) -> dict:
         """The coefficient of each exponent present, as a
         ``ConstantCombination``, in the order the terms were built."""
@@ -264,6 +254,30 @@ class LogPoly:
         return f"<{'lp' if n else 'cc'} {' + '.join(bits) or '0'}>"
 
 
+def _codec(cls: type, vars: tuple[str, ...]) -> tuple[Callable, Callable,
+                                                     object]:
+    """``(split, join, table)`` of the series ring of ``cls`` over
+    ``vars``: ``split`` gives a polynomial (or a rational, lifted) as
+    integer numerators by monomial id of ``table`` over one denominator,
+    and ``join`` builds the polynomial back."""
+    table = _monomials(len(vars))
+    intern, keys = table.intern, table.keys
+
+    def split(p) -> tuple[dict[int, int], int]:
+        if not isinstance(p, LogPoly):
+            p = LogPoly.constant(vars, p)
+        elif p.vars != vars:
+            raise ValueError("symbol set mismatch")
+        nums, den = _numerators(p.terms)
+        return {intern(k): n for k, n in nums.items()}, den
+
+    def join(m: dict[int, int], den: int) -> LogPoly:
+        return cls._raw(vars, {keys[i]: Fraction(n, den)
+                               for i, n in m.items()})
+
+    return split, join, table
+
+
 def logpoly_ring(vars: Sequence[str]) -> Ring:
     """The ring of ``LogPoly`` over ``vars``; its decoder refuses a
     polynomial over any other symbols."""
@@ -282,7 +296,7 @@ def logpoly_ring(vars: Sequence[str]) -> Ring:
         lambda q: LogPoly.constant(vars, q),
         lambda p: p.to_json(),
         decode,
+        *_codec(LogPoly, vars),
         close=lambda a, b, tol: not any(
             c.normal_form() for c in (a - b).coefficients().values()),
-        scaled_sum=lambda pairs: LogPoly.scaled_sum(vars, pairs),
     )

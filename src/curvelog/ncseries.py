@@ -2,22 +2,48 @@
 
 Words are tuples of letter indices; everything of length beyond the
 truncation is dropped.  Coefficients live in a ring described by a small
-:class:`Ring` record (zero, one, embedding of rationals, JSON codec, value
-equality), so the same series type serves exact rational computations,
-symbolic period combinations, log-polynomials, and complex numerics.
+:class:`Ring` record, so the same series type serves exact rational
+computations, symbolic period combinations, log-polynomials, and complex
+numerics.
+
+A series holds ``nums``, a dict from each word to a dict from monomial
+ids to nonzero numerators, over one denominator ``den``.  A monomial id
+stands for a key ``(e_1, ..., e_n, ipi_pow, zetas)`` of
+:mod:`curvelog.logpoly` (symbol exponents, then the period key, the
+zeta multiset sorted and unreduced), interned in the table of the
+ring's symbol count (:func:`_monomials`); id 0 is the unit.  Over an
+exact ring the numerators are ``int``s and the form is canonical:
+``gcd(den, *numerators) == 1`` and the zero series has ``den == 1``, so
+``==`` compares fields.  ``RATIONAL`` uses the unit monomial alone and
+``CONSTANTS`` the monomials over no symbols.  ``COMPLEX``, the ODE
+oracle's ring, has the same layout with one ``complex`` numerator per
+word on the unit monomial and ``den == 1``, so it never takes the gcd
+step.
 
 A product groups the right operand's words by length, so that only the
-pairs within the truncation are visited, and multiplies their
-coefficients pair by pair in every ring.
+pairs within the truncation are visited, and convolves each pair's
+monomial dicts on the numerators: the product of two ids is one lookup
+in the table's product rows, which fill on first use.  Scaling by a
+rational or by a ring element runs the same kernel; sums, negation,
+``exp``, ``invert``, :meth:`NCSeries.select` and
+:meth:`NCSeries.map_terms` work on the numerators too.
 
 ``substitute`` takes rational images only.  It multiplies them along
-each distinct prefix of the source words once, and each target word's
-coefficient is one rational linear combination ``sum_w q_w c_w`` in the
-source series' own ring (the associator's period constants stay
-constants), built by the ring's ``scaled_sum`` hook: ``*`` and ``+`` by
-default, one flat term accumulation for the ``LogPoly`` rings.  A
-caller that needs the result in a larger ring lifts it once with
-:meth:`NCSeries.map_coefficients`.
+each distinct prefix of the source words once and adds ``q * c`` for
+each source coefficient ``c`` and image coefficient ``q`` straight into
+the numerators of the source series' ring, so the associator's period
+constants stay constants; no ring hook takes part (the ``scaled_sum``
+hook of the per-coefficient form is gone).  A caller that needs the
+result in a larger ring lifts it once with
+``map_coefficients(ring.embed, ring)``, which between exact rings
+re-keys the monomials.
+
+Ring elements (``Fraction``, ``LogPoly``, ``ConstantCombination``,
+``complex``) appear only at the boundary: the constructor and scalar
+arguments, the read-only :attr:`NCSeries.terms` (a new dict from words
+to ring elements), ``coefficient``, ``constant_term``,
+``map_coefficients`` with any other function, ``to_json``,
+``from_json`` and ``repr``.
 
 Group-likeness is the shuffle-relation test: an element with constant
 term 1 is group-like iff ``c(u) c(v) = sum_w <u sh v, w> c(w)`` for all
@@ -28,8 +54,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
+from math import gcd, lcm
 from operator import add
 from typing import Callable, Mapping, Sequence
 
@@ -37,6 +64,61 @@ from .cpseries import _add_terms, _as_fraction, _exponent
 from .jsonio import frac_to_str
 
 Word = tuple[int, ...]
+
+
+class _Row(dict):
+    """``row[j]`` is the id of the product of the monomials ``i`` and
+    ``j`` of ``table``, computed on the first lookup."""
+    __slots__ = ("table", "i")
+
+    def __init__(self, table: "_Monomials", i: int):
+        self.table, self.i = table, i
+
+    def __missing__(self, j: int) -> int:
+        table = self.table
+        a, b = table.keys[self.i], table.keys[j]
+        za, zb = a[-1], b[-1]
+        k = self[j] = table.rows[j][self.i] = table.intern(
+            (*map(add, a[:-1], b[:-1]),
+             tuple(sorted(za + zb)) if za and zb else za or zb))
+        return k
+
+
+class _Monomials:
+    """The interned monomials over ``n`` symbols: id ``i`` stands for
+    ``keys[i]`` and id 0 for the unit; ``rows[i]`` is the product row of
+    ``i`` (:class:`_Row`).  Only monomials that some computation builds
+    are interned."""
+    __slots__ = ("n", "keys", "ids", "rows")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.keys: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        self.rows: list[_Row] = []
+        self.intern((0,) * n + (0, ()))
+
+    def intern(self, key: tuple) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.rows.append(_Row(self, i))
+        return i
+
+
+_TABLES: dict[int, _Monomials] = {}
+
+
+def _monomials(n: int) -> _Monomials:
+    """The monomial table of the rings over ``n`` symbols.  Rings of one
+    symbol count share it, so that rings of one name built apart (a
+    ``logpoly_ring`` per calculator) give their series the same ids; a
+    table only grows, and no output depends on the id values."""
+    table = _TABLES.get(n)
+    if table is None:
+        table = _TABLES[n] = _Monomials(n)
+    return table
 
 
 @dataclass(frozen=True)
@@ -47,18 +129,74 @@ class Ring:
     embed: Callable          # Fraction | int -> element
     encode: Callable         # element -> JSON-able
     decode: Callable         # JSON-able -> element
+    split: Callable          # element -> ({monomial id: numerator}, den)
+    join: Callable           # ({monomial id: numerator}, den) -> element
+    table: _Monomials        # the monomials of the ring's symbol count
     close: Callable = lambda a, b, tol: a == b   # equal values (COMPLEX: tol)
-    # nonempty [(q, c)], q rational -> sum of c * q
-    scaled_sum: Callable = lambda pairs: reduce(add, (c * q for q, c in pairs))
+    exact: bool = True       # int numerators (COMPLEX: complex, den 1)
+
+
+def _split_rational(q) -> tuple[dict[int, int], int]:
+    q = _as_fraction(q)
+    return ({0: q.numerator}, q.denominator) if q else ({}, 1)
 
 
 RATIONAL = Ring("rational", Fraction(0), Fraction(1), _as_fraction,
-                frac_to_str, _as_fraction)
+                frac_to_str, _as_fraction, _split_rational,
+                lambda m, den: Fraction(m[0], den), _monomials(0))
 
 COMPLEX = Ring("complex", complex(0), complex(1), complex,
                lambda c: {"re": c.real, "im": c.imag},
                lambda d: complex(d["re"], d["im"]),
-               close=lambda a, b, tol: abs(a - b) <= tol)
+               lambda c: ({0: c} if c else {}, 1), lambda m, den: m[0],
+               _monomials(0), close=lambda a, b, tol: abs(a - b) <= tol,
+               exact=False)
+
+
+def _canonical(nums: dict, den: int) -> tuple[dict, int]:
+    """The canonical form of ``nums / den``: ``den > 0`` and ``nums``
+    holds no zero numerator and no empty word."""
+    if den == 1 or not nums:
+        return nums, 1
+    g = den
+    for m in nums.values():
+        g = gcd(g, *m.values())
+        if g == 1:
+            return nums, den
+    return {w: {k: n // g for k, n in m.items()}
+            for w, m in nums.items()}, den // g
+
+
+def _product(a: Mapping, b: Mapping, trunc: int, rows: list) -> dict:
+    """The numerators of ``a * b``, both word -> {monomial id ->
+    numerator} dicts, on the words within ``trunc``; no zero is kept."""
+    by_len: list[list] = [[] for _ in range(trunc + 1)]
+    for w2, m2 in b.items():
+        by_len[len(w2)].append((w2, tuple(m2.items())))
+    out: dict[Word, dict] = {}
+    for w1, m1 in a.items():
+        m1 = [(rows[i], n) for i, n in m1.items()]
+        for bucket in by_len[:trunc - len(w1) + 1]:
+            for w2, m2 in bucket:
+                w = w1 + w2
+                acc = out.get(w)
+                if acc is None:
+                    acc = out[w] = {}
+                get = acc.get
+                for row, n1 in m1:
+                    for j, n2 in m2:
+                        k = row[j]
+                        p = n1 * n2
+                        s = get(k)
+                        if s is None:
+                            acc[k] = p
+                        elif s := s + p:
+                            acc[k] = s
+                        else:
+                            del acc[k]
+                if not acc:
+                    del out[w]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +217,7 @@ def shuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
 
 
 class NCSeries:
-    __slots__ = ("alphabet", "trunc", "ring", "terms")
+    __slots__ = ("alphabet", "trunc", "ring", "nums", "den")
 
     def __init__(self, alphabet: Sequence[str], trunc: int, ring: Ring,
                  terms: Mapping[Word, object] | None = None):
@@ -90,11 +228,33 @@ class NCSeries:
             raise ValueError("truncation order must be >= 0")
         self.trunc = int(trunc)
         self.ring = ring
-        self.terms: dict[Word, object] = {}
-        if terms:
-            for w, c in terms.items():
-                if len(w) <= self.trunc and c:
-                    self.terms[tuple(w)] = c
+        parts = []
+        for w, c in (terms or {}).items():
+            if len(w) <= self.trunc and c:
+                m, d = ring.split(c)
+                if m:
+                    parts.append((tuple(w), m, d))
+        # each part is canonical, so over the lcm the whole form is
+        self.den = den = lcm(*[d for _, _, d in parts])
+        self.nums: dict[Word, dict] = {
+            w: m if d == den else {k: n * (den // d) for k, n in m.items()}
+            for w, m, d in parts}
+
+    @classmethod
+    def _raw(cls, alphabet: tuple, trunc: int, ring: Ring, nums: dict,
+             den: int) -> "NCSeries":
+        """Wrap a canonical ``(nums, den)``."""
+        out = object.__new__(cls)
+        out.alphabet, out.trunc, out.ring = alphabet, trunc, ring
+        out.nums, out.den = nums, den
+        return out
+
+    def _like(self, nums: dict, den: int, ring: Ring | None = None
+              ) -> "NCSeries":
+        """A series on this one's letters and truncation from zero-free
+        numerators over ``den > 0``."""
+        return self._raw(self.alphabet, self.trunc, ring or self.ring,
+                         *_canonical(nums, den))
 
     # ------------------------------------------------------------------
     # constructors and inspection
@@ -112,24 +272,87 @@ class NCSeries:
         i = tuple(alphabet).index(name)
         return cls(alphabet, trunc, ring, {(i,): ring.one})
 
+    @property
+    def terms(self) -> dict:
+        """A new dict from words to ring elements; changing it leaves the
+        series as it is."""
+        join, den = self.ring.join, self.den
+        return {w: join(m, den) for w, m in self.nums.items()}
+
     def coefficient(self, word: Sequence[str]):
-        idx = tuple(self.alphabet.index(l) for l in word)
-        return self.terms.get(idx, self.ring.zero)
+        m = self.nums.get(tuple(self.alphabet.index(l) for l in word))
+        return self.ring.zero if m is None else self.ring.join(m, self.den)
 
     def constant_term(self):
-        return self.terms.get((), self.ring.zero)
+        m = self.nums.get(())
+        return self.ring.zero if m is None else self.ring.join(m, self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def order(self) -> int:
-        if not self.terms:
+        if not self.nums:
             return self.trunc + 1
-        return min(len(w) for w in self.terms)
+        return min(len(w) for w in self.nums)
 
     def map_coefficients(self, fn: Callable, ring: Ring) -> "NCSeries":
+        """The series of ``fn`` of each coefficient, over ``ring``.  The
+        lift ``fn = ring.embed`` of a rational series into an exact ring,
+        or of one over no symbols into an exact ring over symbols,
+        re-keys the monomials instead."""
+        src = self.ring
+        if fn is ring.embed and ring.exact and src.exact \
+                and src.table.n == 0 \
+                and (src.name == RATIONAL.name or ring.table.n):
+            keys, intern = src.table.keys, ring.table.intern
+            pad = (0,) * ring.table.n
+            return self._raw(self.alphabet, self.trunc, ring, {
+                w: {intern(pad + keys[i]): n for i, n in m.items()}
+                for w, m in self.nums.items()}, self.den)
         return NCSeries(self.alphabet, self.trunc, ring,
                         {w: fn(c) for w, c in self.terms.items()})
+
+    def select(self, keep: Callable[[tuple], bool]) -> "NCSeries":
+        """The coefficient terms whose monomial key passes ``keep``."""
+        keys, seen = self.ring.table.keys, {}
+        out = {}
+        for w, m in self.nums.items():
+            kept = {}
+            for i, n in m.items():
+                ok = seen.get(i)
+                if ok is None:
+                    ok = seen[i] = keep(keys[i])
+                if ok:
+                    kept[i] = n
+            if kept:
+                out[w] = kept
+        return self._like(out, self.den)
+
+    def map_terms(self, term: Callable, ring: Ring) -> "NCSeries":
+        """Send every coefficient term of monomial key ``k`` through
+        ``term(k)``, which gives ``(key, factor)`` pairs over ``ring``
+        with rational factors, and sum: the term maps of the sewing
+        zones."""
+        keys, intern = self.ring.table.keys, ring.table.intern
+        images: dict[int, list] = {}
+        for m in self.nums.values():
+            for i in m:
+                if i not in images:
+                    images[i] = [(intern(k), _as_fraction(f))
+                                 for k, f in term(keys[i])]
+        den = lcm(*[f.denominator for pairs in images.values()
+                    for _, f in pairs])
+        for i, pairs in images.items():
+            images[i] = [(k, f.numerator * (den // f.denominator))
+                         for k, f in pairs if f]
+        out = {}
+        for w, m in self.nums.items():
+            acc: dict[int, int] = {}
+            for i, n in m.items():
+                _add_terms(acc, ((k, n * f) for k, f in images[i]))
+            if acc:
+                out[w] = acc
+        return self._like(out, self.den * den, ring)
 
     def _compat(self, other: "NCSeries") -> None:
         if self.alphabet != other.alphabet:
@@ -139,62 +362,71 @@ class NCSeries:
         if self.ring.name != other.ring.name:
             raise ValueError("coefficient ring mismatch")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NCSeries):
+            return NotImplemented
+        return (self.alphabet == other.alphabet and self.trunc == other.trunc
+                and self.ring.name == other.ring.name
+                and self.den == other.den and self.nums == other.nums)
+
     # ------------------------------------------------------------------
     # ring operations
 
-    def __add__(self, other: "NCSeries") -> "NCSeries":
+    def _combine(self, other: "NCSeries", sign: int) -> "NCSeries":
+        """``self + sign * other`` in one pass; sums that cancel leave no
+        key."""
         self._compat(other)
-        return NCSeries(self.alphabet, self.trunc, self.ring,
-                        _add_terms(dict(self.terms), other.terms.items()))
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        # word dicts are never changed in place, so this shares them
+        out = dict(self.nums) if fa == 1 else {
+            w: {k: n * fa for k, n in m.items()}
+            for w, m in self.nums.items()}
+        for w, m in other.nums.items():
+            pairs = m.items() if fb == 1 else \
+                [(k, -n) for k, n in m.items()] if fb == -1 else \
+                [(k, n * fb) for k, n in m.items()]
+            acc = out.get(w)
+            if acc is None:
+                out[w] = dict(pairs)
+            elif acc := _add_terms(dict(acc) if fa == 1 else acc, pairs):
+                out[w] = acc
+            else:
+                del out[w]
+        return self._like(out, den)
+
+    def __add__(self, other: "NCSeries") -> "NCSeries":
+        if not isinstance(other, NCSeries):
+            return NotImplemented
+        return self._combine(other, 1)
 
     def __neg__(self) -> "NCSeries":
-        return NCSeries(self.alphabet, self.trunc, self.ring,
-                        {w: -c for w, c in self.terms.items()})
+        return self._raw(self.alphabet, self.trunc, self.ring,
+                         {w: {k: -n for k, n in m.items()}
+                          for w, m in self.nums.items()}, self.den)
 
     def __sub__(self, other: "NCSeries") -> "NCSeries":
         """``self + (-other)`` in one pass; equal coefficients cancel."""
-        self._compat(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w)
-            if s is None:
-                terms[w] = -c
-            elif s == c:
-                del terms[w]
-            else:
-                terms[w] = s - c
-        return NCSeries(self.alphabet, self.trunc, self.ring, terms)
+        if not isinstance(other, NCSeries):
+            return NotImplemented
+        return self._combine(other, -1)
 
     def scale(self, value) -> "NCSeries":
         """Multiply by a scalar: a rational (embedded) or ring element."""
-        if isinstance(value, (int, Fraction)) or self.ring is RATIONAL:
-            value = self.ring.embed(value)
-        if not value:
-            return NCSeries.zero(self.alphabet, self.trunc, self.ring)
-        return NCSeries(self.alphabet, self.trunc, self.ring,
-                        {w: value * c for w, c in self.terms.items()})
+        ring = self.ring
+        if isinstance(value, (int, Fraction)) or ring is RATIONAL:
+            value = ring.embed(value)
+        m, d = ring.split(value)
+        return self._like(_product(self.nums, {(): m}, self.trunc,
+                                   ring.table.rows), self.den * d)
 
     def __mul__(self, other: "NCSeries") -> "NCSeries":
+        if not isinstance(other, NCSeries):
+            return NotImplemented
         self._compat(other)
-        trunc = self.trunc
-        by_len: list[list] = [[] for _ in range(trunc + 1)]
-        for w2, c2 in other.terms.items():
-            by_len[len(w2)].append((w2, c2))
-        out: dict[Word, object] = {}
-        for w1, c1 in self.terms.items():
-            for bucket in by_len[:trunc - len(w1) + 1]:
-                for w2, c2 in bucket:
-                    w = w1 + w2
-                    p = c1 * c2
-                    s = out.get(w)
-                    if s is None:
-                        if p:
-                            out[w] = p
-                    elif s := s + p:
-                        out[w] = s
-                    else:
-                        del out[w]
-        return NCSeries(self.alphabet, trunc, self.ring, out)
+        return self._like(_product(self.nums, other.nums, self.trunc,
+                                   self.ring.table.rows),
+                          self.den * other.den)
 
     def bracket(self, other: "NCSeries") -> "NCSeries":
         return self * other - other * self
@@ -213,7 +445,7 @@ class NCSeries:
 
     def invert(self) -> "NCSeries":
         """Inverse of a series with constant term one."""
-        if self.constant_term() != self.ring.one:
+        if self.nums.get(()) != {0: self.den}:
             raise ValueError("invert needs constant term one")
         y = NCSeries.unit(self.alphabet, self.trunc, self.ring) - self
         out = NCSeries.unit(self.alphabet, self.trunc, self.ring)
@@ -241,7 +473,8 @@ class NCSeries:
 
     def substitute(self, images: Mapping[str, "NCSeries"]) -> "NCSeries":
         """Ring homomorphism sending each letter to a rational series of
-        positive order; the result keeps this series' ring."""
+        positive order; the result keeps this series' ring, which must be
+        exact."""
         if not images:
             raise ValueError("no images")
         target = next(iter(images.values()))
@@ -256,11 +489,13 @@ class NCSeries:
             if (img.alphabet, img.trunc, img.ring.name) != \
                     (target.alphabet, target.trunc, target.ring.name):
                 raise ValueError("images live in different rings")
+        if not self.ring.exact:
+            raise ValueError("substitute needs an exact coefficient ring")
         imgs = [images[name] for name in self.alphabet]
         # the product of the images along each prefix, built once
         prefix = {(): NCSeries.unit(target.alphabet, target.trunc)}
-        sums: dict[Word, list] = {}
-        for w, c in self.terms.items():
+        used = []
+        for w, m in self.nums.items():
             n = len(w)
             while w[:n] not in prefix:
                 n -= 1
@@ -268,32 +503,52 @@ class NCSeries:
             for i in range(n, len(w)):
                 p = p * imgs[w[i]]
                 prefix[w[:i + 1]] = p
-            for u, q in p.terms.items():
-                sums.setdefault(u, []).append((q, c))
-        scaled_sum = self.ring.scaled_sum
-        return NCSeries(target.alphabet, target.trunc, self.ring,
-                        {u: scaled_sum(pairs) for u, pairs in sums.items()})
+            used.append((p, m))
+        # sum q * c over one denominator; an image coefficient q sits on
+        # the unit monomial
+        den = lcm(*[p.den for p, _ in used])
+        acc: dict[Word, dict] = {}
+        for p, m in used:
+            f = den // p.den
+            for u, pu in p.nums.items():
+                q = pu[0] * f
+                a = acc.get(u)
+                if a is None:
+                    acc[u] = {k: n * q for k, n in m.items()}
+                else:
+                    for k, n in m.items():
+                        a[k] = a.get(k, 0) + n * q
+        nums = {}
+        for u, a in acc.items():
+            if a := {k: n for k, n in a.items() if n}:
+                nums[u] = a
+        return self._raw(target.alphabet, target.trunc, self.ring,
+                         *_canonical(nums, den * self.den))
 
     def rename(self, mapping: Mapping[str, str]) -> "NCSeries":
         new_alpha = tuple(mapping.get(a, a) for a in self.alphabet)
         if len(set(new_alpha)) != len(new_alpha):
             raise ValueError("renaming collides")
-        return NCSeries(new_alpha, self.trunc, self.ring, self.terms)
+        return self._raw(new_alpha, self.trunc, self.ring, self.nums,
+                         self.den)
 
     def extend(self, alphabet: Sequence[str]) -> "NCSeries":
-        alphabet = tuple(alphabet)
-        pos = [alphabet.index(a) for a in self.alphabet]
-        return NCSeries(alphabet, self.trunc, self.ring,
-                        {tuple(pos[i] for i in w): c
-                         for w, c in self.terms.items()})
+        out = NCSeries(alphabet, self.trunc, self.ring)
+        pos = [out.alphabet.index(a) for a in self.alphabet]
+        out.nums = {tuple(pos[i] for i in w): m for w, m in self.nums.items()}
+        out.den = self.den
+        return out
 
     # ------------------------------------------------------------------
     # structure tests
 
     def is_grouplike(self, tol: float = 0.0) -> bool:
-        """Shuffle-relation test; coefficients compare by ``ring.close``."""
-        close = self.ring.close
-        if not close(self.constant_term(), self.ring.one, tol):
+        """Shuffle-relation test; coefficients compare by ``ring.close``,
+        which sees the difference of the two sides only where their
+        numerators differ."""
+        ring = self.ring
+        close = ring.close
+        if not close(self.constant_term(), ring.one, tol):
             return False
         # relations must hold for every pair of nonempty words, including
         # pairs whose coefficient is zero; enumerate all words up to trunc
@@ -301,18 +556,25 @@ class NCSeries:
         universe: list[Word] = []
         for n in range(1, self.trunc + 1):
             universe.extend(product(letters, repeat=n))
-        zero = self.ring.zero
+        nums, den, rows = self.nums, self.den, ring.table.rows
         for i, u in enumerate(universe):
+            mu = nums.get(u, {})
             for v in universe[i:]:
                 if len(u) + len(v) > self.trunc:
                     continue
-                lhs = self.terms.get(u, zero) * self.terms.get(v, zero)
-                rhs = zero
-                for w, m in shuffle_words(u, v):
-                    c = self.terms.get(w)
+                # c(u) c(v) - sum_w <u sh v, w> c(w), over den**2
+                diff: dict[int, object] = {}
+                for a, x in mu.items():
+                    row = rows[a]
+                    _add_terms(diff, ((row[b], x * y)
+                                      for b, y in nums.get(v, {}).items()))
+                for w, mult in shuffle_words(u, v):
+                    c = nums.get(w)
                     if c is not None:
-                        rhs = rhs + c * self.ring.embed(m)
-                if not close(lhs, rhs, tol):
+                        f = -mult * den
+                        _add_terms(diff, ((k, n * f) for k, n in c.items()))
+                if diff and not close(ring.join(diff, den * den), ring.zero,
+                                      tol):
                     return False
         return True
 
@@ -320,10 +582,11 @@ class NCSeries:
     # serialization
 
     def to_json(self) -> dict:
+        encode, join = self.ring.encode, self.ring.join
         items = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
+        for w in sorted(self.nums, key=lambda w: (len(w), w)):
             items.append({"word": [self.alphabet[i] for i in w],
-                          "coeff": self.ring.encode(self.terms[w])})
+                          "coeff": encode(join(self.nums[w], self.den))})
         return {"alphabet": list(self.alphabet), "trunc": self.trunc,
                 "ring": self.ring.name, "terms": items}
 
@@ -341,7 +604,8 @@ class NCSeries:
         return cls(alphabet, trunc, ring, terms)
 
     def __repr__(self) -> str:
-        parts = [f"{self.terms[w]}*{''.join(self.alphabet[i] for i in w) or 1}"
-                 for w in sorted(self.terms, key=lambda w: (len(w), w))[:6]]
-        more = "+..." if len(self.terms) > 6 else ""
+        terms = self.terms
+        parts = [f"{terms[w]}*{''.join(self.alphabet[i] for i in w) or 1}"
+                 for w in sorted(terms, key=lambda w: (len(w), w))[:6]]
+        more = "+..." if len(terms) > 6 else ""
         return f"<nc {' + '.join(parts) or '0'}{more} (W={self.trunc})>"

@@ -60,9 +60,8 @@ from typing import Callable
 
 from .associator import kz_associator
 from .constants import ConstantCombination
-from .cpseries import _add_terms
 from .logpoly import LogPoly, logpoly_ring
-from .ncseries import COMPLEX, RATIONAL, NCSeries, Ring
+from .ncseries import COMPLEX, RATIONAL, NCSeries
 
 SEW_VARS = ("y", "l", "kappa")
 
@@ -95,20 +94,6 @@ ZONE_VARS = SEW_VARS + ("w", "L")
 ZONE = logpoly_ring(ZONE_VARS)
 
 
-def _termwise(s: NCSeries, term: Callable, ring: Ring) -> NCSeries:
-    """Send every coefficient term ``(key, c)`` of ``s`` through
-    ``term``, which gives ``(key, c)`` pairs over ``ring``, and sum.  A
-    key is the symbol exponents followed by the period key ``(ipi_pow,
-    zetas)``, which ``term`` carries along."""
-    vars = ring.one.vars
-
-    def coeff(p: LogPoly) -> LogPoly:
-        return LogPoly._raw(vars, _add_terms({}, (
-            pair for k, c in p.terms.items() for pair in term(k, c))))
-
-    return s.map_coefficients(coeff, ring)
-
-
 def _sew(s: NCSeries) -> NCSeries:
     """A rational series (a residue) as a sew series."""
     return s.map_coefficients(SEW.embed, SEW)
@@ -119,7 +104,7 @@ def _lift(s: NCSeries, p: int = 0) -> NCSeries:
     element."""
     if s.ring.name == RATIONAL.name:
         s = _sew(s)
-    return _termwise(s, lambda k, c: ((k[:3] + (p, 0) + k[3:], c),), ZONE)
+    return s.map_terms(lambda k: ((k[:3] + (p, 0) + k[3:], 1),), ZONE)
 
 
 def clean(z: NCSeries, ymax: int) -> NCSeries:
@@ -128,48 +113,47 @@ def clean(z: NCSeries, ymax: int) -> NCSeries:
     Antidifferentiation only raises w-powers, and the bound evaluations
     multiply by ``y^p`` at worst, so a term with ``dy + min(p, 0) > ymax``
     can never contribute."""
-    return z.map_coefficients(
-        lambda c: c.select(lambda k: k[0] + min(k[3], 0) <= ymax), ZONE)
+    return z.select(lambda k: k[0] + min(k[3], 0) <= ymax)
 
 
 def antiderivative(z: NCSeries) -> NCSeries:
     """Antiderivative in ``w``, integrating ``w^p L^q`` by parts until the
     log power is gone."""
-    def term(k, c):
+    def term(k):
         head, p, q, per = k[:3], k[3], k[4], k[5:]
         if p == -1:
-            yield head + (0, q + 1) + per, c * Fraction(1, q + 1)
+            yield head + (0, q + 1) + per, Fraction(1, q + 1)
             return
         f = Fraction(1, p + 1)
         for qq in range(q, -1, -1):
-            yield head + (p + 1, qq) + per, c * f
+            yield head + (p + 1, qq) + per, f
             f = -f * Fraction(qq, p + 1)
 
-    return _termwise(z, term, ZONE)
+    return z.map_terms(term, ZONE)
 
 
 def eval_cut(z: NCSeries) -> NCSeries:
     """Value at the cut ``w = 1/2``; ``L`` becomes ``kappa``."""
-    return _termwise(z, lambda k, c: (((k[0], k[1], k[2] + k[4]) + k[5:],
-                                       c * _HALF ** k[3]),), SEW)
+    return z.map_terms(lambda k: (((k[0], k[1], k[2] + k[4]) + k[5:],
+                                   _HALF ** k[3]),), SEW)
 
 
 def eval_y_over_cut(z: NCSeries) -> NCSeries:
     """Value at ``w = y / (1/2)``: ``w^p`` becomes ``2^p y^p`` and ``L``
     becomes ``2 pi i l - kappa``; a negative power of ``y`` raises
     ValueError."""
-    def term(k, c):
+    def term(k):
         dy, dl, dk, p, q, ipi, zs = k
         if dy + p < 0:
             raise ValueError("negative power of y")
-        c = c * _HALF ** -p
+        f = _HALF ** -p
         # (2 pi i l - kappa)^q = sum_j binom(q, j) 2^j (i pi)^j l^j
         #                        (-kappa)^(q - j)
         return [((dy + p, dl + j, dk + q - j, ipi + j, zs),
-                 c * (comb(q, j) * 2 ** j * (-1) ** (q - j)))
+                 f * (comb(q, j) * 2 ** j * (-1) ** (q - j)))
                 for j in range(q + 1)]
 
-    return _termwise(z, term, SEW)
+    return z.map_terms(term, SEW)
 
 
 def log_conjugate(x: NCSeries, zone: NCSeries, sign: int) -> NCSeries:
@@ -196,11 +180,13 @@ def ordered_exp(kernel: NCSeries, ymax: int,
     raises ValueError."""
     total = NCSeries.unit(kernel.alphabet, kernel.trunc, SEW)
     current = NCSeries.unit(kernel.alphabet, kernel.trunc, ZONE)
+    keys = ZONE.table.keys
     for _ in range(kernel.trunc):
         current = antiderivative(clean(kernel * current, ymax))
         if eval_lower is not None:
             current = clean(current - _lift(eval_lower(current)), ymax)
-        elif any(k[3] <= 0 for c in current.terms.values() for k in c.terms):
+        elif any(keys[i][3] <= 0 for m in current.nums.values()
+                 for i in m):
             raise ValueError("zone element is singular at 0")
         if current.is_zero():
             break
@@ -234,7 +220,7 @@ def frame_series(x: NCSeries, other: NCSeries,
 
 
 def _mul_trunc(a: NCSeries, b: NCSeries, ymax: int) -> NCSeries:
-    return (a * b).map_coefficients(lambda c: c.truncate("y", ymax), a.ring)
+    return (a * b).select(lambda k: k[0] <= ymax)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from .associator import kz_associator
@@ -33,7 +33,7 @@ from .constants import ConstantCombination, _json_terms, in_zeta_span
 from .cpseries import _add_terms, _echelon_insert, _exponent
 from .elliptic import w_infinity, w_zero
 from .logpoly import LogPoly, logpoly_ring
-from .ncseries import NCSeries, RATIONAL, Ring
+from .ncseries import NCSeries, RATIONAL, Ring, _canonical
 from .stable_graph import StableGraph, edge_of, flip, half
 
 Word = tuple[int, ...]
@@ -396,29 +396,37 @@ def decompose_element(elem: NCSeries) -> dict:
     (i*pi)-powers and zeta values (:func:`curvelog.constants.in_zeta_span`):
     true is a proof, false one only under Zagier's conjecture.
 
-    Each word's terms are grouped by exponent in one pass.  Each
-    distinct pair of factorial scale and coefficient terms (in their
-    order) is scaled, written as JSON and span-tested once per call;
-    the entries that repeat it share one ``coeff`` dict, which callers
-    treat as read-only.  Per period key, the span test reads its cached
-    lattice coordinates (:mod:`curvelog.constants`) and the ``numeric``
-    field its cached float factors (:mod:`curvelog.logpoly`).
+    Each word's monomials are grouped by exponent in one pass over the
+    element's numerators.  Each distinct pair of factorial scale and
+    period numerators (in their order) is scaled, written as JSON and
+    span-tested once per call; the entries that repeat it share one
+    ``coeff`` dict, which callers treat as read-only.  Per period key,
+    the span test reads its cached lattice coordinates
+    (:mod:`curvelog.constants`) and the ``numeric`` field its cached
+    float factors (:mod:`curvelog.logpoly`).
     """
     entries = []
     violations = []
     max_deg = 0
-    done: dict = {}     # (scale, terms) -> (coeff JSON, integral)
-    for w in sorted(elem.terms, key=lambda w: (len(w), w)):
-        coeffs = elem.terms[w].coefficients()
-        for e in sorted(coeffs):
-            entry = coeffs[e]
+    lvars = elem.ring.one.vars if elem.nums else ()
+    n, keys, den = len(lvars), elem.ring.table.keys, elem.den
+    done: dict = {}     # (scale, period numerators) -> (coeff JSON, integral)
+    for w in sorted(elem.nums, key=lambda w: (len(w), w)):
+        groups: dict[tuple, dict] = {}
+        for i, c in elem.nums[w].items():
+            k = keys[i]
+            g = groups.get(k[:n])
+            if g is None:
+                groups[k[:n]] = g = {}
+            g[k[n:]] = c
+        for e in sorted(groups):
+            per = groups[e]
             scale = _factorials(e)
-            key = (scale, tuple(entry.terms.items()))
+            key = (scale, tuple(per.items()))
             result = done.get(key)
             if result is None:
-                if scale > 1:
-                    entry = ConstantCombination._raw(
-                        (), {k: q * scale for k, q in entry.terms.items()})
+                entry = ConstantCombination._raw(
+                    (), {p: Fraction(c * scale, den) for p, c in per.items()})
                 result = done[key] = (entry.to_json(), in_zeta_span(entry))
             coeff, ok = result
             if not ok:
@@ -432,8 +440,7 @@ def decompose_element(elem: NCSeries) -> dict:
             max_deg = max(max_deg, sum(e))
     return {
         "alphabet": list(elem.alphabet),
-        "lvars": list(next(iter(elem.terms.values())).vars)
-        if elem.terms else [],
+        "lvars": list(lvars),
         "trunc": elem.trunc,
         "entries": entries,
         "n_entries": len(entries),
@@ -445,16 +452,51 @@ def decompose_element(elem: NCSeries) -> dict:
 
 def reassemble_element(report: dict, ring: Ring) -> NCSeries:
     """The element of a decomposition table: each entry's period terms,
-    read by the one period-key reader, divided by its factorials."""
+    read by the one period-key reader, divided by its factorials.
+
+    Within one call each distinct ``coeff`` dict is parsed once (the
+    entries that :func:`decompose_element` gives one shared dict read it
+    once), each distinct exponent is checked and its factorials taken
+    once, and the element is built on integer numerators over one
+    denominator."""
     alphabet = tuple(report["alphabet"])
     lvars = tuple(report["lvars"])
-    idx = {a: i for i, a in enumerate(alphabet)}
-    flat: dict[Word, dict] = {}
+    if lvars != ring.one.vars:
+        raise ValueError(f"table over {list(lvars)}, not the ring's "
+                         f"{list(ring.one.vars)}")
+    letter = {a: i for i, a in enumerate(alphabet)}.__getitem__
+    intern = ring.table.intern
+    exps: dict[tuple, tuple] = {}      # log_exp -> (e, factorial scale)
+    parsed: dict[int, dict] = {}       # id of a coeff dict -> its terms
+    placed: dict[tuple, list] = {}     # (id of coeff, e) -> [(id, q)]
+    rows = []
     for entry in report["entries"]:
-        w = tuple(idx[l] for l in entry["word"])
-        e = _exponent(entry["log_exp"], len(lvars))
-        terms = _json_terms(entry["coeff"], _factorials(e))
-        _add_terms(flat.setdefault(w, {}),
-                   ((e + per, q) for per, q in terms.items() if q))
-    return NCSeries(alphabet, report["trunc"], ring,
-                    {w: LogPoly._raw(lvars, t) for w, t in flat.items()})
+        w = tuple(map(letter, entry["word"]))
+        raw = tuple(entry["log_exp"])
+        es = exps.get(raw)
+        if es is None:
+            e = _exponent(raw, len(lvars))
+            es = exps[raw] = e, _factorials(e)
+        e, scale = es
+        coeff = entry["coeff"]
+        pairs = placed.get((id(coeff), e))
+        if pairs is None:
+            terms = parsed.get(id(coeff))
+            if terms is None:
+                terms = parsed[id(coeff)] = _json_terms(coeff)
+            pairs = placed[id(coeff), e] = [
+                (intern(e + per), q / scale) for per, q in terms.items() if q]
+        rows.append((w, pairs))
+    # every placed list to integer numerators over one denominator, in
+    # place, so that the rows read the numerators
+    den = lcm(*[q.denominator for pairs in placed.values() for _, q in pairs])
+    for pairs in placed.values():
+        pairs[:] = [(k, q.numerator * (den // q.denominator))
+                    for k, q in pairs]
+    flat: dict[Word, dict] = {}
+    for w, pairs in rows:
+        _add_terms(flat.setdefault(w, {}), pairs)
+    out = NCSeries(alphabet, report["trunc"], ring)
+    out.nums, out.den = _canonical(
+        {w: m for w, m in flat.items() if m and len(w) <= out.trunc}, den)
+    return out

@@ -233,6 +233,41 @@ def test_monodromy_decompose_round_trip(four_tails, tmp_path):
     assert canonical_dumps(back.to_json()) == canonical_dumps(mono["element"])
 
 
+# sha256 of the stdout of three calls: the words-5 tail path t1 -> t3 on
+# the one-edge (0,4) graph, `decompose` of that artifact, and a moves path
+# with a turn on the (1,2) loop graph at words 3; the same digests come
+# out under CPython 3.10, 3.11, 3.12 and 3.13
+MONODROMY_WORDS5_SHA256 = \
+    "40433337c77f29a98d3389bd6a60d935bf02db854f8101f94cb6bf828fc620bd"
+DECOMPOSE_WORDS5_SHA256 = \
+    "2d0fec9c2b968c3018377fd344b447d5b38a345213fcb5ac0ad24d1ac17318f2"
+TURN_PATH_WORDS3_SHA256 = \
+    "522c922605042d0531cab123d37ee1081c45e0f4a2c3fb56f818f8fe6c7e2189"
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_monodromy_and_decompose_stdout_is_pinned(four_tails, tmp_path):
+    path = write_json(tmp_path / "path.json", {"tails": ["t1", "t3"]})
+    stdout = run_cli("monodromy", "--graph", four_tails, "--path", path,
+                     "--words", "5").stdout
+    assert _sha(stdout) == MONODROMY_WORDS5_SHA256
+    mono = tmp_path / "mono5.json"
+    mono.write_text(stdout)
+    assert _sha(run_cli("decompose", "--in", str(mono)).stdout) == \
+        DECOMPOSE_WORDS5_SHA256
+    graph = StableGraph(["v0"], [Edge("f", "v0", 0, "v0", 1)],
+                        [Tail("t1", "v0", 1), Tail("t2", "v0", 2)])
+    gpath = write_json(tmp_path / "g12.json", graph.to_json())
+    moves = write_json(tmp_path / "moves.json", {"moves": [
+        ["local", "v0", "t1", "f+"], ["turn", "v0", "f+"],
+        ["local", "v0", "f+", "t1"]]})
+    assert _sha(run_cli("monodromy", "--graph", gpath, "--path", moves,
+                        "--words", "3").stdout) == TURN_PATH_WORDS3_SHA256
+
+
 # sha256 of the stdout below; the sew-ring layout of the artifact is fixed
 SEW_ARTIFACT_SHA256 = \
     "20d43619184d98f2ded6f2897ad62fe4b475da816696e806f952b6aba4cf92bf"

@@ -38,6 +38,7 @@ def test_ring_operators_are_defined_in_their_own_class_body():
     leave ``cpseries.mul``, ``logpoly.add`` and the like reading 0."""
     from curvelog import cpseries
     from curvelog.logpoly import LogPoly
+    from curvelog.ncseries import NCSeries
 
     for cls in (cpseries.TruncatedSeries, LogPoly):
         for op in ("__add__", "__sub__", "__neg__", "__mul__"):
@@ -46,6 +47,11 @@ def test_ring_operators_are_defined_in_their_own_class_body():
             assert fn.__qualname__ == f"{cls.__name__}.{op}"
     assert isinstance(vars(cpseries.TruncatedSeries).get("invert"),
                       types.FunctionType)
+    for op in ("__add__", "__sub__", "__neg__", "__mul__", "exp", "invert",
+               "substitute"):
+        fn = vars(NCSeries).get(op)
+        assert isinstance(fn, types.FunctionType), ("NCSeries", op)
+        assert fn.__qualname__ == f"NCSeries.{op}"
     assert isinstance(vars(cpseries).get("solve_quadratic"),
                       types.FunctionType)
 

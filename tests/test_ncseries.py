@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from curvelog.associator import kz_associator
 from curvelog.constants import CONSTANTS, ConstantCombination as CC
 from curvelog.logpoly import LogPoly, logpoly_ring
-from curvelog.ncseries import (COMPLEX, NCSeries, RATIONAL, Ring,
-                               shuffle_words)
+from curvelog.ncseries import COMPLEX, NCSeries, RATIONAL, shuffle_words
 from curvelog.sewing import SEW, ZONE, ZONE_VARS
 
 AB = ("a", "b")
@@ -115,23 +114,14 @@ def test_substitute_takes_rational_images_only():
             (a * b).substitute({"a": a, "b": zb})
 
 
-def test_scaled_sum_hook_matches_products_and_sums():
-    # over rational images each target coefficient is one scaled sum in
-    # the source ring; the LogPoly rings' hook must agree with the
-    # default `*` and `+` (the class attribute holds that default)
-    phi = kz_associator(4)
-    ring = logpoly_ring(("u",))
-    u = LogPoly.symbol(("u",), "u", F(2, 3))
-    lifted = phi.map_coefficients(
-        lambda c: LogPoly.constant(("u",), c) * (u + 1), ring)
-    a, b = letters(trunc=4)
-    images = {"X0": a.scale(F(-1, 2)) + b, "X1": a + b.scale(F(3))}
-    for elem in (phi, lifted):
-        plain = elem.map_coefficients(
-            lambda c: c, replace(elem.ring, scaled_sum=Ring.scaled_sum))
-        hooked = elem.substitute(images)
-        assert hooked.to_json() == plain.substitute(images).to_json()
-        assert hooked.ring is elem.ring and len(hooked.terms) > 20
+def test_scalar_operands_raise_type_error():
+    # a scalar goes through `scale`; the operators take series only
+    a = NCSeries.letter("a", AB, 2)
+    for spell in (lambda: a + 1, lambda: a - 1, lambda: a * 2,
+                  lambda: 1 + a, lambda: 2 * a):
+        with pytest.raises(TypeError):
+            spell()
+    assert a.scale(2) == a + a
 
 
 def test_grouplike_detection():
@@ -328,3 +318,148 @@ def test_product_matches_pairwise_reference(name):
 
     check()
 
+
+
+# ---------------------------------------------------------------------------
+# the numerator form against the coefficients' own arithmetic: each
+# operation on the series must give the terms that the ring elements
+# (Fraction, ConstantCombination, LogPoly) give word by word, in the
+# canonical form
+
+# zeta multisets with repeated entries, whose products repeat them again
+_REPEATED_KEYS = _ZETA_KEYS + (((2,), (2,)), ((2,), (2,), (3,)))
+_PERIODS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.sampled_from(_REPEATED_KEYS)),
+    _FRACTIONS, min_size=1, max_size=3).map(CC)
+
+
+def _polys(vars, low):
+    expo = st.tuples(*(st.integers(lo, 2) for lo in low))
+    return st.dictionaries(expo, _PERIODS, min_size=1, max_size=3).map(
+        lambda t: LogPoly(vars, t))
+
+
+_EXACT = {
+    "rational": (RATIONAL, _FRACTIONS),
+    "constants": (CONSTANTS, _PERIODS),
+    "logpoly1": (logpoly_ring(("u",)), _polys(("u",), (0,))),
+    "logpoly2": (logpoly_ring(_UV), _polys(_UV, (0, 0))),
+    "logpoly3": (logpoly_ring(("u", "v", "t")), _polys(("u", "v", "t"),
+                                                       (0, 0, 0))),
+    # Laurent in w: negative w exponents
+    "zone": (ZONE, _polys(ZONE_VARS, (0, 0, 0, -2, 0))),
+}
+
+
+def _clean(d):
+    return {w: c for w, c in d.items() if c}
+
+
+def _ref_add(x, y, sign=1):
+    out = dict(x)
+    for w, c in y.items():
+        out[w] = out[w] + c * sign if w in out else c * sign
+    return _clean(out)
+
+
+def _ref_mul(x, y, trunc):
+    out = {}
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            if len(w1) + len(w2) <= trunc:
+                w = w1 + w2
+                out[w] = out[w] + c1 * c2 if w in out else c1 * c2
+    return _clean(out)
+
+
+def _ref_scale(x, v):
+    return _clean({w: v * c for w, c in x.items()})
+
+
+def _ref_exp(x, one, trunc):
+    out = power = {(): one}
+    for n in range(1, trunc + 1):
+        power = _ref_mul(power, x, trunc)
+        out = _ref_add(out, _ref_scale(power, F(1, math.factorial(n))))
+    return out
+
+
+def _ref_invert(x, one, trunc):
+    y = _ref_add({(): one}, x, -1)
+    out = power = {(): one}
+    for _ in range(trunc):
+        power = _ref_mul(power, y, trunc)
+        out = _ref_add(out, power)
+    return out
+
+
+def _assert_matches(got, ref, ring):
+    """``got`` is canonical, has the reference terms, and ``==`` agrees."""
+    assert got.ring is ring and got.den > 0
+    nums = [n for m in got.nums.values() for n in m.values()]
+    assert all(got.nums.values())
+    assert all(type(n) is int and n for n in nums)
+    assert math.gcd(got.den, *nums) == 1
+    assert got.den == 1 or got.nums
+    assert got.terms == ref
+    assert got == NCSeries(AB, got.trunc, ring, ref)
+
+
+_WORDS = st.lists(st.integers(0, 1), max_size=3).map(tuple)
+_IMAGE = st.dictionaries(st.sampled_from([(0,), (1,), (0, 1), (1, 0, 0)]),
+                         _FRACTIONS, min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT))
+def test_numerator_form_matches_ring_arithmetic(name):
+    ring, coeffs = _EXACT[name]
+    one, trunc = ring.one, 3
+    terms = st.dictionaries(_WORDS, coeffs, max_size=5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(terms, terms, coeffs, _FRACTIONS, _IMAGE, _IMAGE,
+           st.dictionaries(_WORDS, _PERIODS, max_size=4))
+    def check(tx, ty, c, q, ia, ib, tz):
+        x, y = (NCSeries(AB, trunc, ring, t) for t in (tx, ty))
+        rx, ry = _clean(tx), _clean(ty)
+        _assert_matches(x, rx, ring)
+        results = [
+            (x * y, _ref_mul(rx, ry, trunc)),
+            (x + y, _ref_add(rx, ry)),
+            (x - y, _ref_add(rx, ry, -1)),
+            (x - x, {}),
+            (-x, _ref_scale(rx, -1)),
+            (x.scale(q), _ref_scale(rx, q)),
+            (x.scale(c), _ref_scale(rx, c)),
+        ]
+        # exp and invert of the part of positive order
+        rp = {w: v for w, v in rx.items() if w}
+        p = NCSeries(AB, trunc, ring, rp)
+        results.append((p.exp(), _ref_exp(rp, one, trunc)))
+        unit = NCSeries.unit(AB, trunc, ring)
+        results.append(((unit + p).invert(),
+                         _ref_invert(_ref_add({(): one}, rp), one, trunc)))
+        # rational images of positive order
+        rimg = {"a": _clean(ia), "b": _clean(ib)}
+        images = {k: NCSeries(AB, trunc, RATIONAL, v)
+                  for k, v in rimg.items()}
+        ref = {}
+        for w, v in rx.items():
+            prod = {(): F(1)}
+            for i in w:
+                prod = _ref_mul(prod, rimg[AB[i]], trunc)
+            ref = _ref_add(ref, _ref_scale(prod, v))
+        results.append((x.substitute(images), ref))
+        # the lifts of rational and period series re-key the monomials
+        sources = [images["a"]]
+        if ring.table.n:
+            sources.append(NCSeries(AB, trunc, CONSTANTS, tz))
+        for src in sources:
+            results.append((src.map_coefficients(ring.embed, ring), {
+                w: ring.embed(v) for w, v in src.terms.items()}))
+        for got, ref in results:
+            _assert_matches(got, ref, ring)
+        for (a, _), (b, _) in zip(results, results[1:]):
+            assert (a == b) == (a.terms == b.terms)
+
+    check()
