@@ -11,11 +11,13 @@ same connection (any finite set of first-order poles with nilpotent
 residue series) along a straight segment with high-order local
 expansions at both endpoints to realize the regularized limits, and
 returns the transport as a complex-coefficient series.  Between the
-endpoint frames a Taylor stepper on plain lists of ``complex`` does the
-integration: the connection raises word length, so on the truncation
-every coefficient is a finite iterated integral of the ``1/(z - p)``,
-analytic away from the poles (Chen, "Iterated path integrals", Bull.
-AMS 83, 1977).  The stepper uses no code of the exact layers, and the
+endpoint frames a Taylor stepper does the integration: the connection
+raises word length, so on the truncation every coefficient is a finite
+iterated integral of the ``1/(z - p)``, analytic away from the poles
+(Chen, "Iterated path integrals", Bull. AMS 83, 1977).  The frames and
+the stepper both work on dense lists of ``complex`` over the words;
+``NCSeries`` serves only to read the residues and to hold the result,
+so the oracle runs no arithmetic of the exact layers it checks, and the
 whole oracle needs only the standard library.  Conventions:
 
 * the local coordinate at the source is ``(z - src) / scale_src`` and
@@ -68,36 +70,6 @@ def _nilpotent_check(series: NCSeries) -> None:
         raise ValueError("residue series has a constant term")
 
 
-def _local_expansion(x: NCSeries, bs: list[NCSeries], order: int) -> list[NCSeries]:
-    """Coefficients ``H_m`` of the regular factor ``H`` of a local
-    solution ``H(t) t^x`` of ``H' = [x, H]/t + B(t) H``."""
-    hs = [NCSeries.unit(x.alphabet, x.trunc, x.ring)]
-    for m in range(1, order + 1):
-        rhs = NCSeries.zero(x.alphabet, x.trunc, x.ring)
-        for j in range(min(m, len(bs))):
-            rhs = rhs + bs[j] * hs[m - 1 - j]
-        # invert (m - ad_x); ad_x is nilpotent on the truncation
-        h_m = NCSeries.zero(x.alphabet, x.trunc, x.ring)
-        cur = rhs
-        mm = complex(m)
-        power = 1.0 / mm
-        while not cur.is_zero():
-            h_m = h_m + cur.scale(complex(power))
-            cur = x.bracket(cur)
-            power /= mm
-        hs.append(h_m)
-    return hs
-
-
-def _eval_poly(hs: list[NCSeries], t: complex) -> NCSeries:
-    out = NCSeries.zero(hs[0].alphabet, hs[0].trunc, hs[0].ring)
-    tp = 1.0 + 0j
-    for h in hs:
-        out = out + h.scale(complex(tp))
-        tp *= t
-    return out
-
-
 def ode_transport(residues: dict[complex, NCSeries], src: complex,
                   dst: complex, *, scale_src: float = 1.0,
                   scale_dst: float = 1.0, delta: float = 0.05,
@@ -116,12 +88,18 @@ def ode_transport(residues: dict[complex, NCSeries], src: complex,
     ``delta`` at least the length with one tangential end, at least half
     of it with two.
 
-    ``H`` is summed through ``t^16`` (``_LOCAL_ORDER``), a fixed order
-    that no tail bound derives.  It is the oracle's largest float error:
-    on the one-edge (0,4) tail transport at words 3 with ``delta = y/4``
-    the result moves by 4.3e-11 at y = 1/64 (2.7e-11 at y = 1/16) when
-    ``H`` is summed through ``t^40`` instead, far above ``tol``, and
-    order 40 doubles the cost of a call.
+    Both frames are dense vectors over the words.  The coefficients of
+    ``H`` come order by order from ``m H_m - [x, H_m] = sum_j b_j
+    H_{m-1-j}``, with ``(m - ad_x)`` inverted by its finite series, and
+    ``H(t0)`` is summed as they come; ``t0^x`` is a truncated
+    exponential, and the destination applies ``H(t0)^-1`` by forward
+    substitution.  ``H`` is summed through ``t^16`` (``_LOCAL_ORDER``),
+    a fixed order that no tail bound derives.  It is the oracle's
+    largest float error: on the one-edge (0,4) tail transport at words 3
+    with ``delta = y/4`` the result moves by 4.3e-11 at y = 1/64
+    (2.7e-11 at y = 1/16) when ``H`` is summed through ``t^40`` instead,
+    far above ``tol``, and order 40 adds about 9 ms to a call of 20-28
+    ms (one CPU of a 2-core x86-64 VM, CPython 3.11.7).
 
     Between the frames a Taylor stepper integrates ``G' = sum_p f_p R_p
     G``, ``f_p = direction / (z - p)``, in the arc length ``s``.  Each
@@ -178,46 +156,64 @@ def ode_transport(residues: dict[complex, NCSeries], src: complex,
         words.extend(iter_product(range(len(alphabet)), repeat=n))
     index = {w: i for i, w in enumerate(words)}
     dim = len(words)
+    unit = [1 + 0j] + [0j] * (dim - 1)
+    # the (prefix, suffix) index pairs of every split of each word, the
+    # empty prefix first; words come by length, so every other suffix
+    # precedes its word
+    cuts = [[(index[w[:a]], index[w[a:]]) for a in range(len(w) + 1)]
+            for w in words]
 
-    # left-multiplication tables per pole: the words ``u`` it reads,
-    # and per residue term the pairs (position of u, index of rw + u)
-    tables = {}
-    for p, r in points.items():
-        reads = sorted({index[u] for rw in r.terms for u in words
-                        if len(rw) + len(u) <= trunc})
-        pos = {i: j for j, i in enumerate(reads)}
-        ops = []
-        for rw, c in r.terms.items():
-            pairs = [(pos[index[u]], index[rw + u])
-                     for u in words if len(rw) + len(u) <= trunc]
-            ops.append((complex(c), pairs))
-        tables[p] = (reads, ops)
+    def mul_table(r: NCSeries, left: bool = True) -> tuple[int, list]:
+        """Multiplication by ``r`` from the left (or the right): how many
+        leading words ``u`` it reads, and per term ``c rw`` of ``r`` the
+        pairs (index of u, index of rw u, or of u rw)."""
+        ops = [(complex(c), [(i, index[rw + u if left else u + rw])
+                             for i, u in enumerate(words)
+                             if len(rw) + len(u) <= trunc])
+               for rw, c in r.terms.items()]
+        return max((len(pairs) for _, pairs in ops), default=0), ops
 
-    def vec_of(series: NCSeries) -> list[complex]:
-        v = [0j] * dim
-        for w, c in series.terms.items():
-            v[index[w]] = c
+    def mul_into(out: list, table: tuple, v: list) -> None:
+        """Add ``r v`` to ``out``, for the multiplier ``r`` of ``table``;
+        ``v`` needs only the words the table reads."""
+        for c, pairs in table[1]:
+            for iu, iw in pairs:
+                out[iw] += c * v[iu]
+
+    def mul(a: list, b: list) -> list:
+        """The truncated product ``a b`` of two dense vectors."""
+        return [sum(a[i] * b[j] for i, j in cut) for cut in cuts]
+
+    def exp(y: list) -> list:
+        """``exp(y)`` for ``y`` without constant term."""
+        out, power = list(unit), unit
+        for n in range(1, trunc + 1):
+            power = [v / n for v in mul(power, y)]
+            out = [a + b for a, b in zip(out, power)]
+        return out
+
+    def solve(h: list, g: list) -> list:
+        """``h^-1 g`` for ``h`` with constant term one, by forward
+        substitution over the words."""
+        v: list[complex] = []
+        for k, cut in enumerate(cuts):
+            v.append(g[k] - sum(h[i] * v[j] for i, j in cut[1:]))
         return v
 
-    def series_of(v: list[complex]) -> NCSeries:
-        return NCSeries(alphabet, trunc, ring,
-                        {w: v[i] for w, i in index.items() if v[i]})
+    tables = {p: mul_table(r) for p, r in points.items()}
 
     def step(g: list[complex], z0: complex, h: float) -> list[complex]:
         # g(s + h) = sum_m g_m with g_0 = g; acc[p] holds S_{p,m}
-        bs = [(h * direction / (z0 - p), reads, ops)
-              for p, (reads, ops) in tables.items()]
-        accs = [[0j] * len(reads) for _, reads, _ in bs]
+        bs = [(h * direction / (z0 - p), table)
+              for p, table in tables.items()]
+        accs = [[0j] * table[0] for _, table in bs]
         term, total = g, list(g)
         small = 0
         for m in range(1, _MAX_ORDER + 1):
             nxt = [0j] * dim
-            for k, (b, reads, ops) in enumerate(bs):
-                acc = accs[k] = [b * (term[i] - a)
-                                 for i, a in zip(reads, accs[k])]
-                for c, pairs in ops:
-                    for iu, iw in pairs:
-                        nxt[iw] += c * acc[iu]
+            for k, (b, table) in enumerate(bs):
+                acc = accs[k] = [b * (t - a) for t, a in zip(term, accs[k])]
+                mul_into(nxt, table, acc)
             inv = 1.0 / m
             term = [x * inv for x in nxt]
             total = [x + t for x, t in zip(total, term)]
@@ -228,35 +224,61 @@ def ode_transport(residues: dict[complex, NCSeries], src: complex,
             f"transport integration failed: no convergence at z = {z0} "
             f"within {_MAX_ORDER} orders")
 
-    def boundary(point: complex, scale: float) -> tuple[NCSeries, NCSeries]:
+    def boundary(point: complex, scale: float, sign: float
+                 ) -> tuple[list, list]:
+        """``H(t0)`` and ``t0^(sign x)`` at ``point``, ``x`` its residue
+        and ``t0 = delta * direction``, where ``H(t) t^x`` solves ``H' =
+        [x, H]/t + B(t) H``."""
         x = points[point]
-        others = sorted((p for p in points if p != point),
-                        key=lambda p: (p.real, p.imag))
-        bs = []
-        for j in range(_LOCAL_ORDER):
-            b = NCSeries.zero(alphabet, trunc, ring)
-            for q in others:
-                base = point - q if point == src else q - point
-                b = b + points[q].scale(complex((-1) ** j / base ** (j + 1)))
-            bs.append(b)
-        hs = _local_expansion(x, bs, _LOCAL_ORDER)
+        reads, ops = mul_table(x, left=False)
+        minus_right = reads, [(-c, pairs) for c, pairs in ops]
+        # B(t) = sum_q R_q sum_j c_{q,j} t^j, from R_q / (z - q)
+        poles = []
+        for q in sorted((p for p in points if p != point),
+                        key=lambda p: (p.real, p.imag)):
+            base = point - q if point == src else q - point
+            poles.append((tables[q], [(-1) ** j / base ** (j + 1)
+                                      for j in range(_LOCAL_ORDER)]))
         t0 = delta * direction
-        h_val = _eval_poly(hs, t0)
-        log_t = cmath.log(t0 / scale)
-        frame = x.scale(complex(log_t)).exp()
-        return h_val, frame
+        hs, h_val, tp = [unit], list(unit), 1 + 0j
+        for m in range(1, _LOCAL_ORDER + 1):
+            # m H_m - [x, H_m] = sum_q R_q sum_j c_{q,j} H_{m-1-j}
+            rhs = [0j] * dim
+            for table, cs in poles:
+                comb = [0j] * table[0]
+                for c, h in zip(cs, reversed(hs)):
+                    comb = [a + c * v for a, v in zip(comb, h)]
+                mul_into(rhs, table, comb)
+            # invert (m - ad_x) by its series; ad_x is nilpotent
+            inv = power = 1.0 / m
+            cur, h_m = rhs, [v * inv for v in rhs]
+            while True:
+                nxt = [0j] * dim
+                mul_into(nxt, tables[point], cur)
+                mul_into(nxt, minus_right, cur)
+                if not any(nxt):
+                    break
+                power *= inv
+                h_m = [a + power * v for a, v in zip(h_m, nxt)]
+                cur = nxt
+            hs.append(h_m)
+            tp *= t0
+            h_val = [a + tp * v for a, v in zip(h_val, h_m)]
+        log_t = sign * cmath.log(t0 / scale)
+        y = [0j] * dim
+        for w, c in x.terms.items():
+            y[index[w]] = log_t * c
+        return h_val, exp(y)
 
     # source normalization H(t0) t0^{X}, with t = z - src
     if src_tangential:
-        h_src, frame_src = boundary(src, scale_src)
-        start = h_src * frame_src
+        g = mul(*boundary(src, scale_src, 1.0))
         s = delta
     else:
-        start = NCSeries.unit(alphabet, trunc, ring)
+        g = unit
         s = 0.0
     s_hi = length - delta if dst_tangential else length
 
-    g = vec_of(start)
     last = False
     while not last:
         z0 = src + s * direction
@@ -266,10 +288,10 @@ def ode_transport(residues: dict[complex, NCSeries], src: complex,
             h = s_hi - s
         g = step(g, z0, h)
         s += h
-    g_end = series_of(g)
 
-    if not dst_tangential:
-        return g_end
-    # destination normalization in the coordinate u = dst - z
-    h_dst, frame_dst = boundary(dst, scale_dst)
-    return frame_dst.invert() * h_dst.invert() * g_end
+    if dst_tangential:
+        # destination normalization in the coordinate u = dst - z
+        h_dst, frame_inv = boundary(dst, scale_dst, -1.0)
+        g = mul(frame_inv, solve(h_dst, g))
+    return NCSeries(alphabet, trunc, ring,
+                    {w: g[i] for w, i in index.items() if g[i]})

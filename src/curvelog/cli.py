@@ -233,7 +233,8 @@ def cmd_decompose(args) -> int:
     from .sheaf import decompose_element
 
     data = _load_json(args.infile)
-    if data.get("kind") != "monodromy" or "element" not in data:
+    if not isinstance(data, dict) or data.get("kind") != "monodromy" \
+            or "element" not in data:
         raise InputError("input is not a monodromy artifact")
     if data.get("ydeg", 0) != 0:
         raise InputError("decomposition applies to the ydeg = 0 form")

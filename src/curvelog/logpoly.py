@@ -8,8 +8,7 @@ period key, ``zetas`` a sorted tuple of zeta index tuples) to a nonzero
 ``Fraction``.  In a product the exponents and ``ipi_pow`` add and the
 zeta multisets merge, unreduced.  The sum and the exact coercion are
 the term helpers of :mod:`curvelog.cpseries`, and the product its
-tuple-key ``_mul_terms``; a product here truncates nothing, and
-:meth:`truncate` caps the degree in one symbol on request.  Over no
+tuple-key ``_mul_terms``; a product here truncates nothing.  Over no
 symbols the key is the period key alone: that is
 :class:`~curvelog.constants.ConstantCombination`, the type
 :meth:`LogPoly.coefficients` gives per exponent.  The operands of a
@@ -190,12 +189,6 @@ class LogPoly:
         return bool(self.terms)
 
     # ------------------------------------------------------------------
-    def truncate(self, name: str, m: int) -> "LogPoly":
-        """Drop the terms of degree above ``m`` in ``name``."""
-        i = self.vars.index(name)
-        return self._raw(self.vars, {k: c for k, c in self.terms.items()
-                                     if k[i] <= m})
-
     def coefficients(self) -> dict:
         """The coefficient of each exponent present, as a
         ``ConstantCombination``, in the order the terms were built."""

@@ -592,6 +592,8 @@ class NCSeries:
 
     @classmethod
     def from_json(cls, data: dict, ring: Ring) -> "NCSeries":
+        if not isinstance(data, dict):
+            raise ValueError("a series must be a JSON object")
         if data.get("ring", ring.name) != ring.name:
             raise ValueError("ring mismatch")
         alphabet = tuple(data["alphabet"])

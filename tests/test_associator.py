@@ -188,6 +188,38 @@ def test_scale_conjugates_the_frame():
     assert worst < 1e-9
 
 
+def test_oracle_runs_no_series_arithmetic(monkeypatch):
+    # the oracle reads its residues and builds its result as NCSeries,
+    # but computes on its own vectors: with every NCSeries operator and
+    # the product kernel refusing to run, each call gives the same result
+    import curvelog.ncseries as ncseries
+
+    x0, x1 = (NCSeries.letter(x, ("X0", "X1"), 4, COMPLEX)
+              for x in ("X0", "X1"))
+    _, three = _three_letter_setup(3)
+    calls = [({0.0: x0, 1.0: x1}, 0.0, 1.0, {}),
+             (three, 0.0, 1.0, {"scale_src": 0.25}),
+             (three, 1.0, 0.0, {"scale_src": -1.0, "scale_dst": -1.0}),
+             (three, 0.0, 0.55, {"dst_tangential": False}),
+             (three, 0.55, 1.0, {"src_tangential": False}),
+             (three, -0.4 - 0.3j, 1.3 - 0.2j,
+              {"src_tangential": False, "dst_tangential": False})]
+    expected = [ode_transport(r, a, b, **kw) for r, a, b, kw in calls]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("NCSeries arithmetic inside ode_transport")
+
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__sub__", "__neg__", "__mul__", "_combine",
+                     "scale", "bracket", "exp", "invert", "ad_series",
+                     "substitute", "map_coefficients", "map_terms",
+                     "select"):
+            patch.setattr(NCSeries, name, refuse)
+        patch.setattr(ncseries, "_product", refuse)
+        got = [ode_transport(r, a, b, **kw) for r, a, b, kw in calls]
+    assert got == expected
+
+
 def _dop853_transport(residues, src, dst):
     """Plain-endpoint transport by scipy's DOP853, the integrator the
     oracle used before its Taylor stepper, kept as an independent

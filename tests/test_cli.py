@@ -431,6 +431,26 @@ def test_decompose_rejects_a_coefficient_over_other_symbols(four_tails,
     assert proc.stdout == "" and "l_q" in proc.stderr
 
 
+def test_decompose_rejects_a_list_for_the_artifact(tmp_path):
+    bad = write_json(tmp_path / "list.json", [])
+    proc = run_cli("decompose", "--in", bad, expect=2)
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "error" in json.loads(proc.stderr)
+
+
+def test_decompose_rejects_a_list_for_the_element(four_tails, tmp_path):
+    path = write_json(tmp_path / "path.json", {"tails": ["t1", "t3"]})
+    mono = json.loads(run_cli("monodromy", "--graph", four_tails,
+                              "--path", path, "--words", "3").stdout)
+    mono["element"] = []
+    bad = write_json(tmp_path / "element.json", mono)
+    proc = run_cli("decompose", "--in", bad, expect=2)
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "JSON object" in json.loads(proc.stderr)["error"]
+
+
 def test_determinism_and_text_format(four_tails):
     a = run_cli("assoc", "kz", "--weight", "3").stdout
     b = run_cli("assoc", "kz", "--weight", "3").stdout
