@@ -40,6 +40,7 @@ from typing import Mapping
 
 from .cpseries import (_add_terms, _as_fraction, _echelon_insert, _exponent,
                        _ratio)
+from .jsonio import json_list
 from .logpoly import LogPoly, _codec
 from .ncseries import Ring, shuffle_words
 from .polylog import check_indices, indices_to_word, word_to_indices
@@ -125,9 +126,10 @@ def _json_terms(data: dict, scale: int = 1) -> dict[Key, Fraction]:
     """The terms of a ``ConstantCombination`` JSON, each coefficient
     divided by the integer ``scale``: the one reader of period keys."""
     terms: dict[Key, Fraction] = {}
-    for t in data["terms"]:
+    for t in json_list(data, "terms"):
         c = t["coeff"]
-        key = _period_key(t["ipi_pow"], tuple(map(tuple, t["zeta_indices"])))
+        key = _period_key(t["ipi_pow"],
+                          tuple(map(tuple, json_list(t, "zeta_indices"))))
         terms[key] = _ratio(c["num"], c["den"] * scale)
     return terms
 

@@ -322,9 +322,6 @@ class TruncatedSeries:
         return (self.vars == other.vars and self.trunc == other.trunc
                 and self.den == other.den and self.nums == other.nums)
 
-    def __hash__(self):
-        raise TypeError("TruncatedSeries is mutable-ish; not hashable")
-
     def __repr__(self) -> str:
         terms = self.terms
         if not terms:

@@ -1,4 +1,4 @@
-"""Canonical JSON helpers shared by all serializers.
+"""Canonical JSON helpers shared by all serializers and readers.
 
 Every artifact the package writes is serialized with sorted keys and
 fixed separators so that equal objects produce byte-identical files,
@@ -13,6 +13,16 @@ from fractions import Fraction
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
+
+
+def json_list(data: dict, key: str) -> list:
+    """``data[key]``, which must be a JSON list: any other value (an
+    empty object, say, which would read as no items) raises
+    ``ValueError``."""
+    value = data[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a JSON list")
+    return value
 
 
 def frac_to_str(x: Fraction) -> str:

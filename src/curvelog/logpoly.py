@@ -51,6 +51,7 @@ from typing import Callable, Mapping, Sequence
 
 from .cpseries import (_add_terms, _as_fraction, _exponent, _mul_terms,
                        _numerators)
+from .jsonio import json_list
 from .ncseries import Ring, _monomials
 from .polylog import mzv_numeric
 
@@ -232,7 +233,7 @@ class LogPoly:
         cc = _constants()
         return cls(tuple(data["vars"]),
                    {tuple(t["exp"]): cc.from_json(t["coeff"])
-                    for t in data["terms"]})
+                    for t in json_list(data, "terms")})
 
     def __repr__(self) -> str:
         n, bits = len(self.vars), []

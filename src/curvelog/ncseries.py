@@ -61,7 +61,7 @@ from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .cpseries import _add_terms, _as_fraction, _exponent
-from .jsonio import frac_to_str
+from .jsonio import frac_to_str, json_list
 
 Word = tuple[int, ...]
 
@@ -599,8 +599,8 @@ class NCSeries:
         alphabet = tuple(data["alphabet"])
         idx = {a: i for i, a in enumerate(alphabet)}
         trunc = _exponent([data["trunc"]], 1)[0]
-        terms = {tuple(idx[l] for l in t["word"]): ring.decode(t["coeff"])
-                 for t in data["terms"]}
+        terms = {tuple(idx[l] for l in json_list(t, "word")):
+                 ring.decode(t["coeff"]) for t in json_list(data, "terms")}
         if any(len(w) > trunc for w in terms):
             raise ValueError(f"a word is longer than the truncation {trunc}")
         return cls(alphabet, trunc, ring, terms)

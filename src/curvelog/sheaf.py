@@ -408,7 +408,7 @@ def decompose_element(elem: NCSeries) -> dict:
     entries = []
     violations = []
     max_deg = 0
-    lvars = elem.ring.one.vars if elem.nums else ()
+    lvars = elem.ring.one.vars
     n, keys, den = len(lvars), elem.ring.table.keys, elem.den
     done: dict = {}     # (scale, period numerators) -> (coeff JSON, integral)
     for w in sorted(elem.nums, key=lambda w: (len(w), w)):

@@ -220,44 +220,75 @@ def test_oracle_runs_no_series_arithmetic(monkeypatch):
     assert got == expected
 
 
-def _dop853_transport(residues, src, dst):
-    """Plain-endpoint transport by scipy's DOP853, the integrator the
-    oracle used before its Taylor stepper, kept as an independent
-    reference.  The oracle ran it at rtol 1e-12; on the neck segment
-    that leaves 9.7e-11 (coefficients up to 77), and the gap to the
-    stepper shrinks with rtol (1.1e-11 at 1e-13), so the reference
-    runs at 1e-13."""
-    import numpy as np
-    from scipy.integrate import solve_ivp
+def _extrapolation_transport(residues, src, dst):
+    """Plain-endpoint transport by Gragg-Bulirsch-Stoer extrapolation in
+    plain ``complex``, an independent reference for the Taylor stepper
+    (Hairer, Norsett and Wanner, Solving ODE I, 2nd ed., II.9; Deuflhard,
+    Numer. Math. 41, 1983).  It reads only the residues' terms and shares
+    no code with ``associator``.
 
+    Each macro step goes a quarter of the distance to the nearest pole
+    (or to the end).  Inside it the modified midpoint rule runs with 2,
+    4, ..., 16 substeps, each ending with Gragg's smoothing step, and the
+    Aitken-Neville scheme extrapolates the results to step size zero in
+    powers of ``h^2``.  There is no error control."""
+    substeps = range(2, 18, 2)
     any_r = next(iter(residues.values()))
     words = [w for n in range(any_r.trunc + 1)
              for w in itertools.product(range(len(any_r.alphabet)),
                                         repeat=n)]
     index = {w: i for i, w in enumerate(words)}
-    mats = []
-    for p, r in residues.items():
-        m = np.zeros((len(words), len(words)), dtype=complex)
-        for rw, c in r.terms.items():
-            for u in words:
-                if len(rw) + len(u) <= any_r.trunc:
-                    m[index[rw + u], index[u]] += c
-        mats.append((p, m))
-    direction = (dst - src) / abs(dst - src)
+    # per pole, the entries (row, column, value) of its left action
+    tables = [(complex(p), [(index[rw + u], index[u], c)
+                            for rw, c in r.terms.items() for u in words
+                            if len(rw) + len(u) <= any_r.trunc])
+              for p, r in residues.items()]
+    length = abs(dst - src)
+    direction = (dst - src) / length
 
     def rhs(s, v):
         z = src + s * direction
-        return sum(direction / (z - p) * (m @ v) for p, m in mats)
+        out = [0j] * len(v)
+        for p, table in tables:
+            f = direction / (z - p)
+            for i, j, c in table:
+                out[i] += f * c * v[j]
+        return out
 
-    start = np.zeros(len(words), dtype=complex)
-    start[0] = 1.0
-    sol = solve_ivp(rhs, (0.0, abs(dst - src)), start, method="DOP853",
-                    rtol=1e-13, atol=1e-15)
-    assert sol.success, sol.message
-    return {w: complex(sol.y[i, -1]) for w, i in index.items()}
+    def midpoint(s, v, big, n):
+        h = big / n
+        prev, cur = v, [a + h * b for a, b in zip(v, rhs(s, v))]
+        for m in range(1, n):
+            prev, cur = cur, [a + 2 * h * b
+                              for a, b in zip(prev, rhs(s + m * h, cur))]
+        end = rhs(s + big, cur)
+        return [(a + b + h * c) / 2 for a, b, c in zip(cur, prev, end)]
+
+    def macro_step(s, v, big):
+        above = []
+        for j, n in enumerate(substeps):
+            row = [midpoint(s, v, big, n)]
+            for k in range(1, j + 1):
+                q = (n / substeps[j - k]) ** 2 - 1
+                row.append([a + (a - b) / q
+                            for a, b in zip(row[k - 1], above[k - 1])])
+            above = row
+        return above[-1]
+
+    v = [0j] * len(words)
+    v[0] = 1 + 0j
+    s = 0.0
+    while s < length:
+        rho = min(abs(src + s * direction - p) for p, _ in tables)
+        big = min(rho / 4, length - s)
+        v = macro_step(s, v, big)
+        s = length if big == length - s else s + big
+    return dict(zip(words, v))
 
 
-def test_taylor_stepper_matches_dop853_on_plain_segments():
+def test_taylor_stepper_matches_extrapolation_on_plain_segments():
+    # the reference is 1.8e-13 (three poles) and 7.0e-12 (neck) from
+    # scipy's DOP853 at rtol 1e-13, atol 1e-15, the reference it replaced
     _, three_letter = _three_letter_setup(3)
     y = 1 / 64
     a, b, c = (NCSeries.letter(x, ("A", "B", "C"), 3, COMPLEX)
@@ -265,11 +296,17 @@ def test_taylor_stepper_matches_dop853_on_plain_segments():
     neck = {0.0: a, y: b, 1.0: c}
     for res, src, dst in [(three_letter, -0.4 - 0.3j, 1.3 - 0.2j),
                           (neck, y + y / 4, 1 - y / 4)]:
-        got = ode_transport(res, src, dst,
-                            src_tangential=False, dst_tangential=False)
-        ref = _dop853_transport(res, src, dst)
-        gap = max(abs(got.terms.get(w, 0) - v) for w, v in ref.items())
-        assert gap < 1e-10, (src, dst, gap)
+        ref = _extrapolation_transport(res, src, dst)
+
+        def gap(residues):
+            got = ode_transport(residues, src, dst,
+                                src_tangential=False, dst_tangential=False)
+            return max(abs(got.terms.get(w, 0) - v) for w, v in ref.items())
+
+        assert gap(res) < 1e-10, (src, dst, gap(res))
+        # one letter's coefficient bent by a relative 1e-6
+        p, r = next(iter(res.items()))
+        assert gap({**res, p: r.scale(complex(1 + 1e-6))}) > 1e-10, (src, dst)
 
 
 def test_coincident_endpoints_raise_value_error():

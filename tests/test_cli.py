@@ -451,6 +451,35 @@ def test_decompose_rejects_a_list_for_the_element(four_tails, tmp_path):
     assert "JSON object" in json.loads(proc.stderr)["error"]
 
 
+def _period_term(elem):
+    """A term of ``elem`` whose period has a zeta factor."""
+    return next(p for t in elem["terms"] for c in t["coeff"]["terms"]
+                for p in c["coeff"]["terms"] if p["zeta_indices"])
+
+
+@pytest.mark.parametrize("node, key", [
+    (lambda elem: elem, "terms"),                          # the series
+    (lambda elem: elem["terms"][-1]["coeff"], "terms"),    # a coefficient
+    (lambda elem: elem["terms"][-1]["coeff"]["terms"][0]["coeff"],
+     "terms"),                                             # a period
+    (lambda elem: elem["terms"][-1], "word"),
+    (_period_term, "zeta_indices"),
+], ids=["element", "coefficient", "period", "word", "zeta_indices"])
+def test_decompose_rejects_an_object_for_a_list(four_tails, tmp_path, node,
+                                                key):
+    # an empty object iterates as an empty list: no terms (a zero), the
+    # empty word, or a period without zeta values
+    path = write_json(tmp_path / "path.json", {"tails": ["t1", "t3"]})
+    mono = json.loads(run_cli("monodromy", "--graph", four_tails,
+                              "--path", path, "--words", "3").stdout)
+    node(mono["element"])[key] = {}
+    bad = write_json(tmp_path / "list.json", mono)
+    proc = run_cli("decompose", "--in", bad, expect=2)
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "JSON list" in json.loads(proc.stderr)["error"]
+
+
 def test_determinism_and_text_format(four_tails):
     a = run_cli("assoc", "kz", "--weight", "3").stdout
     b = run_cli("assoc", "kz", "--weight", "3").stdout
@@ -473,9 +502,12 @@ def run_python(code, *argv):
 
 
 def test_runtime_imports_only_the_standard_library():
-    """No module of the package, the ODE oracle included, loads numpy
-    or scipy."""
-    code = ("import importlib, pkgutil, sys\n"
+    """Every module that the package's modules and a run of the ODE
+    oracle load is in the standard library or in the package; modules
+    loaded before the first import (by ``site``, say) do not count."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import importlib, pkgutil\n"
             "import curvelog\n"
             "for info in pkgutil.iter_modules(curvelog.__path__):\n"
             "    importlib.import_module('curvelog.' + info.name)\n"
@@ -486,8 +518,9 @@ def test_runtime_imports_only_the_standard_library():
             "          for a in ('X0', 'X1'))\n"
             "ode_transport({0.0: x0, 1.0: x1}, 0.0, 1.0)\n"
             "assert 'curvelog.sewing' in sys.modules\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.partition('.')[0] in ('numpy', 'scipy')))\n")
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.partition('.')[0] not in\n"
+            "             {*sys.stdlib_module_names, 'curvelog'}))\n")
     assert run_python(code) == "[]"
 
 

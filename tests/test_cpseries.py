@@ -60,6 +60,12 @@ def test_invert_is_inverse(a):
     assert (a * a.invert() - const(1)).is_zero()
 
 
+def test_series_are_unhashable():
+    # __eq__ without __hash__: a series is mutable, so no set or dict key
+    with pytest.raises(TypeError):
+        hash(var("x"))
+
+
 def test_truncation_drops_high_degree():
     x, y = var("x"), var("y")
     p = power(x + y, 4)

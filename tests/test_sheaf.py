@@ -11,7 +11,7 @@ from curvelog.catalog import stable_graphs
 from curvelog.constants import ConstantCombination as CC
 from curvelog.elliptic import monodromy_around_zero
 from curvelog.jsonio import canonical_dumps
-from curvelog.logpoly import LogPoly
+from curvelog.logpoly import LogPoly, logpoly_ring
 from curvelog.ncseries import COMPLEX, NCSeries
 from curvelog.sheaf import (MonodromyCalculator, UnsupportedDressing,
                             build_sheaf, decompose_element, log_symbol,
@@ -98,6 +98,15 @@ def test_four_tails_path_decomposition_table():
     assert elem.coefficient(("X_t1",)).coefficients() == {(1,): CC.ipi(1, -2)}
     assert elem.coefficient(("X_t2",)).coefficients() == {(1,): CC.ipi(1, -2)}
     assert not elem.coefficient(("X_t3",))
+
+
+def test_zero_element_table_keeps_the_ring_symbols():
+    ring = logpoly_ring((log_symbol("e0"),))
+    zero = NCSeries(("X_t1", "X_t2"), 3, ring)
+    report = decompose_element(zero)
+    assert report["lvars"] == ["l_e0"] and report["n_entries"] == 0
+    back = reassemble_element(report, ring)
+    assert back.is_zero() and back == zero
 
 
 def _paths_and_loops(g, n, trunc):
