@@ -26,6 +26,13 @@ test the transport independently of the gauge bookkeeping:
 
 Fixed-point seeds meet when both end branches of a word moved onto the
 bubble; :func:`schottky.fixed_points` separates them along ``s0``.
+
+A comparison builds each generator once and keeps it for its lifetime.
+On the original side a generator is kept per half-edge and truncation;
+it reads only the parameters extracted from the chart as constructed.
+On the refined side the generators of ``delta2`` are kept in a table
+keyed by the chart values they are built from, so a chart moved between
+calls (a perturbation test) is read afresh.
 """
 from __future__ import annotations
 
@@ -64,6 +71,11 @@ class ChartComparison:
     # extracted (positions, edge parameters), by truncation
     _extracted: dict[int, tuple[dict[str, TS], dict[str, TS]]] = \
         field(init=False)
+    # original-side generators from the extracted parameters, by
+    # (half-edge, truncation)
+    _moebius: dict[tuple[str, int], Moebius] = field(init=False)
+    # refined-side generators of delta2, keyed by the chart values read
+    _refined: dict = field(init=False)
 
     def __post_init__(self):
         g2 = self.delta2
@@ -87,6 +99,8 @@ class ChartComparison:
         self.edge_params = {e: s.truncate(self.trunc) for e, s in par.items()}
         self._extracted = {self._tr_full: (pos, par),
                            self.trunc: (self.positions, self.edge_params)}
+        self._moebius = {}
+        self._refined = {}
 
     # ------------------------------------------------------------------
     # parameter extraction
@@ -127,8 +141,12 @@ class ChartComparison:
     # original-side matrices and fixed points
 
     def _moebius_at(self, h: str, tr: int) -> Moebius:
-        pos, par = self._params(tr)
-        return edge_moebius(pos[h], pos[flip(h)], par[edge_of(h)])
+        m = self._moebius.get((h, tr))
+        if m is None:
+            pos, par = self._params(tr)
+            m = self._moebius[h, tr] = edge_moebius(pos[h], pos[flip(h)],
+                                                    par[edge_of(h)])
+        return m
 
     def word_matrix1(self, word: Sequence[str]) -> Moebius:
         return self._word_matrix_at(word, self.trunc)
@@ -179,8 +197,8 @@ class ChartComparison:
         original-word matrix (from extracted parameters) and the lifted
         word computed directly in the refined graph."""
         m1 = self.word_matrix1(word)
-        m2 = word_matrix(self.delta2, self.lift_word(word),
-                         self.vars, self.trunc)
+        m2 = word_matrix(self.delta2, self.lift_word(word), self.vars,
+                         self.trunc, _generators=self._refined)
         lhs = m1.det() * (m2.trace() * m2.trace())
         rhs = m2.det() * (m1.trace() * m1.trace())
         return (lhs - rhs).is_zero()
@@ -228,7 +246,8 @@ class ChartComparison:
         ``word`` is (see :meth:`lift_word`), so it is solved as it is."""
         lifted = self.lift_word(word)
         alpha, alpha_p = fixed_points(
-            lambda tr: word_matrix(self.delta2, lifted, self.vars, tr),
+            lambda tr: word_matrix(self.delta2, lifted, self.vars, tr,
+                                   _generators=self._refined),
             chart_seeds(self.delta2, lifted, self.vars, self._tr_full),
             self._tr_full)
         if self.delta2.origin(word[0]) == self.bubble:

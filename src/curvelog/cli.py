@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .jsonio import write_output
+from .jsonio import json_list, write_output
 
 
 class InputError(ValueError):
@@ -185,7 +185,8 @@ def _path_moves(calc, spec: dict) -> list:
     if "loop" in spec:
         return calc.loop_moves(list(spec["loop"]))
     if "moves" in spec:
-        return [tuple(m) for m in spec["moves"]]
+        moves = json_list(spec, "moves")
+        return [tuple(json_list(moves, i)) for i in range(len(moves))]
     raise InputError("path file needs one of: tails, loop, moves")
 
 
@@ -239,7 +240,7 @@ def cmd_decompose(args) -> int:
     if data.get("ydeg", 0) != 0:
         raise InputError("decomposition applies to the ydeg = 0 form")
     try:
-        ring = logpoly_ring(tuple(data["lvars"]))
+        ring = logpoly_ring(tuple(json_list(data, "lvars")))
         elem = NCSeries.from_json(data["element"], ring)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad monodromy element: {exc}") from exc

@@ -135,6 +135,14 @@ def _numerators(terms: Mapping[tuple, Fraction]
             for e, c in terms.items()}, den
 
 
+def _truncation(trunc: int) -> int:
+    """``trunc`` as a truncation degree; a negative one raises
+    ValueError."""
+    if trunc < 0:
+        raise ValueError("truncation degree must be >= 0")
+    return int(trunc)
+
+
 def _pack(exp: Exponent, w: int) -> int:
     """The key of ``exp`` with fields of ``w`` bits, its degree last."""
     return sum(e << i * w for i, e in enumerate((*exp, sum(exp))))
@@ -206,9 +214,7 @@ class TruncatedSeries:
     def __init__(self, vars: Iterable[str], trunc: int,
                  terms: Mapping[Exponent, Fraction] | None = None):
         self.vars = tuple(vars)
-        if trunc < 0:
-            raise ValueError("truncation degree must be >= 0")
-        self.trunc = int(trunc)
+        self.trunc = _truncation(trunc)
         clean: dict[int, Fraction] = {}
         if terms:
             nv, w = len(self.vars), self.trunc.bit_length()
@@ -246,15 +252,20 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value, vars: Iterable[str], trunc: int) -> "TruncatedSeries":
-        vars = tuple(vars)
-        return cls(vars, trunc, {(0,) * len(vars): value})
+        trunc = _truncation(trunc)
+        c = _as_fraction(value)
+        return cls._raw(tuple(vars), trunc, {0: c.numerator} if c else {},
+                        c.denominator)
 
     @classmethod
     def variable(cls, name: str, vars: Iterable[str], trunc: int) -> "TruncatedSeries":
         vars = tuple(vars)
         idx = vars.index(name)
-        exp = tuple(1 if i == idx else 0 for i in range(len(vars)))
-        return cls(vars, trunc, {exp: _ONE})
+        trunc = _truncation(trunc)
+        # degree 1 is above truncation 0
+        exp = tuple(int(i == idx) for i in range(len(vars)))
+        return cls._raw(vars, trunc, {_pack(exp, trunc.bit_length()): 1}
+                        if trunc else {}, 1)
 
     def copy(self) -> "TruncatedSeries":
         return self._raw(self.vars, self.trunc, dict(self.nums), self.den)

@@ -15,13 +15,14 @@ def canonical_dumps(obj) -> str:
                       allow_nan=False)
 
 
-def json_list(data: dict, key: str) -> list:
-    """``data[key]``, which must be a JSON list: any other value (an
-    empty object, say, which would read as no items) raises
-    ``ValueError``."""
+def json_list(data: dict | list, key: str | int) -> list:
+    """``data[key]`` (a key of an object, or an index of a list), which
+    must be a JSON list: any other value (an object, say, which would
+    read as its keys, or as no items when empty) raises ``ValueError``."""
     value = data[key]
     if not isinstance(value, list):
-        raise ValueError(f"{key!r} must be a JSON list")
+        where = f"entry {key}" if isinstance(key, int) else repr(key)
+        raise ValueError(f"{where} must be a JSON list")
     return value
 
 

@@ -231,8 +231,8 @@ class LogPoly:
     @classmethod
     def from_json(cls, data: dict) -> "LogPoly":
         cc = _constants()
-        return cls(tuple(data["vars"]),
-                   {tuple(t["exp"]): cc.from_json(t["coeff"])
+        return cls(tuple(json_list(data, "vars")),
+                   {tuple(json_list(t, "exp")): cc.from_json(t["coeff"])
                     for t in json_list(data, "terms")})
 
     def __repr__(self) -> str:
@@ -278,7 +278,7 @@ def logpoly_ring(vars: Sequence[str]) -> Ring:
     vars = tuple(vars)
 
     def decode(data: dict) -> LogPoly:
-        if tuple(data["vars"]) != vars:
+        if tuple(json_list(data, "vars")) != vars:
             raise ValueError(f"coefficient over {list(data['vars'])}, "
                              f"not {list(vars)}")
         return LogPoly.from_json(data)

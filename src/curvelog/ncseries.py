@@ -596,7 +596,7 @@ class NCSeries:
             raise ValueError("a series must be a JSON object")
         if data.get("ring", ring.name) != ring.name:
             raise ValueError("ring mismatch")
-        alphabet = tuple(data["alphabet"])
+        alphabet = tuple(json_list(data, "alphabet"))
         idx = {a: i for i, a in enumerate(alphabet)}
         trunc = _exponent([data["trunc"]], 1)[0]
         terms = {tuple(idx[l] for l in json_list(t, "word")):

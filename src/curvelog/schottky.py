@@ -17,6 +17,14 @@ Matrices act on the left, so the walk ``h1 then h2`` has matrix
 ``phi_{h2} @ phi_{h1}``.  At ``y = 0`` every generator is rank one,
 which is what makes traces and fixed-point seeds units exactly when the
 word is (cyclically) reduced.
+
+:func:`verify_graph` builds each generator once per ring ``(vars,
+trunc)`` and shares it among all the words of that one call, through a
+table it hands to :func:`verify_word`, :func:`fixed_points_multiplier`,
+:func:`multiplier_data` and :func:`word_matrix` (their ``_generators``).
+The table is keyed by the chart values a generator is built from, so a
+chart moved while it lives is read afresh; it is dropped when the call
+returns, and nothing is cached between calls.
 """
 from __future__ import annotations
 
@@ -65,6 +73,19 @@ class Moebius:
         prods = [(w.nums, x.nums, w.den * x.den),
                  (y.nums, z.nums, sign * y.den * z.den)]
         return w._with(*_sum_products(prods, w._bound()))
+
+    def _fixes(self, z: TS) -> bool:
+        """Whether the map fixes ``z`` exactly: ``a z + b - z (c z + d)``
+        vanishes.  By Horner's rule it is ``((a - d) - c z) z + b``, two
+        capped sums over the entries' numerators, neither reduced."""
+        a, b, c, d = self._entries(z)
+        one, bound = {0: 1}, z._bound()
+        inner, den = _sum_products([(a.nums, one, a.den),
+                                    (d.nums, one, -d.den),
+                                    (c.nums, z.nums, -c.den * z.den)], bound)
+        acc, _ = _sum_products([(inner, z.nums, den * z.den),
+                                (b.nums, one, b.den)], bound)
+        return not any(acc.values())
 
     def trace(self) -> TS:
         return self.a + self.d
@@ -143,17 +164,31 @@ def phi_matrix(graph: StableGraph, h: str, vars: tuple[str, ...],
     return edge_moebius(graph.chart.x(h), graph.chart.x(flip(h)), y)
 
 
+def _generator(graph: StableGraph, h: str, vars: tuple[str, ...],
+               trunc: int, table: dict | None) -> Moebius:
+    """:func:`phi_matrix`, kept in ``table`` (when given) under the chart
+    values and ring it is built from."""
+    if table is None or graph.chart is None:
+        return phi_matrix(graph, h, vars, trunc)
+    key = h, graph.chart.x(h), graph.chart.x(flip(h)), vars, trunc
+    m = table.get(key)
+    if m is None:
+        m = table[key] = phi_matrix(graph, h, vars, trunc)
+    return m
+
+
 def word_matrix(graph: StableGraph, word: Sequence[str],
-                vars: tuple[str, ...], trunc: int) -> Moebius:
+                vars: tuple[str, ...], trunc: int, *,
+                _generators: dict | None = None) -> Moebius:
     """Matrix of the composite map along a reduced path (applied left to
     right, so the first step's matrix sits rightmost), over the
     edge-parameter variables ``vars``."""
     if not word:
         raise ValueError("empty word")
     graph.check_path(word, closed=False, reduced=True)
-    m = phi_matrix(graph, word[0], vars, trunc)
+    m = _generator(graph, word[0], vars, trunc, _generators)
     for h in word[1:]:
-        m = phi_matrix(graph, h, vars, trunc) @ m
+        m = _generator(graph, h, vars, trunc, _generators) @ m
     return m
 
 
@@ -179,7 +214,8 @@ def require_cyclically_reduced(graph: StableGraph,
 
 
 def multiplier_data(graph: StableGraph, word: Sequence[str],
-                    trunc: int = 6) -> FixedPointData:
+                    trunc: int = 6, *,
+                    _generators: dict | None = None) -> FixedPointData:
     """Eigenvalue split and multiplier of a closed cyclically reduced word.
 
     The trace is a unit exactly because the word is cyclically reduced
@@ -188,7 +224,7 @@ def multiplier_data(graph: StableGraph, word: Sequence[str],
     """
     require_cyclically_reduced(graph, word)
     vars = word_vars(word)
-    m = word_matrix(graph, word, vars, trunc)
+    m = word_matrix(graph, word, vars, trunc, _generators=_generators)
     tr = m.trace()
     t0 = tr.constant_term()
     if t0 == 0:
@@ -202,14 +238,16 @@ def multiplier_data(graph: StableGraph, word: Sequence[str],
 
 
 def fixed_points_multiplier(graph: StableGraph, word: Sequence[str],
-                            trunc: int = 6) -> FixedPointData:
+                            trunc: int = 6, *,
+                            _generators: dict | None = None
+                            ) -> FixedPointData:
     """Multiplier plus attractive/repulsive fixed points as series, seeded
     at the chart coordinates of ``x_{h_last}`` and ``x_{-h_first}``."""
-    data = multiplier_data(graph, word, trunc)
+    data = multiplier_data(graph, word, trunc, _generators=_generators)
     vars = data.x.vars
     data.alpha, data.alpha_prime = fixed_points(
         lambda tr: data.matrix if tr == trunc else
-        word_matrix(graph, word, vars, tr),
+        word_matrix(graph, word, vars, tr, _generators=_generators),
         chart_seeds(graph, word, vars, trunc), trunc)
     return data
 
@@ -305,7 +343,7 @@ def edge_multiplicity(word: Sequence[str]) -> dict[str, int]:
 
 
 def verify_word(graph: StableGraph, word: Sequence[str],
-                trunc: int = 6) -> dict:
+                trunc: int = 6, *, _generators: dict | None = None) -> dict:
     """Check the normal-form predictions for one closed word.
 
     * ``alpha``: the attractive fixed point differs from the incoming
@@ -321,7 +359,8 @@ def verify_word(graph: StableGraph, word: Sequence[str],
     if trunc < len(word):
         raise ValueError(f"truncation {trunc} is below the word length "
                          f"{len(word)}, where the multiplier starts")
-    data = fixed_points_multiplier(graph, word, trunc)
+    data = fixed_points_multiplier(graph, word, trunc,
+                                   _generators=_generators)
     vars = data.x.vars
     last_edge = edge_of(word[-1])
     first_edge = edge_of(word[0])
@@ -335,16 +374,12 @@ def verify_word(graph: StableGraph, word: Sequence[str],
     low = data.beta.lowest_part()
     expect_exp = tuple(mult.get(v, 0) for v in vars)
     beta_ok = (len(low.terms) == 1 and expect_exp in low.terms)
-    res_a = (data.matrix.a * data.alpha + data.matrix.b
-             - data.alpha * (data.matrix.c * data.alpha + data.matrix.d))
-    res_r = (data.matrix.a * data.alpha_prime + data.matrix.b
-             - data.alpha_prime * (data.matrix.c * data.alpha_prime
-                                   + data.matrix.d))
     checks = {
         "alpha_divisible": ord_a >= 1,
         "alpha_prime_divisible": ord_r >= 1,
         "beta_monomial": beta_ok,
-        "residual": res_a.is_zero() and res_r.is_zero(),
+        "residual": (data.matrix._fixes(data.alpha)
+                     and data.matrix._fixes(data.alpha_prime)),
         "eigen_split": (data.x * data.x_prime - data.det).is_zero(),
     }
     return {
@@ -362,9 +397,12 @@ def verify_word(graph: StableGraph, word: Sequence[str],
 def verify_graph(graph: StableGraph, max_len: int = 4,
                  trunc: int = 6) -> dict:
     """Run :func:`verify_word` over every cyclically reduced closed word
-    up to the given length (one representative per rotation class)."""
+    up to the given length (one representative per rotation class),
+    each generator built once per ring for all of them."""
     words = graph.closed_words(max_len)
-    reports = [verify_word(graph, w, trunc) for w in words]
+    table: dict = {}
+    reports = [verify_word(graph, w, trunc, _generators=table)
+               for w in words]
     return {
         "type": list(graph.gn_type()),
         "n_words": len(reports),

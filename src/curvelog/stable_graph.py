@@ -326,18 +326,23 @@ class StableGraph:
         if max_len < 1:
             return []
         halves = self.half_edges()
+        terminus = {h: self.terminus(h) for h in halves}
+        # the half-edges leaving each vertex, in half_edges() order
+        leaving: dict[str, list[str]] = {}
+        for h in halves:
+            leaving.setdefault(terminus[flip(h)], []).append(h)
         found: dict[tuple[str, ...], list[str]] = {}
 
         def extend(path: list[str]) -> None:
-            if self.terminus(path[-1]) == self.origin(path[0]):
-                if path[0] != flip(path[-1]):
-                    key = min(tuple(path[i:] + path[:i])
-                              for i in range(len(path)))
-                    found.setdefault(key, list(path))
+            end, back = terminus[path[-1]], flip(path[-1])
+            if end == terminus[flip(path[0])] and path[0] != back:
+                key = min(tuple(path[i:] + path[:i])
+                          for i in range(len(path)))
+                found.setdefault(key, list(path))
             if len(path) >= max_len:
                 return
-            for h in halves:
-                if self.origin(h) == self.terminus(path[-1]) and h != flip(path[-1]):
+            for h in leaving[end]:
+                if h != back:
                     path.append(h)
                     extend(path)
                     path.pop()

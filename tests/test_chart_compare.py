@@ -6,6 +6,7 @@ line, the two moved points land at r + s/(a-m) and r + s/(b-m).  For
 the chart (a,b,m | r,p,q) = (1,2,3 | 0,5,7) the four-point cross-ratio
 is ((5+s/2)(7+s)) / ((7+s/2)(5+s)) = 1 - s/35 + 19 s^2/2450 - ...
 """
+import hashlib
 import itertools
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from curvelog.catalog import stable_graphs
 from curvelog.chart_compare import (ChartComparison, NoWitnessLoops,
                                     expand_and_compare)
 from curvelog.cpseries import TruncatedSeries as TS
+from curvelog.jsonio import canonical_dumps
 from curvelog.schottky import (DegenerateWord, Moebius,
                                require_cyclically_reduced)
 from curvelog.stable_graph import Chart, Edge, StableGraph, Tail
@@ -214,6 +216,20 @@ def test_multiplier_check_fails_on_a_perturbed_refined_chart_value():
         assert points[f"alpha':{word}"] is False
 
 
+def test_report_after_a_moved_chart_fails():
+    # the refined generators are kept by the chart values they read, so
+    # a second report sees the moved value, not the first report's
+    g1 = StableGraph(["v0"],
+                     [Edge("f", "v0", 0, "v0", 1), Edge("g", "v0", 2, "v0", 3)],
+                     [])
+    cmp = expand_and_compare(g1, "v0", "f+", "g+", trunc=4, seed=2)
+    assert cmp.report()["pass"]
+    cmp.delta2.chart.finite["f+"] += F(1, 10)
+    again = cmp.report()
+    assert not again["multipliers"]["pass"] and not again["pass"]
+    assert not cmp.check_multiplier(["f+"])
+
+
 def test_chart_moved_before_any_power_is_checked():
     # the original side is extracted from the chart as constructed, at
     # every truncation, so the proper powers (which need a higher one)
@@ -228,6 +244,34 @@ def test_chart_moved_before_any_power_is_checked():
         assert points["points"][f"alpha':{word}"] is False
     assert not cmp.check_multiplier(["f+"])
     assert not cmp.report(loops_len=2, points_len=3)["pass"]
+
+
+# sha256 of the canonical report() of the 37 comparisons the
+# schottky-catalog benchmark runs (every branch pair at a valence-4 vertex
+# of the full (0,4), (0,5), (1,2), (1,3) catalogs, plus every loop corner),
+# at truncation 4 and seeds 300, 301, ...
+CATALOG_COMPARISONS_SHA256 = \
+    "cadd614a6df72a627f3e3ec14804471816788144171d22f444e1e63346694525"
+
+
+def test_catalog_comparison_reports_are_pinned():
+    reports = []
+    for gn in [(0, 4), (0, 5), (1, 2), (1, 3)]:
+        for graph in stable_graphs(*gn, trivalent_only=False):
+            for v in graph.vertices:
+                branches = graph.branches_at(v)
+                if len(branches) < 4:
+                    continue
+                for b1, b2 in itertools.combinations(branches, 2):
+                    loop_corner = b1[:-1] == b2[:-1] and b1[:-1] in graph.edges
+                    if len(branches) != 4 and not loop_corner:
+                        continue
+                    reports.append(expand_and_compare(
+                        graph, v, b1, b2, trunc=4,
+                        seed=300 + len(reports)).report())
+    assert len(reports) == 37 and all(r["pass"] for r in reports)
+    assert hashlib.sha256(canonical_dumps(reports).encode()).hexdigest() \
+        == CATALOG_COMPARISONS_SHA256
 
 
 @pytest.mark.parametrize("gn", [(0, 5), (1, 2), (1, 3), (2, 0)], ids=str)

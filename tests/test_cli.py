@@ -480,6 +480,51 @@ def test_decompose_rejects_an_object_for_a_list(four_tails, tmp_path, node,
     assert "JSON list" in json.loads(proc.stderr)["error"]
 
 
+def _without_ring(elem):
+    del elem["ring"]
+
+
+@pytest.mark.parametrize("mutate", [
+    # objects whose keys are the names the lists held
+    lambda mono: mono["element"].update(
+        alphabet=dict.fromkeys(mono["element"]["alphabet"], 0)),
+    lambda mono: mono.update(lvars=dict.fromkeys(mono["lvars"], 0)),
+    lambda mono: mono["element"]["terms"][-1]["coeff"].update(
+        vars=dict.fromkeys(mono["lvars"], 0)),
+    lambda mono: mono["element"]["terms"][-1]["coeff"]["terms"][0].update(
+        exp={"0": 1}),
+    # empty objects for both name lists, over no terms and no ring name
+    lambda mono: (mono.update(lvars={}), _without_ring(mono["element"]),
+                  mono["element"].update(alphabet={}, terms=[])),
+], ids=["alphabet", "lvars", "vars", "exp", "empty"])
+def test_decompose_rejects_an_object_for_a_name_list(four_tails, tmp_path,
+                                                     mutate):
+    # tuple() of an object takes its keys, so these decoded as the lists
+    # they stand in for, or as empty ones
+    path = write_json(tmp_path / "path.json", {"tails": ["t1", "t3"]})
+    mono = json.loads(run_cli("monodromy", "--graph", four_tails,
+                              "--path", path, "--words", "3").stdout)
+    mutate(mono)
+    bad = write_json(tmp_path / "names.json", mono)
+    proc = run_cli("decompose", "--in", bad, expect=2)
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "JSON list" in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize("moves", [
+    {"moves": [dict.fromkeys(["local", "v0", "t1", "e0+"], 0)]},
+    {"moves": {"local": 0}},
+], ids=["entry", "list"])
+def test_monodromy_rejects_an_object_for_a_move(one_loop, tmp_path, moves):
+    path = write_json(tmp_path / "moves.json", moves)
+    proc = run_cli("monodromy", "--graph", one_loop, "--path", path,
+                   "--words", "2", expect=2)
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "JSON list" in json.loads(proc.stderr)["error"]
+
+
 def test_determinism_and_text_format(four_tails):
     a = run_cli("assoc", "kz", "--weight", "3").stdout
     b = run_cli("assoc", "kz", "--weight", "3").stdout

@@ -168,6 +168,37 @@ def test_constructor_rejects_bad_exponents():
     assert TS(VARS, D, {(1, 0): 1, (0, 1): 1}) == var("x") + var("y")
 
 
+@pytest.mark.parametrize("trunc", [0, 1, 3, 7, 8])
+def test_constant_and_variable_match_the_general_constructor(trunc):
+    # both build the canonical form directly; the general constructor
+    # is the reference
+    vars = ("a", "b", "c")
+    for value in (0, 1, -3, F(6, 4), "-5/10", F(-7, 9)):
+        s = TS.constant(value, vars, trunc)
+        assert_canonical(s)
+        assert s == TS(vars, trunc, {(0, 0, 0): F(value)})
+    for i, name in enumerate(vars):
+        s = TS.variable(name, vars, trunc)
+        assert_canonical(s)
+        exp = tuple(int(j == i) for j in range(3))
+        assert s == TS(vars, trunc, {exp: 1})
+        # a variable is zero at truncation 0, where degree 1 is dropped
+        assert s.is_zero() == (trunc == 0)
+
+
+def test_constant_and_variable_keep_their_errors():
+    with pytest.raises(ValueError, match="truncation"):
+        TS.constant(1, VARS, -1)
+    with pytest.raises(ValueError, match="truncation"):
+        TS.variable("x", VARS, -1)
+    with pytest.raises(TypeError):
+        TS.constant(0.5, VARS, D)
+    with pytest.raises(ValueError, match="zero denominator"):
+        TS.constant("1/0", VARS, D)
+    with pytest.raises(ValueError):
+        TS.variable("z", VARS, D)
+
+
 # the two largest primes below 2^b for b = 20, 24, ..., 40
 PRIMES = (1048573, 1048571, 16777213, 16777199, 268435399, 268435367,
           4294967291, 4294967279, 68719476731, 68719476719,

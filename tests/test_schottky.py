@@ -1,4 +1,5 @@
 """Moebius normal forms, word matrices, fixed points, multipliers."""
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -6,13 +7,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvelog.catalog import stable_graphs
 from curvelog.cpseries import TruncatedSeries as TS
+from curvelog.jsonio import canonical_dumps
 from curvelog.schottky import (DegenerateWord, FractionalRoot, Moebius,
-                               fixed_points, fixed_points_multiplier,
-                               multiplier_data, phi_matrix, verify_graph,
-                               verify_word, word_matrix)
+                               edge_moebius, fixed_points,
+                               fixed_points_multiplier, multiplier_data,
+                               phi_matrix, verify_graph, verify_word,
+                               word_matrix, word_vars)
 from curvelog.stable_graph import (Chart, Edge, NotComposable, NotReduced,
-                                   StableGraph, Tail, flip)
+                                   StableGraph, Tail, edge_of, flip)
 
 
 def random_closed_word(graph, rng, length):
@@ -330,6 +334,84 @@ def test_verify_graph_theta():
                      Edge("e2", "v0", 2, "v1", 2)], []).specialize_chart(seed=3)
     rep = verify_graph(g, max_len=4, trunc=6)
     assert rep["pass"] and rep["n_words"] == 18
+
+
+# sha256 of the canonical verify_graph(max_len=4, trunc=6) reports of the
+# 22 trivalent graphs with g <= 2, n <= 2 or (g, n) = (3, 0), the graphs
+# the schottky-catalog benchmark verifies, charted at seeds 200, 201, ...
+CATALOG_REPORTS_SHA256 = \
+    "e05615862232591d3f3f0ca693f6bbc1248f8c91d83d3091a7709b6e8a5207e9"
+
+
+def test_catalog_reports_at_length_4_are_pinned():
+    types = [(g, n) for g in range(3) for n in range(3)
+             if 2 * g - 2 + n > 0] + [(3, 0)]
+    graphs = [graph for g, n in types for graph in stable_graphs(g, n)]
+    reports = [verify_graph(graph.specialize_chart(seed=200 + i),
+                            max_len=4, trunc=6)
+               for i, graph in enumerate(graphs)]
+    assert len(reports) == 22 and all(r["pass"] for r in reports)
+    assert sum(r["n_words"] for r in reports) == 280
+    assert hashlib.sha256(canonical_dumps(reports).encode()).hexdigest() \
+        == CATALOG_REPORTS_SHA256
+
+
+def fresh_word_matrix(graph, word, vars, trunc):
+    """The word's matrix as the plain product of generators built anew
+    from the chart, one per letter."""
+    m = None
+    for h in word:
+        y = TS.variable(edge_of(h), vars, trunc)
+        gen = edge_moebius(graph.chart.x(h), graph.chart.x(flip(h)), y)
+        m = gen if m is None else gen @ m
+    return m
+
+
+@pytest.mark.parametrize("graph", [tate_curve(), dumbbell_charted(seed=9)],
+                         ids=["tate", "dumbbell"])
+def test_shared_generators_give_the_fresh_products(graph):
+    table = {}
+    rings = set()
+    for trunc in (3, 5):
+        for word in graph.closed_words(4):
+            vars = word_vars(word)
+            m = word_matrix(graph, word, vars, trunc, _generators=table)
+            assert m == fresh_word_matrix(graph, word, vars, trunc)
+            rings |= {(h, vars, trunc) for h in word}
+    # one generator per half-edge and ring, however many words read it
+    assert len(table) == len(rings)
+
+
+def test_generator_table_reads_a_moved_chart_afresh():
+    g = dumbbell_charted(seed=9)
+    vs, table = ("e0",), {}
+    before = word_matrix(g, ["e0+"], vs, 4, _generators=table)
+    g.chart.finite["e0+"] += 1
+    after = word_matrix(g, ["e0+"], vs, 4, _generators=table)
+    assert after != before
+    assert after == fresh_word_matrix(g, ["e0+"], vs, 4)
+
+
+def test_verify_graph_shares_no_mutated_series():
+    # the words of one call share generators; a second call, and each
+    # word verified alone with generators of its own, report the same
+    g = dumbbell_charted(seed=9)
+    first = verify_graph(g, max_len=4, trunc=5)
+    assert first["pass"]
+    assert verify_graph(g, max_len=4, trunc=5) == first
+    assert [verify_word(g, w, trunc=5) for w in g.closed_words(4)] == \
+        first["words"]
+
+
+def test_residual_check_sees_a_point_that_is_not_fixed():
+    g = dumbbell_charted(seed=9)
+    data = fixed_points_multiplier(g, ["e0+", "e1+", "e2+", "e1-"], 5)
+    m = data.matrix
+    assert m._fixes(data.alpha) and m._fixes(data.alpha_prime)
+    # moved in the top degree only, or in the constant term
+    y = TS.variable("e0", data.alpha.vars, 5)
+    assert not m._fixes(data.alpha + y * y * y * y * y)
+    assert not m._fixes(data.alpha_prime + 1)
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,5 +1,6 @@
 """Stable graph structure, trees, loops, alterations, serialization."""
 import hashlib
+import itertools
 import json
 from fractions import Fraction as F
 
@@ -197,6 +198,31 @@ def test_closed_words_theta():
     w4 = g.closed_words(4)
     assert all(len(w) in (2, 4) for w in w4)
     assert len(set(map(tuple, w4))) == len(w4)
+
+
+def brute_force_closed_words(g, max_len):
+    """Every closed, cyclically reduced word up to ``max_len``, the first
+    in product order of each rotation class, sorted by the class's least
+    rotation: the order :meth:`StableGraph.closed_words` promises."""
+    found = {}
+    for n in range(1, max_len + 1):
+        for word in itertools.product(g.half_edges(), repeat=n):
+            try:
+                g.check_path(word, closed=True, reduced=True)
+            except (NotComposable, NotReduced):
+                continue
+            if word[0] == flip(word[-1]):
+                continue
+            key = min(word[i:] + word[:i] for i in range(n))
+            found.setdefault(key, list(word))
+    return [found[k] for k in sorted(found)]
+
+
+@pytest.mark.parametrize("gn", [(1, 1), (1, 2), (2, 0), (2, 1), (3, 0)],
+                         ids=str)
+def test_closed_words_match_a_brute_force_enumeration(gn):
+    for g in stable_graphs(*gn, trivalent_only=False):
+        assert g.closed_words(4) == brute_force_closed_words(g, 4)
 
 
 def test_closed_words_include_loop_edges():
