@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .jsonio import json_list, write_output
+from .jsonio import canonical_dumps, json_list, write_output
 
 
 class InputError(ValueError):
@@ -381,10 +381,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except InputError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        print(canonical_dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}),
+        print(canonical_dumps({"error": f"{type(exc).__name__}: {exc}"}),
               file=sys.stderr)
         return 2
 

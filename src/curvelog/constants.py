@@ -250,7 +250,6 @@ CONSTANTS = Ring(
     "constants",
     ConstantCombination.zero(),
     ConstantCombination.one(),
-    lambda q: ConstantCombination.rational(q),
     lambda c: c.to_json(),
     ConstantCombination.from_json,
     *_codec(ConstantCombination, ()),

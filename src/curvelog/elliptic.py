@@ -71,10 +71,6 @@ def w_infinity(trunc: int) -> NCSeries:
     return t.ad_series(coeffs, a)
 
 
-def _to_constants(series: NCSeries) -> NCSeries:
-    return series.map_coefficients(CONSTANTS.embed, CONSTANTS)
-
-
 def _assoc_at(trunc: int, first: NCSeries, second: NCSeries) -> NCSeries:
     """The associator at two rational residues, over the constants."""
     return kz_associator(trunc).substitute({"X0": first, "X1": second})
@@ -83,7 +79,7 @@ def _assoc_at(trunc: int, first: NCSeries, second: NCSeries) -> NCSeries:
 def monodromy_around_zero(trunc: int) -> NCSeries:
     """Conjugate of ``exp(2 i pi w_zero)`` by the associator at
     (w_zero, w_one); coefficients are exact period symbols."""
-    w0 = _to_constants(w_zero(trunc))
+    w0 = w_zero(trunc).lift(CONSTANTS)
     phi = _assoc_at(trunc, w_zero(trunc), w_one(trunc))
     twist = w0.scale(ConstantCombination.ipi(1, 2)).exp()
     return phi * twist * phi.invert()
@@ -92,8 +88,8 @@ def monodromy_around_zero(trunc: int) -> NCSeries:
 def a_to_b(trunc: int) -> NCSeries:
     """Transport between the two standard loop directions: half twist,
     associator at the far puncture, Dehn factor, inverse associator."""
-    w1 = _to_constants(w_one(trunc))
-    t = _to_constants(_letters(trunc)[0])
+    w1 = w_one(trunc).lift(CONSTANTS)
+    t = _letters(trunc)[0].lift(CONSTANTS)
     half_twist = w1.scale(ConstantCombination.ipi(1, 1)).exp()
     phi_inf = _assoc_at(trunc, w_infinity(trunc), w_one(trunc))
     phi = _assoc_at(trunc, w_zero(trunc), w_one(trunc))

@@ -287,7 +287,6 @@ def logpoly_ring(vars: Sequence[str]) -> Ring:
         "logpoly[" + ",".join(vars) + "]",
         LogPoly.zero(vars),
         LogPoly.constant(vars, 1),
-        lambda q: LogPoly.constant(vars, q),
         lambda p: p.to_json(),
         decode,
         *_codec(LogPoly, vars),

@@ -34,15 +34,15 @@ each source coefficient ``c`` and image coefficient ``q`` straight into
 the numerators of the source series' ring, so the associator's period
 constants stay constants; no ring hook takes part (the ``scaled_sum``
 hook of the per-coefficient form is gone).  A caller that needs the
-result in a larger ring lifts it once with
-``map_coefficients(ring.embed, ring)``, which between exact rings
-re-keys the monomials.
+result in a larger exact ring lifts it once with
+:meth:`NCSeries.lift`, the one exact re-key: it keeps the numerators
+and inserts zero exponents for the symbols the source ring lacks.
 
 Ring elements (``Fraction``, ``LogPoly``, ``ConstantCombination``,
 ``complex``) appear only at the boundary: the constructor and scalar
 arguments, the read-only :attr:`NCSeries.terms` (a new dict from words
 to ring elements), ``coefficient``, ``constant_term``,
-``map_coefficients`` with any other function, ``to_json``,
+``map_coefficients``, ``to_json``,
 ``from_json`` and ``repr``.
 
 Group-likeness is the shuffle-relation test: an element with constant
@@ -126,10 +126,9 @@ class Ring:
     name: str
     zero: object
     one: object
-    embed: Callable          # Fraction | int -> element
     encode: Callable         # element -> JSON-able
     decode: Callable         # JSON-able -> element
-    split: Callable          # element -> ({monomial id: numerator}, den)
+    split: Callable          # element or rational -> ({id: numerator}, den)
     join: Callable           # ({monomial id: numerator}, den) -> element
     table: _Monomials        # the monomials of the ring's symbol count
     close: Callable = lambda a, b, tol: a == b   # equal values (COMPLEX: tol)
@@ -141,11 +140,11 @@ def _split_rational(q) -> tuple[dict[int, int], int]:
     return ({0: q.numerator}, q.denominator) if q else ({}, 1)
 
 
-RATIONAL = Ring("rational", Fraction(0), Fraction(1), _as_fraction,
-                frac_to_str, _as_fraction, _split_rational,
+RATIONAL = Ring("rational", Fraction(0), Fraction(1), frac_to_str,
+                _as_fraction, _split_rational,
                 lambda m, den: Fraction(m[0], den), _monomials(0))
 
-COMPLEX = Ring("complex", complex(0), complex(1), complex,
+COMPLEX = Ring("complex", complex(0), complex(1),
                lambda c: {"re": c.real, "im": c.imag},
                lambda d: complex(d["re"], d["im"]),
                lambda c: ({0: c} if c else {}, 1), lambda m, den: m[0],
@@ -296,21 +295,24 @@ class NCSeries:
         return min(len(w) for w in self.nums)
 
     def map_coefficients(self, fn: Callable, ring: Ring) -> "NCSeries":
-        """The series of ``fn`` of each coefficient, over ``ring``.  The
-        lift ``fn = ring.embed`` of a rational series into an exact ring,
-        or of one over no symbols into an exact ring over symbols,
-        re-keys the monomials instead."""
-        src = self.ring
-        if fn is ring.embed and ring.exact and src.exact \
-                and src.table.n == 0 \
-                and (src.name == RATIONAL.name or ring.table.n):
-            keys, intern = src.table.keys, ring.table.intern
-            pad = (0,) * ring.table.n
-            return self._raw(self.alphabet, self.trunc, ring, {
-                w: {intern(pad + keys[i]): n for i, n in m.items()}
-                for w, m in self.nums.items()}, self.den)
+        """The series of ``fn`` of each coefficient, over ``ring``."""
         return NCSeries(self.alphabet, self.trunc, ring,
                         {w: fn(c) for w, c in self.terms.items()})
+
+    def lift(self, ring: Ring) -> "NCSeries":
+        """This series over the exact ``ring``, whose symbols begin with
+        this ring's: each monomial gains zero exponents for the symbols
+        after them, and the numerators stay as they are."""
+        src = self.ring
+        n = src.table.n
+        if not (src.exact and ring.exact) or ring.table.n < n:
+            raise ValueError(f"no lift from {src.name} to {ring.name}")
+        keys, intern = src.table.keys, ring.table.intern
+        pad = (0,) * (ring.table.n - n)
+        return self._raw(self.alphabet, self.trunc, ring, {
+            w: {intern(keys[i][:n] + pad + keys[i][n:]): c
+                for i, c in m.items()}
+            for w, m in self.nums.items()}, self.den)
 
     def select(self, keep: Callable[[tuple], bool]) -> "NCSeries":
         """The coefficient terms whose monomial key passes ``keep``."""
@@ -412,10 +414,9 @@ class NCSeries:
         return self._combine(other, -1)
 
     def scale(self, value) -> "NCSeries":
-        """Multiply by a scalar: a rational (embedded) or ring element."""
+        """Multiply by a scalar: a rational or a ring element, as
+        ``ring.split`` takes it."""
         ring = self.ring
-        if isinstance(value, (int, Fraction)) or ring is RATIONAL:
-            value = ring.embed(value)
         m, d = ring.split(value)
         return self._like(_product(self.nums, {(): m}, self.trunc,
                                    ring.table.rows), self.den * d)

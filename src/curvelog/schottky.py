@@ -246,8 +246,7 @@ def fixed_points_multiplier(graph: StableGraph, word: Sequence[str],
     data = multiplier_data(graph, word, trunc, _generators=_generators)
     vars = data.x.vars
     data.alpha, data.alpha_prime = fixed_points(
-        lambda tr: data.matrix if tr == trunc else
-        word_matrix(graph, word, vars, tr, _generators=_generators),
+        lambda tr: data.matrix,
         chart_seeds(graph, word, vars, trunc), trunc)
     return data
 

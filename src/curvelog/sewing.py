@@ -94,16 +94,11 @@ ZONE_VARS = SEW_VARS + ("w", "L")
 ZONE = logpoly_ring(ZONE_VARS)
 
 
-def _sew(s: NCSeries) -> NCSeries:
-    """A rational series (a residue) as a sew series."""
-    return s.map_coefficients(SEW.embed, SEW)
-
-
 def _lift(s: NCSeries, p: int = 0) -> NCSeries:
     """The sew or rational series ``s`` times ``w^p``, as a zone
     element."""
     if s.ring.name == RATIONAL.name:
-        s = _sew(s)
+        s = s.lift(SEW)
     return s.map_terms(lambda k: ((k[:3] + (p, 0) + k[3:], 1),), ZONE)
 
 
@@ -302,11 +297,11 @@ def dressed_neck_transport(a_res: NCSeries, b_res: NCSeries,
     # ---- associator factors, substituted at the rational residues
     # and lifted once
     phi = kz_associator(trunc)
-    phi_par = _sew(phi.substitute({"X0": r_hole, "X1": c_res}))
-    phi_child = _sew(phi.substitute({"X0": r_child, "X1": b_res}))
+    phi_par = phi.substitute({"X0": r_hole, "X1": c_res}).lift(SEW)
+    phi_child = phi.substitute({"X0": r_child, "X1": b_res}).lift(SEW)
 
     kappa = LogPoly.monomial(SEW_VARS, (0, 0, 1))
-    hole = _sew(r_hole)
+    hole = r_hole.lift(SEW)
 
     factors = [
         q_dst.invert(),

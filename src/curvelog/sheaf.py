@@ -6,9 +6,11 @@ halves of each cycle edge carry the Bernoulli-type elements built from
 a dedicated letter pair, the halves of tree edges are opposite, and the
 branches at each vertex sum to zero.  These constraints have a unique
 solution once one distinguished tail is eliminated (leaf-to-root along
-the spanning tree); for graphs without tails the letters satisfy one
-global relation — the sum of the letter brackets — and computations
-happen in the quotient by the two-sided ideal it generates.
+the spanning tree).  On a graph without tails the letters carry one
+global relation, the sum of the node-letter brackets ``[T_e, A_e]``:
+the branches at the root (the first vertex) sum to minus it, exactly,
+and every other vertex sum is zero.  Elements are computed in the free
+algebra; nothing is reduced modulo the relation.
 
 On top of the residues, paths on the graph generate monodromy elements
 by three moves: transporting between two branches at a vertex (an
@@ -22,15 +24,14 @@ log exponents.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from math import factorial, lcm
 from typing import Sequence
 
 from .associator import kz_associator
 from .constants import ConstantCombination, _json_terms, in_zeta_span
-from .cpseries import _add_terms, _echelon_insert, _exponent
+from .cpseries import _add_terms, _exponent
 from .elliptic import w_infinity, w_zero
 from .logpoly import LogPoly, logpoly_ring
 from .ncseries import NCSeries, RATIONAL, Ring, _canonical
@@ -56,42 +57,6 @@ def node_letters(edge_id: str) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# quotient by the global relation (graphs without tails)
-
-
-class IdealReducer:
-    """Canonical representatives modulo the two-sided ideal generated by
-    a homogeneous degree-two relation, per word degree."""
-
-    def __init__(self, alphabet: Sequence[str], relation: NCSeries,
-                 trunc: int):
-        self.alphabet = tuple(alphabet)
-        self.trunc = trunc
-        if any(len(w) != 2 for w in relation.terms):
-            raise ValueError("relation must be homogeneous of degree two")
-        rel = sorted(relation.terms.items())
-        n = len(self.alphabet)
-        self.pivots: dict[Word, dict[Word, Fraction]] = {}
-        for d in range(2, trunc + 1):
-            for a in range(d - 1):
-                for u in iter_product(range(n), repeat=a):
-                    for v in iter_product(range(n), repeat=d - 2 - a):
-                        _echelon_insert(self.pivots,
-                                        {u + w + v: c for w, c in rel})
-
-    def reduce(self, series: NCSeries) -> NCSeries:
-        """Eliminate every pivot word; ring-agnostic (rational pivots)."""
-        terms = dict(series.terms)
-        embed = series.ring.embed
-        for piv in sorted(self.pivots):
-            c = terms.get(piv)
-            if c:
-                _add_terms(terms, ((w, -c * embed(q))
-                                   for w, q in self.pivots[piv].items()))
-        return NCSeries(series.alphabet, series.trunc, series.ring, terms)
-
-
-# ---------------------------------------------------------------------------
 # the residue sheaf
 
 
@@ -103,10 +68,6 @@ class ResidueSheaf:
     residues: dict[str, NCSeries]
     tree_edges: tuple[str, ...]
     cycle_edges: tuple[str, ...]
-    reducer: IdealReducer | None = field(default=None, repr=False)
-
-    def reduce(self, series: NCSeries) -> NCSeries:
-        return self.reducer.reduce(series) if self.reducer else series
 
     def vertex_sum(self, v: str) -> NCSeries:
         total = NCSeries.zero(self.alphabet, self.trunc, RATIONAL)
@@ -114,11 +75,27 @@ class ResidueSheaf:
             total = total + self.residues[b]
         return total
 
+    def relation(self) -> NCSeries:
+        """The sum of the node-letter brackets ``[T_e, A_e]``."""
+        total = NCSeries.zero(self.alphabet, self.trunc, RATIONAL)
+        for eid in self.cycle_edges:
+            t, a = (NCSeries.letter(x, self.alphabet, self.trunc, RATIONAL)
+                    for x in node_letters(eid))
+            total = total + t.bracket(a)
+        return total
+
     def check_invariants(self) -> None:
         g = self.graph
+        # the root of a graph without tails carries minus the relation
+        root = None if g.tails else g.vertices[0]
         for v in g.vertices:
-            if not self.reduce(self.vertex_sum(v)).is_zero():
-                raise GlueInconsistent(f"branches at {v} do not sum to zero")
+            total = self.vertex_sum(v)
+            if v == root:
+                total = total + self.relation()
+            if not total.is_zero():
+                raise GlueInconsistent(
+                    f"branches at {v} do not sum to "
+                    f"{'minus the relation' if v == root else 'zero'}")
         for eid in self.tree_edges:
             s = self.residues[half(eid, "+")] + self.residues[half(eid, "-")]
             if not s.is_zero():
@@ -167,35 +144,20 @@ def build_sheaf(graph: StableGraph, trunc: int) -> ResidueSheaf:
         up = parent_branch[v]
         total = NCSeries.zero(alphabet, trunc, RATIONAL)
         for b in graph.branches_at(v):
-            if b == up:
-                continue
-            total = total + residues[b]
+            if b != up:
+                total = total + residues[b]
         residues[up] = -total
         residues[flip(up)] = total
 
-    reducer = None
-    if cycle and not tails:
-        relation = NCSeries.zero(alphabet, trunc, RATIONAL)
-        for eid in cycle:
-            t_name, a_name = node_letters(eid)
-            t = NCSeries.letter(t_name, alphabet, trunc, RATIONAL)
-            a = NCSeries.letter(a_name, alphabet, trunc, RATIONAL)
-            relation = relation + t.bracket(a)
-        reducer = IdealReducer(alphabet, relation, trunc)
-
-    root_sum = NCSeries.zero(alphabet, trunc, RATIONAL)
-    for b in graph.branches_at(root):
-        if b != dropped:
-            root_sum = root_sum + residues[b]
     if dropped is not None:
+        root_sum = NCSeries.zero(alphabet, trunc, RATIONAL)
+        for b in graph.branches_at(root):
+            if b != dropped:
+                root_sum = root_sum + residues[b]
         residues[dropped] = -root_sum
-    else:
-        closing = reducer.reduce(root_sum) if reducer else root_sum
-        if not closing.is_zero():
-            raise GlueInconsistent("global residue relation fails")
 
     sheaf = ResidueSheaf(graph, trunc, alphabet, residues,
-                         tuple(tree), tuple(cycle), reducer)
+                         tuple(tree), tuple(cycle))
     sheaf.check_invariants()
     return sheaf
 
@@ -219,7 +181,7 @@ class MonodromyCalculator:
         self.trunc = sheaf.trunc
         self.lvars = tuple(log_symbol(e) for e in sorted(self.graph.edges))
         self.ring: Ring = logpoly_ring(self.lvars)
-        self.residues = {b: s.map_coefficients(self.ring.embed, self.ring)
+        self.residues = {b: s.lift(self.ring)
                          for b, s in sheaf.residues.items()}
         self._local_cache: dict[tuple[str, str], NCSeries] = {}
 
@@ -239,8 +201,7 @@ class MonodromyCalculator:
             # constants of the associator, then lift once
             res = self.sheaf.residues
             cached = kz_associator(self.trunc).substitute(
-                {"X0": res[src], "X1": res[dst]}).map_coefficients(
-                    self.ring.embed, self.ring)
+                {"X0": res[src], "X1": res[dst]}).lift(self.ring)
             self._local_cache[key] = cached
         return cached
 

@@ -173,17 +173,44 @@ def test_rational_ring_rejects_inexact_scalars():
     a = NCSeries.letter("a", AB, 2)
     data = a.to_json()
     data["terms"][0]["coeff"] = 0.1
-    for make in (lambda: a.scale(0.1), lambda: RATIONAL.embed(0.5),
+    for make in (lambda: a.scale(0.1), lambda: RATIONAL.split(0.5),
                  lambda: NCSeries.from_json(data, RATIONAL)):
         with pytest.raises(TypeError):
             make()
     # the "n/d" strings of the JSON and exact scalars still work
     data["terms"][0]["coeff"] = "-3/7"
     assert NCSeries.from_json(data, RATIONAL).coefficient("a") == F(-3, 7)
-    assert a.scale(2).coefficient("a") == RATIONAL.embed(2) == F(2)
-    # a complex series takes a float scalar as it is
+    assert a.scale(2).coefficient("a") == F(2)
+    assert RATIONAL.split(2) == ({0: 2}, 1)
+    # a complex series takes a float scalar as it is, and a rational one
+    # as its complex value
     z = NCSeries.letter("a", AB, 2, COMPLEX).scale(0.5)
     assert z.coefficient("a") == 0.5
+    z = NCSeries.letter("a", AB, 2, COMPLEX).scale(0.5 + 1j).scale(F(1, 3))
+    assert z.coefficient("a") == (0.5 + 1j) * complex(F(1, 3))
+
+
+def test_lift_inserts_zero_exponents_after_the_source_symbols():
+    u_ring, uv_ring = logpoly_ring(("u",)), logpoly_ring(("u", "v"))
+    s = NCSeries(AB, 2, u_ring, {
+        (0,): LogPoly(("u",), {(1,): CC.zeta(3), (0,): F(1, 3)}),
+        (0, 1): F(-2, 5)})
+    lifted = s.lift(uv_ring)
+    assert lifted.terms == {
+        (0,): LogPoly(("u", "v"), {(1, 0): CC.zeta(3), (0, 0): F(1, 3)}),
+        (0, 1): LogPoly.constant(("u", "v"), F(-2, 5))}
+    assert lifted.den == s.den
+    assert sorted(n for m in lifted.nums.values() for n in m.values()) \
+        == sorted(n for m in s.nums.values() for n in m.values())
+    # a rational series lifts to the constant terms of any exact ring
+    a = NCSeries.letter("a", AB, 2).scale(F(-3, 4))
+    assert a.lift(CONSTANTS).coefficient("a") == CC.rational(F(-3, 4))
+    assert a.lift(RATIONAL) == a
+    # no lift drops symbols or leaves the exact rings
+    for src, ring in ((lifted, u_ring), (a, COMPLEX),
+                      (NCSeries.letter("a", AB, 2, COMPLEX), RATIONAL)):
+        with pytest.raises(ValueError, match="no lift"):
+            src.lift(ring)
 
 
 # four coefficients per ring, built afresh on each call so that equal
@@ -351,6 +378,16 @@ _EXACT = {
 }
 
 
+def _embed(ring, value):
+    """A rational or a period combination as an element of the exact
+    ``ring``: the reference of :meth:`NCSeries.lift`."""
+    if ring is RATIONAL:
+        return F(value)
+    if ring is CONSTANTS:
+        return CC.rational(value)
+    return LogPoly.constant(ring.one.vars, value)
+
+
 def _clean(d):
     return {w: c for w, c in d.items() if c}
 
@@ -459,8 +496,8 @@ def test_numerator_form_matches_ring_arithmetic(name):
         if ring.table.n:
             sources.append(NCSeries(AB, trunc, CONSTANTS, tz))
         for src in sources:
-            results.append((src.map_coefficients(ring.embed, ring), {
-                w: ring.embed(v) for w, v in src.terms.items()}))
+            results.append((src.lift(ring), {
+                w: _embed(ring, v) for w, v in src.terms.items()}))
         for got, ref in results:
             _assert_matches(got, ref, ring)
         for (a, _), (b, _) in zip(results, results[1:]):

@@ -13,9 +13,11 @@ from curvelog.elliptic import monodromy_around_zero
 from curvelog.jsonio import canonical_dumps
 from curvelog.logpoly import LogPoly, logpoly_ring
 from curvelog.ncseries import COMPLEX, NCSeries
-from curvelog.sheaf import (MonodromyCalculator, UnsupportedDressing,
-                            build_sheaf, decompose_element, log_symbol,
+from curvelog.sheaf import (GlueInconsistent, MonodromyCalculator,
+                            UnsupportedDressing, build_sheaf,
+                            decompose_element, log_symbol,
                             reassemble_element)
+from curvelog.stable_graph import half
 
 GENUS_TAILS = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (2, 0)]
 GRAPH_COUNTS = {(0, 3): 1, (0, 4): 1, (0, 5): 1, (0, 6): 2,
@@ -48,6 +50,44 @@ def test_invariants_hold_across_catalog():
             expected_letters = (n_tails - 1 if n_tails else 0) \
                 + 2 * len(sheaf.cycle_edges)
             assert len(sheaf.alphabet) == expected_letters
+
+
+@pytest.mark.parametrize("words", [2, 3, 4, 5])
+def test_tail_free_root_sums_to_minus_the_relation(words):
+    for graph in stable_graphs(2, 0):
+        sheaf = build_sheaf(graph, words)
+        root, *others = graph.vertices
+        relation = sheaf.relation()
+        assert relation.order() == 2 and not relation.is_zero()
+        assert sheaf.vertex_sum(root) == -relation
+        assert all(sheaf.vertex_sum(v).is_zero() for v in others)
+
+
+def test_root_sum_other_than_minus_the_relation_raises():
+    # doubling every residue keeps the node identities, the opposite tree
+    # halves and the zero vertex sums, and takes the root sum to -2 times
+    # the relation: in the ideal of the relation, but not minus it
+    for graph in stable_graphs(2, 0):
+        sheaf = build_sheaf(graph, 4)
+        sheaf.residues = {b: r.scale(2) for b, r in sheaf.residues.items()}
+        assert sheaf.vertex_sum(graph.vertices[0]) \
+            == sheaf.relation().scale(-2)
+        with pytest.raises(GlueInconsistent, match="minus the relation"):
+            sheaf.check_invariants()
+
+
+def test_scaled_tree_edge_residue_raises():
+    for graph in stable_graphs(1, 2):
+        sheaf = build_sheaf(graph, 3)
+        assert sheaf.tree_edges
+        for eid in sheaf.tree_edges:
+            h = half(eid, "+")
+            kept = sheaf.residues[h]
+            sheaf.residues[h] = kept.scale(2)
+            with pytest.raises(GlueInconsistent):
+                sheaf.check_invariants()
+            sheaf.residues[h] = kept
+            sheaf.check_invariants()
 
 
 def test_three_tails_local_move_is_the_kz_associator():
@@ -190,8 +230,9 @@ def test_farthest_tails_path_is_pinned(name):
 
 # sha256 of the words-4 fundamental loop of e1 (through the tree edge e0)
 # on the second graph of each type: a genus-1 cycle edge with two tails,
-# and a genus-2 graph without tails, whose words reduce modulo the
-# global relation
+# and a genus-2 graph without tails, whose element is computed in the
+# free algebra (its root sum is checked against the global relation
+# exactly, and nothing is reduced modulo it)
 CYCLE_LOOP_SHA256 = {
     (1, 2): "9097ea254bf4d93b9bf151617143eed99feefb42313a56fb8a6b254d37bde774",
     (2, 0): "278bff0ef242a8845735572d9c226d4d2898541817bd781ed8161670f1020e46",
