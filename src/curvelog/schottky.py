@@ -14,9 +14,13 @@ coordinate ``1/z``) gives the degenerate normal forms; both halves at
 infinity is excluded by the chart invariants.
 
 Matrices act on the left, so the walk ``h1 then h2`` has matrix
-``phi_{h2} @ phi_{h1}``.  At ``y = 0`` every generator is rank one,
-which is what makes traces and fixed-point seeds units exactly when the
-word is (cyclically) reduced.
+``phi_{h2} @ phi_{h1}``.  At ``y = 0`` every generator is rank one, so a
+closed word's matrix is ``K (x_{h_last}, 1)^T (1, -x_{-h_first})``: its
+trace ``K (x_{h_last} - x_{-h_first})`` is a unit exactly when the word
+is cyclically reduced, and then so is ``c(0) = K``.  A fixed point ``z``
+spans an eigenvector ``(z, 1)``, so ``c z + d`` is its eigenvalue, and
+the second root of ``c z^2 + (d - a) z - b`` is ``(a - d)/c`` minus the
+first (Vieta's formula).
 
 :func:`verify_graph` builds each generator once per ring ``(vars,
 trunc)`` and shares it among all the words of that one call, through a
@@ -29,6 +33,7 @@ returns, and nothing is cached between calls.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -221,6 +226,9 @@ def multiplier_data(graph: StableGraph, word: Sequence[str],
     The trace is a unit exactly because the word is cyclically reduced
     and the chart is generic; the two eigenvalues are separated by their
     orders (unit vs. positive order) and the multiplier is their ratio.
+    The determinant is the monomial ``+-prod y_e^mult``, so ``u = 1/x``
+    is the root of ``det u^2 - tr u + 1`` at ``1/tr(0)``, with divisor
+    ``-tr(0)``; then ``x' = det u``, ``x = tr - x'``, ``beta = x' u``.
     """
     require_cyclically_reduced(graph, word)
     vars = word_vars(word)
@@ -230,11 +238,10 @@ def multiplier_data(graph: StableGraph, word: Sequence[str],
     if t0 == 0:
         raise DegenerateWord("trace vanishes at the origin")
     det = m.det()
-    one = TS.constant(1, vars, trunc)
-    x = solve_quadratic(one, -tr, det, t0)
-    x_prime = tr - x
-    return FixedPointData(list(word), m, tr, det, x, x_prime,
-                          x_prime * x.invert())
+    u = solve_quadratic(det, -tr, TS.constant(1, vars, trunc), 1 / t0)
+    x_prime = det * u
+    return FixedPointData(list(word), m, tr, det, tr - x_prime, x_prime,
+                          x_prime * u)
 
 
 def fixed_points_multiplier(graph: StableGraph, word: Sequence[str],
@@ -242,12 +249,20 @@ def fixed_points_multiplier(graph: StableGraph, word: Sequence[str],
                             _generators: dict | None = None
                             ) -> FixedPointData:
     """Multiplier plus attractive/repulsive fixed points as series, seeded
-    at the chart coordinates of ``x_{h_last}`` and ``x_{-h_first}``."""
+    at the chart coordinates of ``x_{h_last}`` and ``x_{-h_first}``:
+    ``alpha = (x - d)/c`` and ``alpha' = (x' - d)/c``, since ``c z + d``
+    is the eigenvalue of the eigenvector ``(z, 1)`` (module docstring).
+    """
     data = multiplier_data(graph, word, trunc, _generators=_generators)
-    vars = data.x.vars
-    data.alpha, data.alpha_prime = fixed_points(
-        lambda tr: data.matrix,
-        chart_seeds(graph, word, vars, trunc), trunc)
+    m = data.matrix
+    seeds = chart_seeds(graph, word, m.c.vars, trunc)
+    if not m.c.is_unit():
+        raise DegenerateWord("word matrix has c(0) = 0")
+    c_inv = m.c.invert()
+    roots = [(lam - m.d) * c_inv for lam in (data.x, data.x_prime)]
+    if any((z - q).constant_term() for z, q in zip(roots, seeds)):
+        raise DegenerateWord("fixed points miss their chart seeds")
+    data.alpha, data.alpha_prime = roots
     return data
 
 
@@ -266,6 +281,8 @@ def fixed_points(matrix: Callable[[int], Moebius], seeds: tuple[TS, TS],
     """Attractive and repulsive fixed points, exact to degree ``trunc``:
     the roots of ``c z^2 + (d - a) z - b`` for ``matrix(tr)``, the word
     matrix exact to degree ``tr``, with the constant terms of ``seeds``.
+    Only the first is solved; the second is ``-a1/a2 - z1`` (Vieta), so
+    ``a2`` must be a unit: neither fixed point lies at infinity.
 
     With ``s``, one Newton–Puiseux loop in ``s`` (Walker, *Algebraic
     Curves*, 1950, ch. IV; Duval, Compositio Math. 70, 1989) divides out
@@ -314,31 +331,25 @@ def fixed_points(matrix: Callable[[int], Moebius], seeds: tuple[TS, TS],
                 f0.divide_monomial(tuple(2 * e for e in pivot)))
     if meets > last:
         raise DegenerateWord("fixed-point seeds agree to their degree")
-    roots = []
-    for seed in seeds:
-        z = simple_root(*quad, coeff(seed, meets))
-        for r in reversed(shifts):
-            z = TS.variable(s, z.vars, z.trunc) * z + r
-        roots.append(z.truncate(trunc))
-    return roots[0], roots[1]
+    if not quad[0].is_unit():
+        raise DegenerateWord("a fixed point lies at infinity")
+    z = simple_root(*quad, coeff(seeds[0], meets))
+    roots = [z, -(quad[1] * quad[0].invert()) - z]
+    if roots[1].constant_term() != coeff(seeds[1], meets):
+        raise DegenerateWord("the second fixed point misses its seed")
+    for r in reversed(shifts):
+        roots = [TS.variable(s, z.vars, z.trunc) * z + r for z in roots]
+    return roots[0].truncate(trunc), roots[1].truncate(trunc)
 
 
 def simple_root(a2: TS, a1: TS, a0: TS, root0: Fraction) -> TS:
-    """:func:`solve_quadratic`, with a root that is not simple raised as
-    :class:`DegenerateWord`."""
+    """:func:`solve_quadratic`, with a seed that is not a simple root
+    (a double root, or no root at all) raised as :class:`DegenerateWord`."""
     try:
         return solve_quadratic(a2, a1, a0, root0)
-    except ZeroDivisionError as exc:
+    except (ZeroDivisionError, ValueError) as exc:
         raise DegenerateWord(f"fixed point {root0} is not a simple root "
                              "of the word's quadratic") from exc
-
-
-def edge_multiplicity(word: Sequence[str]) -> dict[str, int]:
-    mult: dict[str, int] = {}
-    for h in word:
-        e = edge_of(h)
-        mult[e] = mult.get(e, 0) + 1
-    return mult
 
 
 def verify_word(graph: StableGraph, word: Sequence[str],
@@ -363,13 +374,12 @@ def verify_word(graph: StableGraph, word: Sequence[str],
     vars = data.x.vars
     last_edge = edge_of(word[-1])
     first_edge = edge_of(word[0])
-    xa = TS.constant(graph.chart.x(word[-1]), vars, trunc)
-    xr = TS.constant(graph.chart.x(flip(word[0])), vars, trunc)
+    xa, xr = chart_seeds(graph, word, vars, trunc)
     da = data.alpha - xa
     dr = data.alpha_prime - xr
     ord_a = da.ideal_order((last_edge,))
     ord_r = dr.ideal_order((first_edge,))
-    mult = edge_multiplicity(word)
+    mult = Counter(map(edge_of, word))
     low = data.beta.lowest_part()
     expect_exp = tuple(mult.get(v, 0) for v in vars)
     beta_ok = (len(low.terms) == 1 and expect_exp in low.terms)

@@ -310,13 +310,14 @@ def test_criterion_09_decomposition_tables_and_arithmeticity():
           f"by 4!), surfaced via NonIntegralCoefficient ({dt:.1f}s < 60s)")
 
 
-def test_criterion_09_words_five_sweep():
-    # words 5 reach weight-5 constants, where the span test needs the
-    # double shuffle relations beyond the weight-4 evaluations
-    t0 = time.time()
-    trunc = 5
+def _words_sweep(types, trunc, reassemble=False):
+    """Criterion 09's sweep at ``trunc``: every tail path and cycle loop
+    of every trivalent graph of ``types``, decomposed (and, with
+    ``reassemble``, reassembled exactly).  Genus-0 tables must be all
+    integral and every flagged entry carries a node letter; returns the
+    numbers of entries and of flagged entries."""
     n_entries = n_flagged = 0
-    for gn in [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0)]:
+    for gn in types:
         for graph in stable_graphs(*gn):
             calc = MonodromyCalculator(build_sheaf(graph, trunc))
             jobs = [calc.tail_path_moves(s, d) for s, d in
@@ -324,7 +325,11 @@ def test_criterion_09_words_five_sweep():
             jobs += [calc.loop_moves(_cycle_word(calc, e))
                      for e in sorted(calc.sheaf.cycle_edges)]
             for moves in jobs:
-                rep = decompose_element(calc.path(moves))
+                elem = calc.path(moves)
+                rep = decompose_element(elem)
+                if reassemble:
+                    assert (reassemble_element(rep, calc.ring)
+                            - elem).is_zero()
                 n_entries += rep["n_entries"]
                 n_flagged += len(rep["violations"])
                 if gn[0] == 0:
@@ -333,12 +338,33 @@ def test_criterion_09_words_five_sweep():
                     entry = rep["entries"][i]
                     assert any(l.startswith(("T_", "A_"))
                                for l in entry["word"]), entry
+    return n_entries, n_flagged
+
+
+def test_criterion_09_words_five_sweep():
+    # words 5 reach weight-5 constants, where the span test needs the
+    # double shuffle relations beyond the weight-4 evaluations
+    t0 = time.time()
+    n_entries, n_flagged = _words_sweep(
+        [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0)], 5)
     assert n_flagged
     dt = time.time() - t0
     assert dt < 60.0
     print(f"[criterion 09, words 5] PASS — {n_entries} table entries; "
           f"genus-0 constants all in the Z-span; {n_flagged} genus>=1 "
           f"entries flagged, each on a node letter ({dt:.1f}s < 60s)")
+
+
+def test_criterion_09_words_five_sweep_on_six_points():
+    # (0,6) at words 5: 2 graphs, 30 tail paths, each table reassembled
+    # exactly, every constant in the Z-span; a budget of its own
+    t0 = time.time()
+    n_entries, n_flagged = _words_sweep([(0, 6)], 5, reassemble=True)
+    assert n_entries == 364129 and n_flagged == 0
+    dt = time.time() - t0
+    assert dt < 60.0
+    print(f"[criterion 09, words 5, (0,6)] PASS — {n_entries} table "
+          f"entries, exact reassembly; all in the Z-span ({dt:.1f}s < 60s)")
 
 
 def test_criterion_10_deformed_transport_against_ode():

@@ -2,13 +2,14 @@
 import hashlib
 import itertools
 import math
+import time
 
 from fractions import Fraction as F
 
 import pytest
 
 from curvelog.associator import kz_associator, ode_transport
-from curvelog.constants import ConstantCombination as CC
+from curvelog.constants import CONSTANTS, ConstantCombination as CC
 from curvelog.jsonio import canonical_dumps
 from curvelog.ncseries import COMPLEX, NCSeries
 
@@ -74,6 +75,51 @@ def test_duality_value_wise():
                 for n in range(4)
                 for w in itertools.product(("X0", "X1"), repeat=n))
     assert worst < 1e-10
+
+
+def kz_relation_defects(phi):
+    """The words where the KZ associator's two exact relations fail:
+    duality ``Phi(X0,X1) Phi(X1,X0) = 1`` and the hexagon
+    ``e(X0) Phi(C,X0) e(C) Phi(X1,C) e(X1) Phi(X0,X1) = 1`` with
+    ``C = -X0 - X1`` and ``e(x) = exp(i pi x)`` (Drinfeld, Leningrad
+    Math. J. 2 (1991)).  A coefficient fails when its ``normal_form`` is
+    not zero: ``==`` would see unreduced zeta products."""
+    letters, n = phi.alphabet, phi.trunc
+    x0, x1 = (NCSeries.letter(a, letters, n) for a in letters)
+    c = -x0 - x1
+
+    def at(a, b):
+        return phi.substitute({"X0": a, "X1": b})
+
+    def e(x):
+        return x.lift(CONSTANTS).scale(CC.ipi()).exp()
+
+    one = NCSeries.unit(letters, n, CONSTANTS)
+    duality = phi * at(x1, x0) - one
+    hexagon = e(x0) * at(c, x0) * e(c) * at(x1, c) * e(x1) * phi - one
+    return [{w for w, q in r.terms.items() if q.normal_form()}
+            for r in (duality, hexagon)]
+
+
+def test_duality_and_hexagon_exactly_to_weight_eight():
+    t0 = time.time()
+    duality, hexagon = kz_relation_defects(kz_associator(8))
+    assert not duality and not hexagon
+    assert time.time() - t0 < 60.0
+
+
+@pytest.mark.parametrize("word, q", [((0, 1), F(1, 2)),
+                                     ((1, 0, 1, 0, 0, 1, 1, 0), F(-1, 7))],
+                         ids=["weight-2", "weight-8"])
+def test_duality_and_hexagon_fail_on_a_bent_coefficient(word, q):
+    t0 = time.time()
+    phi = kz_associator(8)
+    terms = dict(phi.terms)
+    terms[word] = terms.get(word, CC.zero()) + q
+    bent = NCSeries(phi.alphabet, phi.trunc, phi.ring, terms)
+    duality, hexagon = kz_relation_defects(bent)
+    assert duality and hexagon
+    assert time.time() - t0 < 60.0
 
 
 @pytest.fixture(scope="module")

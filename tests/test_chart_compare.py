@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from curvelog import chart_compare
 from curvelog.catalog import stable_graphs
 from curvelog.chart_compare import (ChartComparison, NoWitnessLoops,
                                     expand_and_compare)
@@ -21,7 +22,7 @@ from curvelog.schottky import (DegenerateWord, Moebius,
                                require_cyclically_reduced)
 from curvelog.stable_graph import Chart, Edge, StableGraph, Tail
 
-from test_schottky import cross_ratio
+from test_schottky import cross_ratio, vieta_checked
 
 
 def four_point_refinement():
@@ -254,8 +255,9 @@ CATALOG_COMPARISONS_SHA256 = \
     "cadd614a6df72a627f3e3ec14804471816788144171d22f444e1e63346694525"
 
 
-def test_catalog_comparison_reports_are_pinned():
-    reports = []
+def catalog_comparisons():
+    """The 37 comparisons of the schottky-catalog benchmark, in order."""
+    comparisons = []
     for gn in [(0, 4), (0, 5), (1, 2), (1, 3)]:
         for graph in stable_graphs(*gn, trivalent_only=False):
             for v in graph.vertices:
@@ -266,12 +268,32 @@ def test_catalog_comparison_reports_are_pinned():
                     loop_corner = b1[:-1] == b2[:-1] and b1[:-1] in graph.edges
                     if len(branches) != 4 and not loop_corner:
                         continue
-                    reports.append(expand_and_compare(
+                    comparisons.append(expand_and_compare(
                         graph, v, b1, b2, trunc=4,
-                        seed=300 + len(reports)).report())
+                        seed=300 + len(comparisons)))
+    return comparisons
+
+
+def test_catalog_comparison_reports_are_pinned():
+    reports = [cmp.report() for cmp in catalog_comparisons()]
     assert len(reports) == 37 and all(r["pass"] for r in reports)
     assert hashlib.sha256(canonical_dumps(reports).encode()).hexdigest() \
         == CATALOG_COMPARISONS_SHA256
+
+
+def test_second_fixed_points_equal_simple_root_on_both_sides(monkeypatch):
+    # each fixed_points call of a comparison, on the extracted side
+    # (fixed_points1, with the Newton-Puiseux s) and on the refined side
+    # (_refined_fixed_points, without), returns as its second root the
+    # one simple_root solves from the second seed
+    checked = vieta_checked(monkeypatch)
+    monkeypatch.setattr(chart_compare, "fixed_points", checked)
+    loop = ChartComparison(loop_refinement(), "e0", trunc=5)
+    points = loop.marked_points(3)   # proper powers: a common order of s
+    for cmp in catalog_comparisons():
+        points += cmp.marked_points()
+    loops = [p for p in points if not p[0].startswith("tail:")]
+    assert checked.calls == len(loops) == 140
 
 
 @pytest.mark.parametrize("gn", [(0, 5), (1, 2), (1, 3), (2, 0)], ids=str)

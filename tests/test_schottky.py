@@ -7,14 +7,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvelog import schottky
 from curvelog.catalog import stable_graphs
-from curvelog.cpseries import TruncatedSeries as TS
+from curvelog.cpseries import TruncatedSeries as TS, solve_quadratic
 from curvelog.jsonio import canonical_dumps
 from curvelog.schottky import (DegenerateWord, FractionalRoot, Moebius,
-                               edge_moebius, fixed_points,
+                               chart_seeds, edge_moebius, fixed_points,
                                fixed_points_multiplier, multiplier_data,
-                               phi_matrix, verify_graph, verify_word,
-                               word_matrix, word_vars)
+                               phi_matrix, simple_root, verify_graph,
+                               verify_word, word_matrix, word_vars)
 from curvelog.stable_graph import (Chart, Edge, NotComposable, NotReduced,
                                    StableGraph, Tail, edge_of, flip)
 
@@ -253,25 +254,69 @@ def seed(terms, trunc=4):
     return TS(ST, trunc, terms)
 
 
-def test_solver_separates_seeds_after_one_blow_up():
+def vieta_checked(monkeypatch):
+    """:func:`fixed_points`, checking each second root it returns: the
+    second seed is solved by :func:`simple_root` on the quadratic the
+    first one was solved on (after the blow-ups), then lifted by the same
+    shifts, and must equal the root from Vieta's formula.  The wrapper's
+    ``calls`` counts the calls it checked."""
+    solved = []
+
+    def spy(*args):
+        solved.append(args)
+        return simple_root(*args)
+
+    monkeypatch.setattr(schottky, "simple_root", spy)
+
+    def checked(matrix, seeds, trunc, s=None):
+        solved.clear()
+        alpha, alpha_p = fixed_points(matrix, seeds, trunc, s)
+        (a2, a1, a0, root0), = solved  # one quadratic solve per call
+        pivot = [int(v == s) for v in seeds[0].vars]
+
+        def coeff(q, j):
+            return q.coefficient([j * e for e in pivot])
+
+        meets = 0
+        while s is not None and coeff(seeds[0], meets) == coeff(seeds[1],
+                                                              meets):
+            meets += 1
+        assert root0 == coeff(seeds[0], meets)
+        z = simple_root(a2, a1, a0, coeff(seeds[1], meets))
+        for j in reversed(range(meets)):
+            z = TS.variable(s, z.vars, z.trunc) * z + coeff(seeds[0], j)
+        assert alpha_p == z.truncate(trunc)
+        checked.calls += 1
+        return alpha, alpha_p
+
+    checked.calls = 0
+    return checked
+
+
+@pytest.fixture
+def solve(monkeypatch):
+    return vieta_checked(monkeypatch)
+
+
+def test_solver_separates_seeds_after_one_blow_up(solve):
     # (z - s)(z - 2s): both roots vanish at s = 0, apart at order s
     m = quadratic(lambda s, t: 1 + 0 * s, lambda s, t: -3 * s,
                   lambda s, t: 2 * s * s)
-    alpha, alpha_p = fixed_points(m, (seed({(1, 0): 1}),
-                                      seed({(1, 0): 2})), 4, s="s")
+    alpha, alpha_p = solve(m, (seed({(1, 0): 1}),
+                               seed({(1, 0): 2})), 4, s="s")
     assert alpha == 1 * TS.variable("s", ST, 4)
     assert alpha_p == 2 * TS.variable("s", ST, 4)
     assert m.built == [6]  # one blow-up costs two degrees
 
 
-def test_solver_separates_seeds_after_two_blow_ups():
+def test_solver_separates_seeds_after_two_blow_ups(solve):
     # (z - s^2 - s^2 t)(z + s^2): the seeds agree to first order in s
     root = lambda s, t: s * s + s * s * t
     m = quadratic(lambda s, t: 1 + 0 * s,
                   lambda s, t: s * s - root(s, t),
                   lambda s, t: -root(s, t) * s * s)
-    alpha, alpha_p = fixed_points(m, (seed({(2, 0): 1, (2, 1): 1}),
-                                      seed({(2, 0): -1})), 4, s="s")
+    alpha, alpha_p = solve(m, (seed({(2, 0): 1, (2, 1): 1}),
+                               seed({(2, 0): -1})), 4, s="s")
     s, t = (TS.variable(v, ST, 4) for v in ST)
     assert alpha == root(s, t) and alpha_p == -(s * s)
     assert m.built == [8]
@@ -279,15 +324,31 @@ def test_solver_separates_seeds_after_two_blow_ups():
         assert (z - root(s, t)) * (z + s * s) == TS(ST, 4)
 
 
-def test_solver_divides_out_a_common_order_and_rebuilds():
+def test_solver_divides_out_a_common_order_and_rebuilds(solve):
     # s (z - 1)(z - 2 - t): the common factor s costs one degree
     m = quadratic(lambda s, t: s, lambda s, t: -s * (3 + t),
                   lambda s, t: s * (2 + t))
-    alpha, alpha_p = fixed_points(m, (seed({(0, 0): 1}),
-                                      seed({(0, 0): 2})), 4, s="s")
+    alpha, alpha_p = solve(m, (seed({(0, 0): 1}),
+                               seed({(0, 0): 2})), 4, s="s")
     assert alpha == TS.constant(1, ST, 4)
     assert alpha_p == 2 + TS.variable("t", ST, 4)
     assert m.built == [4, 5]
+    assert solve.calls == 1
+
+
+@pytest.mark.parametrize("s", ["s", None])
+@pytest.mark.parametrize("a2, seeds, match", [
+    # t z^2 - z: the second root is 1/t, at infinity at t = 0
+    (lambda s, t: t, (0, 2), "infinity"),
+    # (1 + t) z^2 - z: neither seed 2 nor seed 3 solves z^2 - z at t = 0
+    (lambda s, t: 1 + t, (0, 2), "misses its seed"),
+    (lambda s, t: 1 + t, (3, 1), "not a simple root"),
+], ids=["infinity", "second-seed", "first-seed"])
+def test_solver_raises_typed_errors_on_a_seed_off_the_roots(a2, seeds,
+                                                             match, s):
+    m = quadratic(a2, lambda s, t: -1 + 0 * s, lambda s, t: 0 * s)
+    with pytest.raises(DegenerateWord, match=match):
+        fixed_points(m, tuple(seed({(0, 0): q}) for q in seeds), 4, s=s)
 
 
 @pytest.mark.parametrize("power", [1, 3])
@@ -441,3 +502,89 @@ def test_random_closed_words_are_pinned():
         ["e1-", "e2+"], ["e1+", "e2-", "e1+", "e0-"],
         ["e1-", "e2+", "e1-", "e2+", "e1-", "e0+"],
         ["e2-", "e0+", "e1-", "e2+", "e0-", "e1+", "e2-", "e0+"]]
+
+
+def conjugated_word_matrix(monkeypatch, p):
+    """Make :mod:`schottky` see every word matrix ``M`` as ``P M adj(P)``,
+    ``p(x_last)`` giving the entries of ``P``: the trace is multiplied by
+    ``det P`` and the determinant by ``det P ** 2``."""
+    plain = schottky.word_matrix
+
+    def conjugated(graph, word, vars, trunc, **kw):
+        m = plain(graph, word, vars, trunc, **kw)
+        q = Moebius(*(TS.constant(e, vars, trunc)
+                      for e in p(graph.chart.x(word[-1]))))
+        return q @ m @ q.adjugate()
+
+    monkeypatch.setattr(schottky, "word_matrix", conjugated)
+
+
+@pytest.mark.parametrize("p, match", [
+    # z -> z + 1 moves both fixed points off their chart seeds
+    (lambda x: (1, 1, 0, 1), "miss their chart seeds"),
+    # P (x_last, 1) = (1, 0): the conjugate's c vanishes at y = 0
+    (lambda x: (0, 1, 1, -x), r"c\(0\) = 0"),
+], ids=["translated", "c-vanishes"])
+def test_fixed_points_multiplier_raises_typed_errors(monkeypatch, p, match):
+    g = dumbbell_charted(seed=9)
+    conjugated_word_matrix(monkeypatch, p)
+    for word in (["e0+"], ["e0+", "e1+", "e2+", "e1-"]):
+        with pytest.raises(DegenerateWord, match=match):
+            fixed_points_multiplier(g, word, 5)
+
+
+def verify_catalog():
+    """The 22 trivalent graphs the schottky-catalog benchmark verifies
+    (g <= 2, n <= 2, and (3, 0)), charted at the acceptance suite's
+    seeds 100, 101, ..."""
+    types = [(g, n) for g in range(3) for n in range(3)
+             if 2 * g - 2 + n > 0] + [(3, 0)]
+    graphs = [graph for g, n in types for graph in stable_graphs(g, n)]
+    return [graph.specialize_chart(seed=100 + i)
+            for i, graph in enumerate(graphs)]
+
+
+def test_eigenvalue_fixed_points_equal_the_quadratic_roots(monkeypatch):
+    # alpha and alpha' from (x - d)/c and (x' - d)/c are the roots that
+    # simple_root solves from the word's quadratic at each chart seed,
+    # and x is exactly the inverse of the one series solved per word
+    solved = []
+
+    def recording(*args):
+        solved.append(solve_quadratic(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(schottky, "solve_quadratic", recording)
+    graphs = verify_catalog()
+    n_words = 0
+    for graph in graphs:
+        for word in graph.closed_words(4):
+            solved.clear()
+            data = fixed_points_multiplier(graph, word, 6)
+            (u,) = solved
+            assert data.x * u == TS.constant(1, u.vars, 6)
+            m = data.matrix
+            quad = m.c, m.d - m.a, -m.b
+            for z, q in zip((data.alpha, data.alpha_prime),
+                            chart_seeds(graph, word, u.vars, 6)):
+                assert z == simple_root(*quad, q.constant_term())
+            n_words += 1
+    assert len(graphs) == 22 and n_words == 280
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_verify_word_sees_a_bent_reciprocal(monkeypatch, degree):
+    # one coefficient of u = 1/x bent: x, x' and both fixed points follow
+    # it, so the exact checks must fail rather than agree by construction
+    def bent(*args):
+        u = solve_quadratic(*args)
+        y = TS.variable(u.vars[0], u.vars, u.trunc)
+        return u + (y if degree else 1) * F(1, 7)
+
+    g = dumbbell_charted(seed=9)
+    words = g.closed_words(3)
+    assert all(verify_word(g, w, trunc=6)["pass"] for w in words)
+    monkeypatch.setattr(schottky, "solve_quadratic", bent)
+    for w in words:
+        checks = verify_word(g, w, trunc=6)["checks"]
+        assert not checks["eigen_split"] and not checks["residual"], w
