@@ -5,10 +5,11 @@ The package is organized around three layers and a front end:
 
 * exact algebra: truncated commutative series (:mod:`curvelog.cpseries`),
   polynomials in commuting symbols over period symbols
-  (:mod:`curvelog.logpoly`), which share the term kernel of ``cpseries``,
-  their no-symbol case, the exact combinations of pi-powers and multiple
-  zeta values (:mod:`curvelog.constants`), and truncated noncommutative
-  series over any of these coefficient rings (:mod:`curvelog.ncseries`);
+  (:mod:`curvelog.logpoly`), which share the exact term kernel of
+  :mod:`curvelog.terms`, their no-symbol case, the exact combinations of
+  pi-powers and multiple zeta values (:mod:`curvelog.constants`), and
+  truncated noncommutative series over any of these coefficient rings
+  (:mod:`curvelog.ncseries`);
 * curve combinatorics and uniformization: stable graphs
   (:mod:`curvelog.stable_graph`) and their enumeration
   (:mod:`curvelog.catalog`), Moebius normal forms over deformation rings

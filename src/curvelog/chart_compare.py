@@ -36,7 +36,6 @@ calls (a perturbation test) is read afresh.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .cpseries import TruncatedSeries as TS
@@ -49,58 +48,38 @@ class NoWitnessLoops(ValueError):
     """No marked point on the original base line to compare."""
 
 
-@dataclass
 class ChartComparison:
-    delta2: StableGraph
-    edge0: str
-    trunc: int
-    delta1: StableGraph = field(init=False)
-    h0: str = field(init=False)
-    bubble: str = field(init=False)
-    base: str = field(init=False)
-    vars: tuple[str, ...] = field(init=False)
-    positions: dict[str, TS] = field(init=False)
-    edge_params: dict[str, TS] = field(init=False)
-
-    # internal padded-truncation data for fixed-point work
-    _tr_full: int = field(init=False)
-    # the refined graph with its chart as constructed: every extraction,
-    # at any truncation, reads this one chart
-    _frozen: StableGraph = field(init=False, repr=False)
-    _gauge: Moebius = field(init=False)
-    # extracted (positions, edge parameters), by truncation
-    _extracted: dict[int, tuple[dict[str, TS], dict[str, TS]]] = \
-        field(init=False)
-    # original-side generators from the extracted parameters, by
-    # (half-edge, truncation)
-    _moebius: dict[tuple[str, int], Moebius] = field(init=False)
-    # refined-side generators of delta2, keyed by the chart values read
-    _refined: dict = field(init=False)
-
-    def __post_init__(self):
-        g2 = self.delta2
-        if g2.chart is None or g2.chart.infinite:
+    def __init__(self, delta2: StableGraph, edge0: str, trunc: int):
+        if delta2.chart is None or delta2.chart.infinite:
             raise ValueError("comparison requires an all-finite chart")
-        g2.validate()
-        self.h0 = self.edge0 + "+"
-        self.bubble = g2.terminus(self.h0)
-        self.base = g2.origin(self.h0)
+        delta2.validate()
+        self.delta2, self.edge0, self.trunc = delta2, edge0, trunc
+        self.h0 = edge0 + "+"
+        self.bubble = delta2.terminus(self.h0)
+        self.base = delta2.origin(self.h0)
         if self.bubble == self.base:
             raise ValueError("new edge must not be a loop")
-        self.delta1 = g2.contract_edge(self.edge0)
-        self.vars = tuple(sorted(g2.edges))
-        self._tr_full = self.trunc + 2
-        self._frozen = StableGraph(g2.vertices, g2.edges.values(),
-                                   g2.tails.values(), g2.chart.copy())
+        self.delta1 = delta2.contract_edge(edge0)
+        self.vars = tuple(sorted(delta2.edges))
+        # internal padded-truncation data for fixed-point work
+        self._tr_full = trunc + 2
+        # the refined graph with its chart as constructed: every
+        # extraction, at any truncation, reads this one chart
+        self._frozen = StableGraph(delta2.vertices, delta2.edges.values(),
+                                   delta2.tails.values(), delta2.chart.copy())
         self._gauge = phi_matrix(self._frozen, flip(self.h0), self.vars,
                                  self._tr_full)
         pos, par = self._extract(self._tr_full)
-        self.positions = {b: s.truncate(self.trunc) for b, s in pos.items()}
-        self.edge_params = {e: s.truncate(self.trunc) for e, s in par.items()}
+        self.positions = {b: s.truncate(trunc) for b, s in pos.items()}
+        self.edge_params = {e: s.truncate(trunc) for e, s in par.items()}
+        # extracted (positions, edge parameters), by truncation
         self._extracted = {self._tr_full: (pos, par),
-                           self.trunc: (self.positions, self.edge_params)}
-        self._moebius = {}
-        self._refined = {}
+                           trunc: (self.positions, self.edge_params)}
+        # original-side generators from the extracted parameters, by
+        # (half-edge, truncation)
+        self._moebius: dict[tuple[str, int], Moebius] = {}
+        # refined-side generators of delta2, keyed by the chart values read
+        self._refined: dict = {}
 
     # ------------------------------------------------------------------
     # parameter extraction

@@ -38,12 +38,12 @@ from itertools import product
 from math import lcm
 from typing import Mapping
 
-from .cpseries import (_add_terms, _as_fraction, _echelon_insert, _exponent,
-                       _ratio)
 from .jsonio import json_list
 from .logpoly import LogPoly, _codec
 from .ncseries import Ring, shuffle_words
 from .polylog import check_indices, indices_to_word, word_to_indices
+from .terms import (_add_terms, _as_fraction, _echelon_insert, _exponent,
+                    _ratio)
 
 # basis key: (ipi_power, sorted tuple of zeta index tuples)
 Key = tuple[int, tuple[tuple[int, ...], ...]]

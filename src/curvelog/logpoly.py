@@ -7,7 +7,7 @@ key ``(e_1, ..., e_n, ipi_pow, zetas)`` (symbol exponents, then the
 period key, ``zetas`` a sorted tuple of zeta index tuples) to a nonzero
 ``Fraction``.  In a product the exponents and ``ipi_pow`` add and the
 zeta multisets merge, unreduced.  The sum and the exact coercion are
-the term helpers of :mod:`curvelog.cpseries`, and the product its
+the term helpers of :mod:`curvelog.terms`, and the product its
 tuple-key ``_mul_terms``; a product here truncates nothing.  Over no
 symbols the key is the period key alone: that is
 :class:`~curvelog.constants.ConstantCombination`, the type
@@ -49,11 +49,11 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
-from .cpseries import (_add_terms, _as_fraction, _exponent, _mul_terms,
-                       _numerators)
 from .jsonio import json_list
 from .ncseries import Ring, _monomials
 from .polylog import mzv_numeric
+from .terms import (_add_terms, _as_fraction, _exponent, _mul_terms,
+                    _numerators)
 
 Expo = tuple[int, ...]
 # symbol exponents, then (i*pi)-power and sorted tuple of zeta index tuples

@@ -26,7 +26,8 @@ monomial dicts on the numerators: the product of two ids is one lookup
 in the table's product rows, which fill on first use.  Scaling by a
 rational or by a ring element runs the same kernel; sums, negation,
 ``exp``, ``invert``, :meth:`NCSeries.select` and
-:meth:`NCSeries.map_terms` work on the numerators too.
+:meth:`NCSeries.map_terms` work on the numerators too.  Scalars are
+coerced, and term dicts summed, by the helpers of :mod:`curvelog.terms`.
 
 ``substitute`` takes rational images only.  It multiplies them along
 each distinct prefix of the source words once and adds ``q * c`` for
@@ -52,16 +53,15 @@ word pairs inside the truncation, which is the coefficient form of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from operator import add
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .cpseries import _add_terms, _as_fraction, _exponent
 from .jsonio import frac_to_str, json_list
+from .terms import _add_terms, _as_fraction, _exponent
 
 Word = tuple[int, ...]
 
@@ -121,8 +121,7 @@ def _monomials(n: int) -> _Monomials:
     return table
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(NamedTuple):
     name: str
     zero: object
     one: object

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .cpseries import _exponent
+from .terms import _exponent
 
 Indices = tuple[int, ...]
 Word = tuple[int, ...]

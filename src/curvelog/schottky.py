@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -50,12 +49,17 @@ class FractionalRoot(DegenerateWord):
     """A fixed point has a fractional exponent in the blow-up variable."""
 
 
-@dataclass
 class Moebius:
-    a: TS
-    b: TS
-    c: TS
-    d: TS
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: TS, b: TS, c: TS, d: TS):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Moebius):
+            return NotImplemented
+        return [self.a, self.b, self.c, self.d] == \
+            [other.a, other.b, other.c, other.d]
 
     def __matmul__(self, o: "Moebius") -> "Moebius":
         (a, b, c, d), (p, q, r, s) = (m._entries(self.a) for m in (self, o))
@@ -197,17 +201,15 @@ def word_matrix(graph: StableGraph, word: Sequence[str],
     return m
 
 
-@dataclass
 class FixedPointData:
-    word: list[str]
-    matrix: Moebius
-    trace: TS
-    det: TS
-    x: TS          # unit eigenvalue
-    x_prime: TS    # complementary eigenvalue (positive order)
-    beta: TS       # multiplier x_prime / x
-    alpha: TS | None = None        # attractive fixed point
-    alpha_prime: TS | None = None  # repulsive fixed point
+    def __init__(self, word: list[str], matrix: Moebius, trace: TS,
+                 det: TS, x: TS, x_prime: TS, beta: TS):
+        self.word, self.matrix, self.trace, self.det = word, matrix, trace, det
+        self.x = x                  # unit eigenvalue
+        self.x_prime = x_prime      # complementary eigenvalue (positive order)
+        self.beta = beta            # multiplier x_prime / x
+        self.alpha: TS | None = None        # attractive fixed point
+        self.alpha_prime: TS | None = None  # repulsive fixed point
 
 
 def require_cyclically_reduced(graph: StableGraph,

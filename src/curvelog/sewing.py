@@ -53,7 +53,6 @@ coordinate of the destination chart the source frame has scale ``y``.
 from __future__ import annotations
 
 from cmath import log as _clog
-from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, log as _mlog
 from typing import Callable
@@ -77,8 +76,8 @@ def _sew_decode(data: list) -> LogPoly:
                               for d in data})
 
 
-SEW = replace(logpoly_ring(SEW_VARS), name="sew", encode=_sew_encode,
-              decode=_sew_decode)
+SEW = logpoly_ring(SEW_VARS)._replace(name="sew", encode=_sew_encode,
+                                     decode=_sew_decode)
 
 
 _TWO_IPI = ConstantCombination.ipi(1, 2)

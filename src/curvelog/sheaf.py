@@ -24,18 +24,17 @@ log exponents.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Sequence
 
 from .associator import kz_associator
 from .constants import ConstantCombination, _json_terms, in_zeta_span
-from .cpseries import _add_terms, _exponent
 from .elliptic import w_infinity, w_zero
 from .logpoly import LogPoly, logpoly_ring
 from .ncseries import NCSeries, RATIONAL, Ring, _canonical
 from .stable_graph import StableGraph, edge_of, flip, half
+from .terms import _add_terms, _exponent
 
 Word = tuple[int, ...]
 
@@ -60,14 +59,13 @@ def node_letters(edge_id: str) -> tuple[str, str]:
 # the residue sheaf
 
 
-@dataclass
 class ResidueSheaf:
-    graph: StableGraph
-    trunc: int
-    alphabet: tuple[str, ...]
-    residues: dict[str, NCSeries]
-    tree_edges: tuple[str, ...]
-    cycle_edges: tuple[str, ...]
+    def __init__(self, graph: StableGraph, trunc: int,
+                 alphabet: tuple[str, ...], residues: dict[str, NCSeries],
+                 tree_edges: tuple[str, ...], cycle_edges: tuple[str, ...]):
+        self.graph, self.trunc, self.alphabet = graph, trunc, alphabet
+        self.residues = residues
+        self.tree_edges, self.cycle_edges = tree_edges, cycle_edges
 
     def vertex_sum(self, v: str) -> NCSeries:
         total = NCSeries.zero(self.alphabet, self.trunc, RATIONAL)

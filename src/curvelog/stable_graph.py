@@ -16,12 +16,11 @@ normal forms in :mod:`curvelog.schottky` well defined.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .cpseries import _as_fraction, _exponent
 from .jsonio import frac_to_str
+from .terms import _as_fraction, _exponent
 
 
 class GraphInvalid(ValueError):
@@ -36,8 +35,7 @@ class NotReduced(ValueError):
     """Half-edge word backtracks."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     from_vertex: str
     from_slot: int
@@ -46,17 +44,17 @@ class Edge:
     oriented: str = "+"
 
 
-@dataclass(frozen=True)
-class Tail:
+class Tail(NamedTuple):
     id: str
     vertex: str
     nu: int
 
 
-@dataclass
 class Chart:
-    finite: dict[str, Fraction] = field(default_factory=dict)
-    infinite: list[str] = field(default_factory=list)
+    def __init__(self, finite: dict[str, Fraction] | None = None,
+                 infinite: list[str] | None = None):
+        self.finite = {} if finite is None else finite
+        self.infinite = [] if infinite is None else infinite
 
     def copy(self) -> "Chart":
         return Chart(dict(self.finite), list(self.infinite))

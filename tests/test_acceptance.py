@@ -355,6 +355,20 @@ def test_criterion_09_words_five_sweep():
           f"entries flagged, each on a node letter ({dt:.1f}s < 60s)")
 
 
+def test_criterion_09_words_six_sweep():
+    # words 6 reach weight-6 constants; the counts are the sums over the
+    # seven types of the ROADMAP's words-6 table
+    t0 = time.time()
+    n_entries, n_flagged = _words_sweep(
+        [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0)], 6)
+    assert n_entries == 280474 and n_flagged == 9007
+    dt = time.time() - t0
+    assert dt < 60.0
+    print(f"[criterion 09, words 6] PASS — {n_entries} table entries; "
+          f"genus-0 constants all in the Z-span; {n_flagged} genus>=1 "
+          f"entries flagged, each on a node letter ({dt:.1f}s < 60s)")
+
+
 def test_criterion_09_words_five_sweep_on_six_points():
     # (0,6) at words 5: 2 graphs, 30 tail paths, each table reassembled
     # exactly, every constant in the Z-span; a budget of its own

@@ -575,19 +575,29 @@ HEAVY = {"curvelog.sheaf", "curvelog.associator", "curvelog.constants",
          "curvelog.chart_compare"}
 
 
+# standard-library modules that no subcommand needs: ``dataclasses``
+# alone pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``
+UNNEEDED = {"dataclasses", "inspect"}
+
+
 def _modules_after(*argv):
     """The ``curvelog`` modules a fresh interpreter holds after importing
-    ``curvelog.cli`` and, given ``argv``, running that command."""
+    ``curvelog.cli`` and, given ``argv``, running that command, with
+    those of ``UNNEEDED`` that were not loaded before that import."""
     code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
             "import curvelog.cli\n"
             "if sys.argv[1:]:\n"
             "    assert curvelog.cli.main(sys.argv[1:]) == 0\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m.partition('.')[0] == 'curvelog')))\n")
+            "                        if m.partition('.')[0] == 'curvelog'\n"
+            f"                        or m in {sorted(UNNEEDED)}\n"
+            "                        and m not in before)))\n")
     return set(json.loads(run_python(code, *argv)))
 
 
-def test_subcommands_import_only_what_they_run(four_tails):
+def test_subcommands_import_only_what_they_run(four_tails, one_loop,
+                                               tmp_path):
     assert _modules_after() == {"curvelog", "curvelog.cli",
                                 "curvelog.jsonio"}
     validate = _modules_after("graph", "validate", four_tails)
@@ -596,6 +606,36 @@ def test_subcommands_import_only_what_they_run(four_tails):
     mzv = _modules_after("mzv", "eval", "2")
     assert "curvelog.polylog" in mzv
     assert not mzv & HEAVY, sorted(mzv & HEAVY)
+    # only the schottky subcommands hold TruncatedSeries
+    path = write_json(tmp_path / "path.json", {"tails": ["t1", "t3"]})
+    mono = str(tmp_path / "mono.json")
+    no_series = {
+        "graph validate": validate, "mzv eval": mzv,
+        "assoc kz": _modules_after("assoc", "kz", "--weight", "3"),
+        "monodromy": _modules_after("monodromy", "--graph", four_tails,
+                                    "--path", path, "--words", "2",
+                                    "--out", mono),
+        "decompose": _modules_after("decompose", "--in", mono)}
+    for name, mods in no_series.items():
+        assert "curvelog.cpseries" not in mods, name
+    fixed = _modules_after("schottky", "fixed-points", "--graph", one_loop,
+                           "--word", "e0+")
+    assert "curvelog.cpseries" in fixed
+    star = write_json(tmp_path / "star.json", StableGraph(
+        ["v0"], [], [Tail(f"t{i}", "v0", i) for i in range(1, 5)]).to_json())
+    every = {**no_series, "schottky fixed-points": fixed}
+    for argv in (["assoc", "elliptic", "--which", "ab", "--weight", "3"],
+                 ["graph", "contract", "--graph", four_tails, "--edge", "e0"],
+                 ["graph", "subtree", "--graph", four_tails],
+                 ["graph", "expand", "--graph", star, "--vertex", "v0",
+                  "--h1", "t1", "--h2", "t2"],
+                 ["schottky", "verify-prop21", "--gmax", "1", "--nmax", "1",
+                  "--len", "2"],
+                 ["schottky", "compare-thm31", "--graph", star, "--v", "v0",
+                  "--h1", "t1", "--h2", "t2"]):
+        every[" ".join(argv[:2])] = _modules_after(*argv)
+    for name, mods in every.items():
+        assert not mods & UNNEEDED, (name, sorted(mods & UNNEEDED))
 
 
 def test_count_flags_reject_negative_values(four_tails, tmp_path):

@@ -343,7 +343,27 @@ def ref_combine(a, b, sign=1):
 
 
 def ref_mul(a, b, trunc):
-    return pairwise(a, b, add_exponents, lambda e: sum(e) <= trunc)
+    """The truncated product of two term dicts of ``Fraction``s on integer
+    numerators over the product of the operands' lcm denominators: a pair
+    whose degree sum exceeds ``trunc`` is skipped before it is multiplied,
+    and each key's ``Fraction`` is built once, from its summed products."""
+    (na, da), (nb, db) = (ref_numerators(t) for t in (a, b))
+    bs = sorted((sum(e), e, n) for e, n in nb.items())
+    acc = {}
+    for ea, ca in na.items():
+        room = trunc - sum(ea)
+        for d, eb, cb in bs:
+            if d > room:
+                break
+            k = add_exponents(ea, eb)
+            acc[k] = acc.get(k, 0) + ca * cb
+    return {k: F(n, da * db) for k, n in acc.items() if n}
+
+
+def ref_numerators(terms):
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in terms.items()}, den
 
 
 def assert_canonical(s):

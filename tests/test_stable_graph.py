@@ -8,6 +8,7 @@ import pytest
 
 from curvelog.catalog import stable_graphs
 from curvelog.jsonio import canonical_dumps
+from curvelog.ncseries import RATIONAL, Ring
 from curvelog.schottky import DegenerateWord, require_cyclically_reduced
 from curvelog.stable_graph import (Chart, Edge, GraphInvalid, NotComposable,
                                    NotReduced, StableGraph, Tail, flip, half)
@@ -291,3 +292,20 @@ def test_json_round_trip_bit_exact():
         h = StableGraph.from_json(json.loads(text))
         assert canonical_dumps(h.to_json()) == text
         h.validate()
+
+
+def test_records_are_immutable_values():
+    edge = Edge("e0", "v0", 0, "v1", 1)
+    same = Edge(id="e0", from_vertex="v0", from_slot=0, to_vertex="v1",
+                to_slot=1, oriented="+")
+    tail, ring = Tail("t1", "v0", 1), Ring(*RATIONAL)
+    for a, b in ((edge, same), (tail, Tail(id="t1", vertex="v0", nu=1)),
+                 (ring, RATIONAL)):
+        assert a == b and a is not b and hash(a) == hash(b)
+    assert len({edge, same, Edge("e0", "v0", 0, "v1", 1, "-")}) == 2
+    for record, name in ((edge, "id"), (tail, "nu"), (ring, "name")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    other = RATIONAL._replace(name="other")
+    assert other != RATIONAL and other.name == "other"
+    assert other.split is RATIONAL.split and RATIONAL.name == "rational"
