@@ -25,16 +25,23 @@ pairs within the truncation are visited, and convolves each pair's
 monomial dicts on the numerators: the product of two ids is one lookup
 in the table's product rows, which fill on first use.  Scaling by a
 rational or by a ring element runs the same kernel; sums, negation,
-``exp``, ``invert``, :meth:`NCSeries.select` and
-:meth:`NCSeries.map_terms` work on the numerators too.  Scalars are
-coerced, and term dicts summed, by the helpers of :mod:`curvelog.terms`.
+:meth:`NCSeries.select` and :meth:`NCSeries.map_terms` work on the
+numerators too.  ``exp`` and ``invert`` are one power sum
+``sum_k x^k / w_k`` (``w_k = k!``, and ``w_k = 1`` on ``x = 1 - self``):
+the powers are convolved on the numerators until one vanishes, then
+summed over one common denominator, which an exact ring reduces once
+and ``COMPLEX`` divides into its numerators.  Scalars are coerced, and
+term dicts summed, by the helpers of :mod:`curvelog.terms`.
 
-``substitute`` takes rational images only.  It multiplies them along
-each distinct prefix of the source words once and adds ``q * c`` for
-each source coefficient ``c`` and image coefficient ``q`` straight into
-the numerators of the source series' ring, so the associator's period
-constants stay constants; no ring hook takes part (the ``scaled_sum``
-hook of the per-coefficient form is gone).  A caller that needs the
+``substitute`` takes rational images only.  It reads each image once as
+its ``(word, numerator)`` pairs by length over its denominator, and
+multiplies them along each distinct prefix of the source words once, as
+plain ``{word: numerator}`` dicts over the product of the images'
+denominators, stopping each row at the truncation.  It then adds
+``q * c`` for each source coefficient ``c`` and image coefficient ``q``
+over the lcm of those denominators straight into the numerators of the
+source series' ring, so the associator's period constants stay
+constants; no ring hook takes part.  A caller that needs the
 result in a larger exact ring lifts it once with
 :meth:`NCSeries.lift`, the one exact re-key: it keeps the numerators
 and inserts zero exponents for the symbols the source ring lacks.
@@ -56,7 +63,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -431,31 +438,50 @@ class NCSeries:
     def bracket(self, other: "NCSeries") -> "NCSeries":
         return self * other - other * self
 
+    def _power_sum(self, weight: Callable[[int], int]) -> "NCSeries":
+        """``sum_k self^k / weight(k)`` for a series of positive order: the
+        powers are convolved on the numerators until one vanishes, summed
+        over one common denominator and reduced once; an inexact ring
+        divides its numerators by that denominator instead."""
+        ring, nums, trunc = self.ring, self.nums, self.trunc
+        powers = [{(): ring.split(ring.one)[0]}]
+        while len(powers) <= trunc:
+            power = _product(powers[-1], nums, trunc, ring.table.rows)
+            if not power:
+                break
+            powers.append(power)
+        top = len(powers) - 1
+        weights = [weight(k) for k in range(top + 1)]
+        w_den = lcm(*weights)
+        # x^k / w_k over den^top * w_den
+        out: dict[Word, dict] = {}
+        for k, power in enumerate(powers):
+            f = self.den ** (top - k) * (w_den // weights[k])
+            for w, m in power.items():
+                pairs = m.items() if f == 1 else \
+                    [(i, n * f) for i, n in m.items()]
+                acc = out.get(w)
+                if acc is None:
+                    out[w] = dict(pairs)
+                elif not _add_terms(acc, pairs):
+                    del out[w]
+        den = self.den ** top * w_den
+        if not ring.exact:
+            return self._like({w: {i: n / den for i, n in m.items()}
+                               for w, m in out.items()}, 1)
+        return self._like(out, den)
+
     def exp(self) -> "NCSeries":
         if self.order() < 1:
             raise ValueError("exp needs a series without constant term")
-        out = NCSeries.unit(self.alphabet, self.trunc, self.ring)
-        power = out
-        fact = Fraction(1)
-        for n in range(1, self.trunc + 1):
-            power = power * self
-            fact *= n
-            out = out + power.scale(1 / fact)
-        return out
+        return self._power_sum(factorial)
 
     def invert(self) -> "NCSeries":
         """Inverse of a series with constant term one."""
         if self.nums.get(()) != {0: self.den}:
             raise ValueError("invert needs constant term one")
-        y = NCSeries.unit(self.alphabet, self.trunc, self.ring) - self
-        out = NCSeries.unit(self.alphabet, self.trunc, self.ring)
-        power = NCSeries.unit(self.alphabet, self.trunc, self.ring)
-        for _ in range(self.trunc):
-            power = power * y
-            if power.is_zero():
-                break
-            out = out + power
-        return out
+        return (NCSeries.unit(self.alphabet, self.trunc, self.ring)
+                - self)._power_sum(lambda k: 1)
 
     def ad_series(self, coeffs: Sequence[Fraction],
                   arg: "NCSeries") -> "NCSeries":
@@ -491,27 +517,39 @@ class NCSeries:
                 raise ValueError("images live in different rings")
         if not self.ring.exact:
             raise ValueError("substitute needs an exact coefficient ring")
-        imgs = [images[name] for name in self.alphabet]
-        # the product of the images along each prefix, built once
-        prefix = {(): NCSeries.unit(target.alphabet, target.trunc)}
+        trunc = target.trunc
+        imgs = [(sorted([(len(u), u, m[0]) for u, m in img.nums.items()]),
+                 img.den) for img in map(images.get, self.alphabet)]
+        # the product of the images along each prefix, built once as
+        # {word: numerator} over the product of the images' denominators
+        prefix = {(): ({(): 1}, 1)}
         used = []
         for w, m in self.nums.items():
             n = len(w)
             while w[:n] not in prefix:
                 n -= 1
-            p = prefix[w[:n]]
+            p, d = prefix[w[:n]]
             for i in range(n, len(w)):
-                p = p * imgs[w[i]]
-                prefix[w[:i + 1]] = p
-            used.append((p, m))
+                pairs, di = imgs[w[i]]
+                nxt: dict[Word, int] = {}
+                for u, a in p.items():
+                    room = trunc - len(u)
+                    for k, v, b in pairs:
+                        if k > room:
+                            break
+                        uv = u + v
+                        nxt[uv] = nxt.get(uv, 0) + a * b
+                p, d = {u: c for u, c in nxt.items() if c}, d * di
+                prefix[w[:i + 1]] = p, d
+            used.append((p, d, m))
         # sum q * c over one denominator; an image coefficient q sits on
         # the unit monomial
-        den = lcm(*[p.den for p, _ in used])
+        den = lcm(*[d for _, d, _ in used])
         acc: dict[Word, dict] = {}
-        for p, m in used:
-            f = den // p.den
-            for u, pu in p.nums.items():
-                q = pu[0] * f
+        for p, d, m in used:
+            f = den // d
+            for u, pu in p.items():
+                q = pu * f
                 a = acc.get(u)
                 if a is None:
                     acc[u] = {k: n * q for k, n in m.items()}

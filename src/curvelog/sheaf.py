@@ -356,11 +356,14 @@ def decompose_element(elem: NCSeries) -> dict:
     true is a proof, false one only under Zagier's conjecture.
 
     Each word's monomials are grouped by exponent in one pass over the
-    element's numerators.  Each distinct pair of factorial scale and
-    period numerators (in their order) is scaled, written as JSON and
-    span-tested once per call; the entries that repeat it share one
-    ``coeff`` dict, which callers treat as read-only.  Per period key,
-    the span test reads its cached lattice coordinates
+    element's numerators.  Within one call, each monomial id is split
+    into its log exponent and period key once, each exponent's factorial
+    scale and degree are taken once, and each word's letter list is
+    built once and copied into each of its entries.  Each distinct pair
+    of factorial scale and period numerators (in their order) is scaled,
+    written as JSON and span-tested once; the entries that repeat it
+    share one ``coeff`` dict, which callers treat as read-only.  Per
+    period key, the span test reads its cached lattice coordinates
     (:mod:`curvelog.constants`) and the ``numeric`` field its cached
     float factors (:mod:`curvelog.logpoly`).
     """
@@ -369,18 +372,25 @@ def decompose_element(elem: NCSeries) -> dict:
     max_deg = 0
     lvars = elem.ring.one.vars
     n, keys, den = len(lvars), elem.ring.table.keys, elem.den
+    alphabet = elem.alphabet
+    # monomial id -> (exponent, period key); exponent -> (scale, degree)
+    parts = {i: (keys[i][:n], keys[i][n:])
+             for i in {i for m in elem.nums.values() for i in m}}
+    exps = {e: (_factorials(e), sum(e))
+            for e in {e for e, _ in parts.values()}}
     done: dict = {}     # (scale, period numerators) -> (coeff JSON, integral)
     for w in sorted(elem.nums, key=lambda w: (len(w), w)):
         groups: dict[tuple, dict] = {}
         for i, c in elem.nums[w].items():
-            k = keys[i]
-            g = groups.get(k[:n])
+            e, p = parts[i]
+            g = groups.get(e)
             if g is None:
-                groups[k[:n]] = g = {}
-            g[k[n:]] = c
+                groups[e] = g = {}
+            g[p] = c
+        word = [alphabet[i] for i in w]
         for e in sorted(groups):
             per = groups[e]
-            scale = _factorials(e)
+            scale, deg = exps[e]
             key = (scale, tuple(per.items()))
             result = done.get(key)
             if result is None:
@@ -391,12 +401,13 @@ def decompose_element(elem: NCSeries) -> dict:
             if not ok:
                 violations.append(len(entries))
             entries.append({
-                "word": [elem.alphabet[i] for i in w],
+                "word": word.copy(),
                 "log_exp": list(e),
                 "coeff": coeff,
                 "integral": ok,
             })
-            max_deg = max(max_deg, sum(e))
+            if deg > max_deg:
+                max_deg = deg
     return {
         "alphabet": list(elem.alphabet),
         "lvars": list(lvars),

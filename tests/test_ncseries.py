@@ -503,3 +503,77 @@ def test_numerator_form_matches_ring_arithmetic(name):
             assert (a == b) == (a.terms == b.terms)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# exp and invert whose powers vanish before the truncation, and
+# substitutions whose image denominators differ
+
+# (trunc, terms of positive order): every series at trunc 1, a series
+# whose last nonzero power is its square, and one whose square vanishes
+_SHORT = [
+    (1, {(0,): F(2, 3), (1,): F(-1, 4)}),
+    (4, {(0, 1): F(1, 2), (1, 1, 0): F(-2, 3), (0, 0, 1, 1): F(3, 5)}),
+    (5, {(0, 0, 1): F(3, 5), (1, 0, 1, 1): F(-1, 7)}),
+]
+_LOG_UV = logpoly_ring(_UV)
+
+
+def _log_coeff(v):
+    """A log-polynomial with a period and a rational term, both ``v``."""
+    return LogPoly(_UV, {(1, 0): CC({(0, ((3,),)): v}), (0, 0): v})
+
+
+@pytest.mark.parametrize("trunc, rx", _SHORT,
+                         ids=["trunc1", "square-last", "square-vanishes"])
+def test_exp_and_invert_of_powers_that_vanish_before_the_truncation(
+        trunc, rx):
+    # past trunc 1, the last nonzero power comes before the truncation
+    power, last = {(): F(1)}, 0
+    while power := _ref_mul(power, rx, trunc):
+        last += 1
+    assert last < trunc or trunc == 1
+    for ring, embed in ((RATIONAL, F), (_LOG_UV, _log_coeff)):
+        rc = {w: embed(v) for w, v in rx.items()}
+        x = NCSeries(AB, trunc, ring, rc)
+        _assert_matches(x.exp(), _ref_exp(rc, ring.one, trunc), ring)
+        _assert_matches((NCSeries.unit(AB, trunc, ring) + x).invert(),
+                        _ref_invert(_ref_add({(): ring.one}, rc), ring.one,
+                                    trunc), ring)
+    # the complex ring against the rational references, numerically
+    z = NCSeries(AB, trunc, COMPLEX, {w: complex(v) for w, v in rx.items()})
+    unit = NCSeries.unit(AB, trunc, COMPLEX)
+    for got, ref in ((z.exp(), _ref_exp(rx, F(1), trunc)),
+                     ((unit + z).invert(),
+                      _ref_invert(_ref_add({(): F(1)}, rx), F(1), trunc))):
+        assert got.den == 1
+        terms = got.terms
+        assert all(type(c) is complex for c in terms.values())
+        for w in set(terms) | set(ref):
+            assert abs(terms.get(w, 0) - complex(ref.get(w, 0))) <= 1e-12
+
+
+@pytest.mark.parametrize("ring, embed", [(RATIONAL, F), (_LOG_UV, _log_coeff)],
+                         ids=["rational", "logpoly"])
+def test_substitute_images_over_different_denominators(ring, embed):
+    # the images' denominators 6 and 12 multiply to 72 along "ab" and
+    # "ba", six times their lcm; the source's coefficients make the
+    # images' contributions to "b", "aa" and "bb" cancel
+    trunc = 3
+    rimg = {"a": {(0,): F(1, 2), (1,): F(1, 3), (0, 1, 1): F(-5, 6)},
+            "b": {(0,): F(1, 4), (1,): F(1, 3), (1, 0): F(5, 12)}}
+    images = {k: NCSeries(AB, trunc, RATIONAL, v) for k, v in rimg.items()}
+    assert (images["a"].den, images["b"].den) == (6, 12)
+    rx = {(0,): F(1), (1,): F(-1), (0, 1): F(2, 3), (1, 0): F(-2, 3),
+          (0, 0, 1): F(1, 9)}
+    ref = {}
+    for w, v in rx.items():
+        prod = {(): F(1)}
+        for i in w:
+            prod = _ref_mul(prod, rimg[AB[i]], trunc)
+        ref = _ref_add(ref, _ref_scale(prod, embed(v)))
+    for w in ((1,), (0, 0), (1, 1)):
+        assert w not in ref
+    got = NCSeries(AB, trunc, ring,
+                   {w: embed(v) for w, v in rx.items()}).substitute(images)
+    _assert_matches(got, ref, ring)
