@@ -9,9 +9,16 @@ not part of the isomorphism class: the catalog assigns ``nu`` in vertex
 order, so two graphs differing only by renumbered tails are listed once.
 
 Within one vector, isomorphic multigraphs form one orbit of the
-relabellings that keep each vertex's (tails, deg) pair, and all are
-generated.  The first of an orbit marks the whole orbit as seen, so the
-key search runs once per isomorphism class.
+relabellings that keep each vertex's (tails, deg) pair.  Generation
+breaks that symmetry as it goes: when a vertex resolves its stubs, two
+later vertices with the same pair and the same edge counts from every
+vertex resolved so far are twins, and a choice that gives a twin fewer
+edges than the next twin of its class is skipped.  Every orbit keeps its
+member with the largest decision sequence (see :func:`_multigraphs`).
+The first connected member generated marks its whole orbit as seen, so
+the key search runs once per isomorphism class; disconnected members
+are not marked, since connectivity holds for a whole orbit and is cheap
+to test again.
 """
 from __future__ import annotations
 
@@ -24,12 +31,27 @@ EdgePair = tuple[int, int]
 Encoding = tuple[tuple[EdgePair, ...], tuple[int, ...]]
 
 
-def _multigraphs(deg: list[int], start: int = 0) -> Iterator[list[EdgePair]]:
-    """All multigraphs on labeled vertices with the given stub degrees.
+def _multigraphs(deg: list[int], classes: Sequence | None = None,
+                 start: int = 0) -> Iterator[list[EdgePair]]:
+    """Multigraphs on labeled vertices with the given stub degrees.
 
-    Each multigraph (edge multiset) is produced exactly once: vertex i's
+    Each multigraph (edge multiset) is produced once at most: vertex i's
     stubs are resolved before vertex i+1's, into loops and connections to
-    later vertices only.
+    later vertices only.  Without ``classes`` every multigraph is
+    produced.
+
+    With ``classes`` (one label per vertex; relabellings that keep the
+    labels form the group G), two later vertices are twins at step i
+    when they have the same label and the same edge counts from every
+    vertex resolved before i; a choice at step i that gives a twin fewer
+    edges to i than the next twin of its class gets is skipped.  No
+    G-orbit is lost: take the member whose sequence of decisions
+    (loops, then edges to each later vertex, step by step) is largest.
+    Had it given a twin j fewer edges at step i than the next twin k,
+    swapping j and k would be a relabelling in G, would leave every
+    earlier decision the same (j and k have equal counts from each
+    earlier vertex) and would make step i larger, contradicting the
+    choice.
     """
     i = start
     while i < len(deg) and deg[i] == 0:
@@ -38,17 +60,24 @@ def _multigraphs(deg: list[int], start: int = 0) -> Iterator[list[EdgePair]]:
         yield []
         return
     later = list(range(i + 1, len(deg)))
+    twin = [] if classes is None else [classes[j] == classes[j + 1]
+                                       for j in later[:-1]]
     for loops in range(deg[i] // 2 + 1):
         rest = deg[i] - 2 * loops
         for combo in _compositions(rest, [0] * len(later),
                                    [deg[j] for j in later]):
+            if any(t and a < b for t, a, b in zip(twin, combo, combo[1:])):
+                continue
             nd = list(deg)
             nd[i] = 0
+            nc = None if classes is None else list(classes)
             for j, m in zip(later, combo):
                 nd[j] -= m
+                if nc is not None:
+                    nc[j] = (nc[j], m)
             head = [(i, i)] * loops + [x for j, m in zip(later, combo)
                                        for x in [(i, j)] * m]
-            for tail_part in _multigraphs(nd, i + 1):
+            for tail_part in _multigraphs(nd, nc, i + 1):
                 yield head + tail_part
 
 
@@ -147,6 +176,8 @@ def stable_graphs(g: int, n: int, trivalent_only: bool = True) -> list[StableGra
     A stable graph here has first Betti number g, n tails, and valence
     at least three everywhere (exactly three when ``trivalent_only``).
     """
+    if g < 0 or n < 0:
+        raise ValueError("negative genus or tail count")
     if 2 * g - 2 + n <= 0:
         raise ValueError("unstable type")
     out: dict[Encoding, StableGraph] = {}
@@ -176,14 +207,14 @@ def stable_graphs(g: int, n: int, trivalent_only: bool = True) -> list[StableGra
                 bit = [[1 << ne.bit_length() * (nv * min(i, j) + max(i, j))
                         for j in range(nv)] for i in range(nv)]
                 seen: set[int] = set()
-                for edges in _multigraphs(list(deg)):
-                    if sum(bit[i][j] for i, j in edges) in seen:
+                for edges in _multigraphs(list(deg), pairs):
+                    if not _connected(nv, edges) or \
+                            sum(bit[i][j] for i, j in edges) in seen:
                         continue
                     seen.update(sum(bit[p[i]][p[j]] for i, j in edges)
                                 for p in group)
-                    if _connected(nv, edges):
-                        key = _canonical(nv, edges, tails)
-                        gr = _build(key)
-                        gr.validate(expect=(g, n))
-                        out[key] = gr
+                    key = _canonical(nv, edges, tails)
+                    gr = _build(key)
+                    gr.validate(expect=(g, n))
+                    out[key] = gr
     return [out[k] for k in sorted(out)]

@@ -103,12 +103,24 @@ def edge_of(h: str) -> str:
     return h[:-1]
 
 
+def _by_id(kind: str, items: Iterable) -> dict:
+    out = {}
+    for x in items:
+        if x.id in out:
+            raise GraphInvalid(f"duplicate {kind} id {x.id}")
+        out[x.id] = x
+    return out
+
+
 class StableGraph:
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge],
                  tails: Iterable[Tail], chart: Chart | None = None):
         self.vertices: tuple[str, ...] = tuple(sorted(vertices))
-        self.edges: dict[str, Edge] = {e.id: e for e in edges}
-        self.tails: dict[str, Tail] = {t.id: t for t in tails}
+        for a, b in zip(self.vertices, self.vertices[1:]):
+            if a == b:
+                raise GraphInvalid(f"duplicate vertex name {a}")
+        self.edges: dict[str, Edge] = _by_id("edge", edges)
+        self.tails: dict[str, Tail] = _by_id("tail", tails)
         self.chart = chart
 
     # ------------------------------------------------------------------
@@ -183,8 +195,14 @@ class StableGraph:
         nus = sorted(t.nu for t in self.tails.values())
         if nus != list(range(1, len(nus) + 1)):
             raise GraphInvalid("tail numbering is not a bijection onto 1..n")
+        valence = dict.fromkeys(self.vertices, 0)
+        for e in self.edges.values():
+            valence[e.from_vertex] += 1
+            valence[e.to_vertex] += 1
+        for t in self.tails.values():
+            valence[t.vertex] += 1
         for v in self.vertices:
-            if self.valence(v) < 3:
+            if valence[v] < 3:
                 raise GraphInvalid(f"vertex {v} has fewer than 3 branches")
         g, n = self.gn_type()
         if 2 * g - 2 + n <= 0:

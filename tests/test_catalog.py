@@ -195,6 +195,40 @@ def test_one_key_search_per_isomorphism_class(gn, monkeypatch):
     assert len(stable_graphs(*gn)) == len(calls) == TRIVALENT_COUNTS[gn]
 
 
+def _exhaustive_count(g, n):
+    """Labelled multigraphs over the vectors of the trivalent catalog,
+    each twin class left unpruned."""
+    nv = 2 * g - 2 + n
+    return sum(count_multigraphs([3 - c for c in tails])
+               for tails in _compositions(n, [0] * nv, [3] * nv)
+               if list(tails) == sorted(tails, reverse=True))
+
+
+@pytest.mark.parametrize("gn, exhaustive", [((3, 2), 3173), ((4, 0), 4720)])
+def test_twin_pruning_generates_far_fewer_multigraphs(gn, exhaustive,
+                                                      monkeypatch):
+    # the catalog tests connectivity once per labelled multigraph it
+    # generates
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _connected(*args)
+
+    monkeypatch.setattr(catalog, "_connected", counted)
+    assert len(stable_graphs(*gn)) == TRIVALENT_COUNTS[gn]
+    assert _exhaustive_count(*gn) == exhaustive
+    assert 10 * len(calls) < exhaustive
+
+
+@pytest.mark.parametrize("gn", [(-1, 5), (-2, 7), (2, -1), (0, 2), (1, 0)])
+def test_negative_or_unstable_types_raise(gn):
+    with pytest.raises(ValueError):
+        stable_graphs(*gn)
+    with pytest.raises(ValueError):
+        stable_graphs(*gn, trivalent_only=False)
+
+
 @pytest.mark.parametrize("gn", [(g, n) for g in range(4) for n in range(7)
                                 if 0 < 2 * g - 2 + n <= 4],
                          ids=lambda gn: f"g{gn[0]}n{gn[1]}")

@@ -380,6 +380,19 @@ def test_graph_validate_rejects_a_zero_denominator_chart_value(
                                          expect=2).stderr
 
 
+def test_graph_validate_rejects_a_duplicate_edge_id(tmp_path):
+    # three v0-v1 edges, two named e0: merged, they would read as g = 1
+    data = StableGraph(["v0", "v1"],
+                       [Edge("e0", "v0", 0, "v1", 0),
+                        Edge("e1", "v0", 1, "v1", 1),
+                        Edge("e2", "v0", 2, "v1", 2)],
+                       [Tail("t1", "v0", 1), Tail("t2", "v1", 2)]).to_json()
+    data["edges"][2]["id"] = "e0"
+    path = write_json(tmp_path / "dup.json", data)
+    assert "duplicate edge id e0" in run_cli("graph", "validate", path,
+                                             expect=2).stderr
+
+
 def test_graph_validate_rejects_a_non_integral_tail_label(four_tails, tmp_path):
     data = json.loads(Path(four_tails).read_text())
     data["tails"][0]["nu"] = 1.9

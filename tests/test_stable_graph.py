@@ -73,6 +73,30 @@ def test_validate_rejects_bad_graphs():
                      Tail("t3", "v0", 3)]).validate(expect=(0, 2))
 
 
+def test_validate_counts_a_loop_twice():
+    # one loop gives its vertex two branches, a tail makes three
+    with pytest.raises(GraphInvalid, match="fewer than 3 branches"):
+        StableGraph(["v0"], [Edge("e0", "v0", 0, "v0", 1)], []).validate()
+    assert one_loop_one_tail().validate() == (1, 1)
+    with pytest.raises(GraphInvalid, match="vertex v0 has fewer than 3"):
+        StableGraph(["v0", "v1"], [Edge("e0", "v0", 0, "v1", 0),
+                                   Edge("e1", "v0", 1, "v1", 1)],
+                    []).validate()
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge", "tail"])
+def test_duplicate_ids_are_rejected(kind):
+    # without the check, the second item of a name would replace the first
+    vertices = ["v0", "v1"] + (["v1"] if kind == "vertex" else [])
+    edges = [Edge("e0", "v0", 0, "v1", 0), Edge("e1", "v0", 1, "v1", 1),
+             Edge("e0" if kind == "edge" else "e2", "v0", 2, "v1", 2)]
+    tails = [Tail("t1", "v0", 1), Tail("t1" if kind == "tail" else "t2",
+                                        "v1", 2)]
+    name = {"vertex": "v1", "edge": "e0", "tail": "t1"}[kind]
+    with pytest.raises(GraphInvalid, match=f"duplicate {kind} .*{name}"):
+        StableGraph(vertices, edges, tails)
+
+
 def test_chart_invariants():
     g = one_loop_one_tail()
     ok = Chart({"e0+": F(0), "t1": F(1)}, ["e0-"])
